@@ -75,15 +75,17 @@ def _warm_workers() -> None:
         from libfilter_ray.sources.webpages import (_replicate_docs,
                                                     synthesize_webpages)
         from libfilter_ray.stages.extract import verify_extract_stage
-        from libfilter_ray.stages.sketch_build import _GroupedPartialBuilder
+        from libfilter_ray.stages.sketch_build import \
+            _MultiGroupedPartialBuilder
 
         t = _pq.read_table(f"{SF_DIR}/documents.parquet",
                            columns=["doc_id", "text", "lang", "source"]) \
             .slice(0, 80)
         pages = verify_extract_stage(
             synthesize_webpages(_replicate_docs(t, 400)))
-        bld = _GroupedPartialBuilder("block", {"bytes_": 2 << 20}, "url",
-                                     "lang", DEFAULT_SEED, 8)
+        bld = _MultiGroupedPartialBuilder(
+            [("bloom", "block", {"bytes_": 2 << 20}, "url")], "lang",
+            DEFAULT_SEED, 8)
         bld(pages.select(["url", "lang"]))
         # warm the LSH dedup path too (shingle cumprod + per-perm splitmix
         # passes were the worst cold-page offenders: 5-10x first-run cost)

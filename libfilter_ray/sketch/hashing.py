@@ -132,7 +132,13 @@ def _hash_buffer_one(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 
 
 def _binary_array_parts(arr: pa.Array):
-    """(data_u8, starts, ends) absolute into the value buffer, honoring offset."""
+    """(data_u8, starts, ends) of a string/binary array, honoring offset.
+
+    `data` is only the rows' own byte span [first start, last end) of the
+    value buffer, and starts/ends are rebased to it: a zero-copy slice of a
+    large array scans its own bytes, not the whole buffer. The polynomial
+    hash is translation-invariant (see _HASH_CHUNK_BYTES), so hashes do not
+    depend on where the span begins."""
     buffers = arr.buffers()
     if arr.type in (pa.large_string(), pa.large_binary()):
         off_dtype = np.int64
@@ -140,10 +146,11 @@ def _binary_array_parts(arr: pa.Array):
         off_dtype = np.int32
     offsets = np.frombuffer(buffers[1], dtype=off_dtype,
                             count=len(arr) + arr.offset + 1)[arr.offset:]
-    data = np.frombuffer(buffers[2], dtype=np.uint8) if buffers[2] is not None \
-        else np.empty(0, dtype=np.uint8)
-    starts = offsets[:-1].astype(np.int64)
-    ends = offsets[1:].astype(np.int64)
+    base, end = int(offsets[0]), int(offsets[-1])
+    data = np.frombuffer(buffers[2], dtype=np.uint8)[base:end] \
+        if buffers[2] is not None else np.empty(0, dtype=np.uint8)
+    starts = offsets[:-1].astype(np.int64) - base
+    ends = offsets[1:].astype(np.int64) - base
     return data, starts, ends
 
 

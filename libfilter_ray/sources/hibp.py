@@ -75,7 +75,7 @@ def parse_hibp_lines(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
         hex16 = hex16.combine_chunks()
     data, starts, ends = _binary_array_parts(hex16)
     assert ((ends - starts) == 16).all(), "malformed HIBP line (short hex)"
-    nib = _FROMHEX[data[starts[0]:ends[-1]]].astype(np.uint64).reshape(-1, 16)
+    nib = _FROMHEX[data].astype(np.uint64).reshape(-1, 16)
     # x = (x << 4) | nib[39 - i]: nibble at column 15 is MSB, column 0 is LSB
     x = np.zeros(len(nib), dtype=np.uint64)
     for c in range(15, -1, -1):

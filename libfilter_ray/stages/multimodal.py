@@ -44,18 +44,14 @@ def _flat_binary_view(col) -> tuple[np.ndarray, np.ndarray]:
     """(row_offsets rebased to 0, flat byte view) of a binary column.
 
     Thin adapter over the canonical Arrow-buffer walk
-    (`sketch.hashing._binary_array_parts`) so the offset-dtype handling —
-    including large_string/large_binary 64-bit offsets — lives in exactly
-    one place."""
+    (`sketch.hashing._binary_array_parts`, which already rebases to the
+    rows' byte span) so the offset-dtype handling — including
+    large_string/large_binary 64-bit offsets — lives in exactly one place."""
     from ..sketch.hashing import _binary_array_parts
 
     col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    data, starts, ends = _binary_array_parts(col)
-    if len(starts) == 0:
-        return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    base = starts[0]
-    offsets = np.concatenate([starts, ends[-1:]]) - base
-    return offsets, data[base:ends[-1]]
+    data, starts, _ends = _binary_array_parts(col)
+    return np.append(starts, len(data)), data
 
 
 def attach_fake_images(t: pa.Table, *, id_column: str = "doc_id",

@@ -13,11 +13,18 @@ parallelism; block size is governed upstream by the read/repartition.)
    merge tree (`map_batches` over batches of partials, repeated) reduces
    ~millions of partials without ever concentrating them on the driver.
 
-2. **Grouped sketches** (per-lang / per-domain): per-batch *per-key*
-   partials (pre-aggregation: at most one row per key per block leaves the
-   map stage) -> optional salted first-stage groupby merge for hot keys ->
-   final unsalted groupby merge. This is the north star's two-stage
-   salted-key skew mitigation.
+2. **Grouped sketches** (per-lang / per-domain): one builder,
+   `_MultiGroupedPartialBuilder`, emits per-batch *per-key* partials for
+   any number of specs (pre-aggregation: at most one row per key per block
+   leaves the map stage) -> optional salted first-stage groupby merge for
+   hot keys -> final unsalted groupby merge. This is the north star's
+   two-stage salted-key skew mitigation; `build_grouped_sketches` is the
+   one-spec case.
+
+Every per-key stage — that builder, the checkpointed partition builder
+(state/checkpoint.py) and the grouped probe — splits a block by key one
+way, `split_by_key`: one dictionary encode, null-key rows dropped in one
+place, each hashed column hashed once per block.
 
 The reference's merge ops backing this: BlockBloom bitwise OR (implied by
 c/lib/block.c construction), taffy-cuckoo union (c/lib/taffy-cuckoo.c:260-348),
@@ -32,11 +39,15 @@ import numpy as np
 import pyarrow as pa
 
 from ..sketch import registry
-from ..sketch.hashing import DEFAULT_SEED, hash_arrow_array
+from ..sketch.hashing import DEFAULT_SEED, hash_arrow_array, splitmix64
 
 
 def _column_input(sketch) -> str:
     return getattr(sketch, "input", "hashes")
+
+
+def _combined(col):
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
 
 
 def _updates_from(batch_col, sketch, seed: int, pre_hashed: bool = False):
@@ -53,9 +64,7 @@ def _updates_from(batch_col, sketch, seed: int, pre_hashed: bool = False):
     elif _column_input(sketch) == "vectors":
         # list<float> column -> (n, dim) float64 matrix (null rows out);
         # flatten() respects offsets so sliced/filtered arrays are safe
-        col = batch_col.combine_chunks() \
-            if isinstance(batch_col, pa.ChunkedArray) else batch_col
-        col = col.drop_null()
+        col = _combined(batch_col).drop_null()
         if len(col):
             widths = np.diff(np.asarray(col.offsets, dtype=np.int64))
             if widths.min() != widths.max():
@@ -142,109 +151,95 @@ def build_sketch(ds, column: str, kind: str, params: dict | None = None, *,
     return out.finalize()
 
 
-def _null_count(indices) -> int:
-    return indices.null_count
+def split_by_key(table: pa.Table, key: str, hashed=(), valued=(),
+                 seed: int = DEFAULT_SEED):
+    """The one key split behind every per-key stage: group a block's rows by
+    `key` with one dictionary encode and one stable sort of the codes.
 
-
-class _GroupedPartialBuilder:
-    """Per-block, per-key partial sketches (pre-aggregation before shuffle).
-
-    Rows with a NULL key are EXCLUDED from grouped builds (and from the
-    returned per-key `rows` counts) — unlike SQL GROUP BY, which groups
-    them; pre-filter nulls (or fill a sentinel) if they must be counted.
+    Returns (keys, bounds, hashes, values). `keys` are the distinct non-null
+    keys in order of first appearance, typed as the key column; key i owns
+    rows [bounds[i], bounds[i+1]) of the key-ordered columns. `hashes[c]`
+    holds column c's u64 hashes: hashed ONCE over the unsorted block, then
+    permuted into key order (the hash is per element, so this equals hashing
+    the sorted column, without an Arrow take of a string column).
+    `values[c]` is column c taken into key order. The sort is stable, so each
+    key keeps its rows' block order (order-sensitive value sketches stay
+    byte-identical); per-key cost is O(its rows), linear at thousands of
+    keys. Rows with a NULL key are dropped — unlike SQL GROUP BY, which
+    groups them; pre-filter nulls (or fill a sentinel) if they must count.
     """
+    import pyarrow.compute as pc
 
-    def __init__(self, kind: str, params: dict, column: str, key: str,
-                 seed: int, num_salts: int):
-        self.kind, self.params = kind, params
-        self.column, self.key, self.seed = column, key, seed
-        self.num_salts = num_salts
+    enc = pc.dictionary_encode(_combined(table[key]))
+    keys = enc.dictionary
+    codes = np.asarray(enc.indices.fill_null(len(keys)))
+    order = np.argsort(codes, kind="stable")
+    bounds = np.searchsorted(codes[order], np.arange(len(keys) + 1))
+    order = order[:bounds[-1]]  # null keys sort past the last bound
+    hashes = {c: hash_arrow_array(table[c], seed=seed)[order] for c in hashed}
+    values = {c: _combined(table[c]).take(pa.array(order)) for c in valued}
+    return keys, bounds, hashes, values
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        keys_out, salts_out, payloads, counts = [], [], [], []
-        # group rows of this block by key (vectorized dictionary-encode)
-        enc = batch[self.column]
-        keycol = batch[self.key]
-        dict_arr = pc.dictionary_encode(
-            keycol.combine_chunks() if isinstance(keycol, pa.ChunkedArray) else keycol)
-        codes = np.asarray(dict_arr.indices)
-        uniq = dict_arr.dictionary
-        col = enc.combine_chunks() if isinstance(enc, pa.ChunkedArray) else enc
-        # Deterministic per-block salt (pure function of block content ->
-        # retry-safe): hash of the block's first column value + row count.
-        from ..sketch.hashing import splitmix64
-        if self.num_salts > 1 and batch.num_rows:
-            try:
-                block_fp = int(hash_arrow_array(col.slice(0, 1),
-                                                seed=7)[0])
-            except TypeError:
-                # vector (list<float>) columns aren't key-hashable —
-                # fingerprint the block off its first KEY value instead
-                # (same retry-safe pure-function-of-content property)
-                kc = dict_arr.dictionary.take(
-                    dict_arr.indices.slice(0, 1).cast(pa.int64()))
-                block_fp = int(hash_arrow_array(kc, seed=7)[0])
-            # int() BEFORE the modulo: numpy-u64 % python-int promotes to
-            # float64 and rounds away the low bits (salt was always 0)
-            salt = int(splitmix64(np.array([block_fp ^ batch.num_rows],
-                                           dtype=np.uint64))[0]) % self.num_salts
+
+def _spec_inputs(specs):
+    """(hashed, valued): the columns split_by_key hashes for the specs'
+    hash-consuming sketches and the columns whose values it takes for the
+    others (t-digest/KLL must see raw values, fd raw vectors)."""
+    hashed, valued = set(), set()
+    for (_name, kind, params, column) in specs:
+        hashes = _column_input(registry.make(kind, **params)) == "hashes"
+        (hashed if hashes else valued).add(column)
+    return hashed, valued
+
+
+def _key_payloads(split, kind: str, params: dict, column: str, seed: int,
+                  raw_ok: bool):
+    """(payloads, fmts): one serialized partial per key of a split_by_key
+    result.
+
+    Shuffle-volume guard (`raw_ok`, the 100 TB lever): a per-block per-key
+    partial of a FIXED-SIZE sketch (e.g. a corpus-sized BlockBloom) costs
+    its full size however few rows it holds, and partial count scales with
+    blocks x keys. When a hash-consuming sketch's raw 8-byte hash list is
+    under half its size, ship THAT ("raw") and let the reducer insert."""
+    _keys, bounds, hashes, values = split
+    probe = registry.make(kind, **params)
+    hashing = _column_input(probe) == "hashes"
+    budget = 0
+    if raw_ok and hashing:
+        budget = (probe.size_in_bytes() if hasattr(probe, "size_in_bytes")
+                  else len(probe.to_bytes())) // 2
+    payloads, fmts = [], []
+    for b0, b1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if (b1 - b0) * 8 < budget:
+            payloads.append(hashes[column][b0:b1].tobytes())
+            fmts.append("raw")
+            continue
+        sk = registry.make(kind, **params)
+        if hashing:
+            sk.update(hashes[column][b0:b1])
         else:
-            salt = 0
-        fmts = []
-        probe = registry.make(self.kind, **self.params)
-        # raw mode only for hash-consuming sketches (value sketches like
-        # t-digest/KLL must see the raw values, and their partials are small)
-        raw_ok = _column_input(probe) == "hashes"
-        sk_bytes = (probe.size_in_bytes() if hasattr(probe, "size_in_bytes")
-                    else len(probe.to_bytes()))
-        budget = sk_bytes // 2 if raw_ok else 0
-        # Sort-split, NOT per-key filter: one argsort of the key codes, one
-        # column take/hash pass, then every key's rows are a ZERO-COPY slice
-        # — per-key cost is O(its rows), so thousands of keys (per-domain
-        # builds) stay linear instead of keys x column-scan quadratic.
-        order = np.argsort(codes, kind="stable")
-        bounds = np.searchsorted(codes[order], np.arange(len(uniq) + 1))
-        # the take is skippable only when the identity order is provably
-        # correct: a single distinct key AND no null-key rows (null codes
-        # sort past the last bound, so with them present the unsorted
-        # column would attribute the wrong rows to the key)
-        take_needed = len(uniq) > 1 or _null_count(dict_arr.indices) > 0
-        col_sorted = col.take(pa.array(order)) if take_needed else col
-        hashed_sorted = (hash_arrow_array(col_sorted, seed=self.seed)
-                         if raw_ok else None)
-        for code in range(len(uniq)):
-            b0, b1 = int(bounds[code]), int(bounds[code + 1])
-            n_rows = b1 - b0
-            # Shuffle-volume guard (the 100 TB lever): a per-block per-key
-            # partial of a FIXED-SIZE sketch (e.g. a corpus-sized BlockBloom)
-            # costs size_in_bytes regardless of how few rows it holds, and
-            # partial count scales with blocks x keys. When the raw 8-byte
-            # hash list is smaller, ship THAT and let the reducer insert —
-            # shuffle bytes become min(8*rows, sketch_bytes) per partial.
-            if raw_ok and n_rows * 8 < budget:
-                payloads.append(hashed_sorted[b0:b1].tobytes())
-                fmts.append("raw")
-            else:
-                sk = registry.make(self.kind, **self.params)
-                if raw_ok:
-                    sk.update(hashed_sorted[b0:b1])
-                else:
-                    _updates_from(col_sorted.slice(b0, n_rows), sk, self.seed)
-                payloads.append(sk.to_bytes())
-                fmts.append("sketch")
-            keys_out.append(uniq[code].as_py())
-            salts_out.append(salt)
-            counts.append(n_rows)
-        # explicit key type: pa.array([]) would infer NULL for an empty
-        # block and crash downstream schema unification / shard hashing
-        return pa.table({
-            self.key: pa.array(keys_out, type=keycol.type),
-            "salt": pa.array(salts_out, type=pa.int32()),
-            "fmt": pa.array(fmts, type=pa.string()),
-            "payload": pa.array(payloads, type=pa.large_binary()),
-            "rows": pa.array(counts, type=pa.int64()),
-        })
+            _updates_from(values[column].slice(b0, b1 - b0), sk, seed)
+        payloads.append(sk.to_bytes())
+        fmts.append("sketch")
+    return payloads, fmts
+
+
+def _block_salt(batch: pa.Table, column: str, key: str,
+                num_salts: int) -> int:
+    """Deterministic per-block salt (a pure function of block content, so
+    retry-safe): a hash of the block's first `column` value — of its first
+    key value when the column is not hashable (vectors) — and row count."""
+    if num_salts <= 1 or not batch.num_rows:
+        return 0
+    try:
+        fp = hash_arrow_array(batch[column].slice(0, 1), seed=7)
+    except TypeError:
+        fp = hash_arrow_array(batch[key].slice(0, 1), seed=7)
+    # int() BEFORE the modulo: numpy-u64 % python-int promotes to
+    # float64 and rounds away the low bits (salt was always 0)
+    return int(splitmix64(np.array([int(fp[0]) ^ batch.num_rows],
+                                   dtype=np.uint64))[0]) % num_salts
 
 
 def _add_merge_shard(key: str, num_shards: int, with_salt: bool):
@@ -253,7 +248,6 @@ def _add_merge_shard(key: str, num_shards: int, with_salt: bool):
     shards. Sharded merges run ONE Ray task per shard with a pandas groupby
     inside — at thousands of keys (per-domain builds) this replaces
     keys x salts Ray map_groups calls with `num_shards` tasks."""
-    from ..sketch.hashing import splitmix64
 
     def add(t: pa.Table) -> pa.Table:
         kh = hash_arrow_array(t[key], seed=0x5AAD)
@@ -271,61 +265,12 @@ def build_grouped_sketches(ds, key: str, column: str, kind: str,
                            seed: int = DEFAULT_SEED,
                            batch_size: int | None = None,
                            num_salts: int = 8, num_shards: int = 32):
-    """Per-key sketches via the salted two-stage merge.
-
-    map_batches(per-key partials) -> sharded groupby merge on (key, salt)
-    -> sharded groupby merge on key. Returns a pandas DataFrame
-    (key, payload, rows). Hot keys (Zipfian lang/domain) spread over
-    `num_salts` first-stage reducers; merge tasks are per SHARD (hash range
-    of keys), not per key, so high-cardinality keys stay cheap.
-    """
-    import pandas as pd
-
-    params = params or {}
-    cls = registry.get(kind)
-    partials = ds.map_batches(
-        _GroupedPartialBuilder(kind, params, column, key, seed, num_salts),
-        batch_format="pyarrow", batch_size=batch_size)
-
-    def merge_frame(by):
-        def merge(df: pd.DataFrame) -> pd.DataFrame:
-            parts = []
-            for _, g in df.groupby(by, sort=False):
-                acc = None
-                raw = [p for p, f in zip(g["payload"], g["fmt"])
-                       if f == "raw"]
-                for p, f in zip(g["payload"], g["fmt"]):
-                    if f == "sketch":
-                        sk = cls.from_bytes(p)
-                        acc = sk if acc is None else acc.merge(sk)
-                if raw:
-                    if acc is None:
-                        acc = registry.make(kind, **params)
-                    acc.update(np.frombuffer(b"".join(raw), dtype=np.uint64))
-                first = g.iloc[:1].copy()
-                first["payload"] = [acc.to_bytes()]
-                first["fmt"] = ["sketch"]
-                first["rows"] = g["rows"].sum()
-                parts.append(first)
-            return pd.concat(parts, ignore_index=True) \
-                .drop(columns=["mshard"])
-        return merge
-
-    stage1 = partials \
-        .map_batches(_add_merge_shard(key, num_shards, True),
-                     batch_format="pyarrow") \
-        .groupby("mshard").map_groups(merge_frame([key, "salt"]),
-                                      batch_format="pandas")
-    final = stage1 \
-        .map_batches(_add_merge_shard(key, num_shards, False),
-                     batch_format="pyarrow") \
-        .groupby("mshard").map_groups(merge_frame([key]),
-                                      batch_format="pandas")
-    out = final.to_pandas()
-    if not len(out):  # fully empty input: typed empty frame, no KeyError
-        return pd.DataFrame({key: [], "payload": [], "rows": []})
-    out = out.drop(columns=["salt", "fmt"]).sort_values(key)
-    return out.reset_index(drop=True)
+    """Per-key sketches of one column: `build_grouped_multi` with one spec.
+    Returns a pandas DataFrame (key, rows, payload)."""
+    out = build_grouped_multi(ds, key, [("s", kind, params or {}, column)],
+                              seed=seed, batch_size=batch_size,
+                              num_salts=num_salts, num_shards=num_shards)
+    return out.rename(columns={"payload_s": "payload"})
 
 
 class _MultiGroupedPartialBuilder:
@@ -333,99 +278,30 @@ class _MultiGroupedPartialBuilder:
     (name, kind, params, column) specs. At 100 TB this is the pattern that
     matters — one read feeds every sketch instead of one pipeline each.
 
-    Same shuffle-volume guard as the single-sketch builder: a hash-consuming
-    spec whose per-key row count is small ships the raw 8-byte hash list
-    ("raw" fmt) instead of a fixed-size sketch; each column is hashed ONCE
-    per block and reused by every spec consuming it."""
+    One split_by_key per block: each column is hashed ONCE and reused by
+    every spec consuming it; hash-consuming specs may ship raw hash lists
+    (see _key_payloads). Output columns: key, salt, rows, then payload_<name>
+    and fmt_<name> per spec."""
 
     def __init__(self, specs, key: str, seed: int, num_salts: int = 8):
         self.specs, self.key, self.seed = specs, key, seed
         self.num_salts = num_salts
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keycol = batch[self.key]
-        dict_arr = pc.dictionary_encode(
-            keycol.combine_chunks() if isinstance(keycol, pa.ChunkedArray)
-            else keycol)
-        codes = np.asarray(dict_arr.indices)
-        uniq = dict_arr.dictionary
-        cols, hashed = {}, {}
-        for (_, _, _, column) in self.specs:
-            if column not in cols:
-                c = batch[column]
-                cols[column] = c.combine_chunks() \
-                    if isinstance(c, pa.ChunkedArray) else c
-        probes = {name: registry.make(kind, **params)
-                  for (name, kind, params, _c) in self.specs}
-        budgets = {name: (p.size_in_bytes() // 2
-                          if _column_input(p) == "hashes"
-                          and hasattr(p, "size_in_bytes")
-                          else len(p.to_bytes()) // 2
-                          if _column_input(p) == "hashes" else 0)
-                   for name, p in probes.items()}
-        from ..sketch.hashing import splitmix64
-        if self.num_salts > 1 and batch.num_rows:
-            first_col = cols[self.specs[0][3]]
-            block_fp = int(hash_arrow_array(first_col.slice(0, 1), seed=7)[0])
-            salt = int(splitmix64(np.array([block_fp ^ batch.num_rows],
-                                           dtype=np.uint64))[0]) % self.num_salts
-        else:
-            salt = 0
-        out: dict[str, list] = {self.key: [], "rows": [], "salt": []}
-        for (name, *_rest) in self.specs:
-            out[f"payload_{name}"] = []
-            out[f"fmt_{name}"] = []
-        # Sort-split (see _GroupedPartialBuilder): one stable argsort of the
-        # key codes, one take + one hash pass per column, then every key's
-        # rows are a zero-copy slice — linear in rows even at thousands of
-        # keys. Stable order preserves within-key row order, so
-        # order-sensitive value sketches (t-digest) stay byte-identical.
-        order = np.argsort(codes, kind="stable")
-        bounds = np.searchsorted(codes[order], np.arange(len(uniq) + 1))
-        # see _GroupedPartialBuilder: null-key rows sort past the last
-        # bound, so identity order is only safe with one key AND no nulls
-        take_needed = len(uniq) > 1 or _null_count(dict_arr.indices) > 0
-        sorted_cols = {c: (v.take(pa.array(order)) if take_needed else v)
-                       for c, v in cols.items()}
-        # hash each needed column once for the whole block (sorted order)
+        split = split_by_key(batch, self.key, *_spec_inputs(self.specs),
+                             seed=self.seed)
+        keys, bounds = split[0], split[1]
+        salt = _block_salt(batch, self.specs[0][3], self.key, self.num_salts)
+        out = {self.key: keys,
+               "salt": pa.array(np.full(len(keys), salt), type=pa.int32()),
+               "rows": pa.array(np.diff(bounds), type=pa.int64())}
         for (name, kind, params, column) in self.specs:
-            if budgets[name] and column not in hashed:
-                hashed[column] = hash_arrow_array(sorted_cols[column],
-                                                  seed=self.seed)
-        for code in range(len(uniq)):
-            b0, b1 = int(bounds[code]), int(bounds[code + 1])
-            n_rows = b1 - b0
-            out[self.key].append(uniq[code].as_py())
-            out["rows"].append(n_rows)
-            out["salt"].append(salt)
-            for (name, kind, params, column) in self.specs:
-                if budgets[name] and n_rows * 8 < budgets[name]:
-                    out[f"payload_{name}"].append(
-                        hashed[column][b0:b1].tobytes())
-                    out[f"fmt_{name}"].append("raw")
-                else:
-                    sk = registry.make(kind, **params)
-                    # reuse the block-level hash pass ONLY for
-                    # hash-consuming specs (budgets>0); value sketches
-                    # (t-digest/KLL) must see the raw values
-                    if budgets[name] and column in hashed:
-                        sk.update(hashed[column][b0:b1])
-                    else:
-                        _updates_from(sorted_cols[column].slice(b0, n_rows),
-                                      sk, self.seed)
-                    out[f"payload_{name}"].append(sk.to_bytes())
-                    out[f"fmt_{name}"].append("sketch")
-        arrays = {self.key: pa.array(out[self.key], type=keycol.type),
-                  "salt": pa.array(out["salt"], type=pa.int32()),
-                  "rows": pa.array(out["rows"], type=pa.int64())}
-        for (name, *_r) in self.specs:
-            arrays[f"payload_{name}"] = pa.array(out[f"payload_{name}"],
-                                                 type=pa.large_binary())
-            arrays[f"fmt_{name}"] = pa.array(out[f"fmt_{name}"],
-                                             type=pa.string())
-        return pa.table(arrays)
+            payloads, fmts = _key_payloads(split, kind, params, column,
+                                           self.seed, raw_ok=True)
+            out[f"payload_{name}"] = pa.array(payloads,
+                                              type=pa.large_binary())
+            out[f"fmt_{name}"] = pa.array(fmts, type=pa.string())
+        return pa.table(out)
 
 
 def build_grouped_multi(ds, key: str, specs, *, seed: int = DEFAULT_SEED,
@@ -506,7 +382,7 @@ def build_sketch_exact(ds, column: str, kind: str = "taffy_block",
     degrades the fpp plan. This path sidesteps merge entirely: the partial
     for each block is the RAW 8-byte hash list (concatenation-mergeable
     under ANY partitioning — the grouped builder's own "raw" fmt,
-    `_GroupedPartialBuilder`), and finalize canonicalizes the multiset by
+    `_key_payloads`), and finalize canonicalizes the multiset by
     sorting before a single-writer insert inside ONE remote task. The
     result is byte-identical to a sequential build over the sorted hash
     stream no matter how the input was partitioned (property-tested).
@@ -605,46 +481,32 @@ def grouped_probe_counts(payloads_ref, from_bytes, key: str, column: str, *,
                          seed: int = DEFAULT_SEED, count_name: str = "n",
                          found_name: str = "found"):
     """A map_batches FUNCTION emitting per-key membership counts against a
-    broadcast dict of per-key serialized filters: dictionary-encode the key
-    column once per batch, one vectorized find_hashes per present key, one
-    tiny (key, n, found) row per key per batch for the downstream Sum.
+    broadcast dict of per-key serialized filters: one split_by_key per batch
+    (the column hashed once), one vectorized find_hashes per present key,
+    one tiny (key, n, found) row per key per batch for the downstream Sum.
 
     `payloads_ref` = ray.put({key: filter_bytes}); filters deserialize ONCE
     per worker process (stages/broadcast.py memo). The shared body behind
     the flagship / per-(lang,source) / incremental-growth probes — fix a
     probe bug here, not in three copies."""
-    import pyarrow.compute as pc
-
     from .broadcast import cached_broadcast
 
     def probe(t: pa.Table) -> pa.Table:
         fs = cached_broadcast(
             payloads_ref,
             lambda pl: {k: from_bytes(v) for k, v in pl.items()})
-        keycol = t[key]
-        dict_arr = pc.dictionary_encode(
-            keycol.combine_chunks()
-            if isinstance(keycol, pa.ChunkedArray) else keycol)
-        codes = np.asarray(dict_arr.indices)
-        vals = t[column]
-        vals = vals.combine_chunks() \
-            if isinstance(vals, pa.ChunkedArray) else vals
-        keys, n, found = [], [], []
-        for code in range(len(dict_arr.dictionary)):
-            kv = dict_arr.dictionary[code].as_py()
-            mask = codes == code
-            keys.append(kv)
-            n.append(int(mask.sum()))
+        keys, bounds, hashes, _ = split_by_key(t, key, [column], seed=seed)
+        found = []
+        for kv, b0, b1 in zip(keys.to_pylist(), bounds[:-1].tolist(),
+                              bounds[1:].tolist()):
             f = fs.get(kv)
-            if f is None:
-                # key absent from the broadcast filter set (probe corpus
-                # wider than the build corpus): nothing can be a member
-                found.append(0)
-                continue
-            h = hash_arrow_array(vals.filter(pa.array(mask)), seed=seed)
-            found.append(int(f.find_hashes(h).sum()))
-        return pa.table({key: pa.array(keys, type=pa.string()),
-                         count_name: pa.array(n, type=pa.int64()),
+            # a key absent from the broadcast filter set (probe corpus
+            # wider than the build corpus) has no members
+            found.append(0 if f is None else
+                         int(f.find_hashes(hashes[column][b0:b1]).sum()))
+        return pa.table({key: keys,
+                         count_name: pa.array(np.diff(bounds),
+                                              type=pa.int64()),
                          found_name: pa.array(found, type=pa.int64())})
 
     return probe

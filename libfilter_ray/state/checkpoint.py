@@ -196,44 +196,26 @@ class _PartitionBuilder(_PartitionWorker):
         self.column, self.key, self.seed = column, key, seed
 
     def _partial_columns(self, t: pa.Table):
-        from ..stages.sketch_build import _updates_from
+        from ..stages import sketch_build as sb
 
-        keys, payloads, counts = [], [], []
         if self.key is None:
             sk = registry.make(self.kind, **self.params)
-            _updates_from(t[self.column], sk, self.seed)
-            keys, payloads, counts = [""], [sk.to_bytes()], [t.num_rows]
+            sb._updates_from(t[self.column], sk, self.seed)
+            keys, payloads, counts = pa.array([""]), [sk.to_bytes()], \
+                [t.num_rows]
         else:
-            import pyarrow.compute as pc
-            keycol = t[self.key]
-            dict_arr = pc.dictionary_encode(
-                keycol.combine_chunks()
-                if isinstance(keycol, pa.ChunkedArray) else keycol)
-            codes = np.asarray(dict_arr.indices)
-            col = t[self.column]
-            col = col.combine_chunks() \
-                if isinstance(col, pa.ChunkedArray) else col
-            # sort-split (one stable argsort + zero-copy slices), not a
-            # per-key mask scan — linear at thousands of keys, same
-            # shape as sketch_build._GroupedPartialBuilder; null-key
-            # rows sort past the last bound and are excluded
-            uniq = dict_arr.dictionary
-            order = np.argsort(codes, kind="stable")
-            bounds = np.searchsorted(codes[order],
-                                     np.arange(len(uniq) + 1))
-            need_take = len(uniq) > 1 or dict_arr.indices.null_count > 0
-            col_sorted = col.take(pa.array(order)) if need_take else col
-            for code in range(len(uniq)):
-                b0, b1 = int(bounds[code]), int(bounds[code + 1])
-                sk = registry.make(self.kind, **self.params)
-                _updates_from(col_sorted.slice(b0, b1 - b0), sk,
-                              self.seed)
-                keys.append(uniq[code].as_py())
-                payloads.append(sk.to_bytes())
-                counts.append(b1 - b0)
+            # the one key split (sketch_build.split_by_key): null-key rows
+            # are excluded, keys keep the key column's type
+            spec = [(None, self.kind, self.params, self.column)]
+            split = sb.split_by_key(t, self.key, *sb._spec_inputs(spec),
+                                    seed=self.seed)
+            keys, counts = split[0], np.diff(split[1])
+            payloads, _ = sb._key_payloads(split, self.kind, self.params,
+                                           self.column, self.seed,
+                                           raw_ok=False)
         n = len(keys)
         return ({
-            "key": pa.array(keys, type=pa.string()),
+            "key": keys,
             "kind": pa.array([self.kind] * n),
             "params": pa.array([json.dumps(self.params)] * n),
             "seed": pa.array([self.seed] * n, type=pa.int64()),

@@ -306,3 +306,30 @@ def test_checkpointed_dedup_config_mismatch_rejected(tmp_path, ray_session):
     with pytest.raises(ValueError, match="config mismatch"):
         CheckpointedDedup(str(tmp_path / "r"), paths, column="title",
                           id_column="doc_id", target_rows=1024)
+
+
+def test_checkpointed_build_int_keys(tmp_path, ray_session):
+    """An int64 key column keeps its type through the partition partials
+    (a string-typed key column used to raise ArrowTypeError); null-key rows
+    are excluded and each key's sketch equals a local build of its rows."""
+    from libfilter_ray.sketch.block_bloom import BlockBloom
+    from libfilter_ray.sketch.hashing import hash_arrow_array
+
+    n = 3000
+    keys = [None if i % 11 == 0 else i % 7 for i in range(n)]
+    vals = [f"v{i}" for i in range(n)]
+    path = str(tmp_path / "in.parquet")
+    pq.write_table(pa.table({"k": pa.array(keys, type=pa.int64()),
+                             "v": pa.array(vals)}), path,
+                   row_group_size=500)
+    job = CheckpointedBuild(str(tmp_path / "run"), [path], kind="block",
+                            params={"bytes_": 2048}, column="v", key="k",
+                            target_rows=1000)
+    out = job.run()
+    assert sorted(out) == list(range(7))
+    for k, sk in out.items():
+        local = BlockBloom(2048)
+        local.add_hashes(hash_arrow_array(pa.array(
+            [v for kk, v in zip(keys, vals) if kk == k])))
+        assert sk.to_bytes() == local.to_bytes()
+    assert job.metrics()["rows_processed"].sum() == n - len(range(0, n, 11))

@@ -141,11 +141,42 @@ def test_fd_grouped_build_per_label(ray_session, rng):
         .repartition(6)
     out = build_grouped_sketches(ds, "label", "emb", "fd",
                                  {"dim": d, "ell": 6})
+    _check_fd_per_label(out, "payload", A, labels)
+
+
+def _check_fd_per_label(out, payload: str, A, labels) -> None:
     assert sorted(out["label"]) == ["l0", "l1", "l2"]
     for _, row in out.iterrows():
-        sk = FrequentDirections.from_bytes(row["payload"]).finalize()
+        sk = FrequentDirections.from_bytes(row[payload]).finalize()
         lab = int(row["label"][1])
         Ak = A[labels == lab]
         assert sk.count == len(Ak) == row["rows"]
         assert sk.fnorm2 == pytest.approx(float((Ak * Ak).sum()))
         assert _cov_err(Ak, sk) <= sk.cov_error_bound() * (1 + 1e-9)
+
+
+def test_fd_first_spec_in_grouped_multi(ray_session, rng):
+    """A vector spec FIRST in build_grouped_multi: the per-block salt
+    fingerprint cannot hash list<float>, so it falls back to the block's
+    first key (it used to raise TypeError); a hash spec rides along."""
+    import pyarrow as pa
+    import ray.data
+
+    from libfilter_ray.sketch.hll import HyperLogLog
+    from libfilter_ray.stages.sketch_build import build_grouped_multi
+
+    n, d = 900, 8
+    labels = rng.integers(0, 3, n)
+    A = _lowrank(rng, n, d, 3)
+    ds = ray.data.from_arrow(pa.table({
+        "label": pa.array([f"l{v}" for v in labels]),
+        "id": pa.array(np.arange(n)),
+        "emb": pa.array(A.tolist(), type=pa.list_(pa.float64()))})) \
+        .repartition(4)
+    out = build_grouped_multi(ds, "label", [
+        ("fd", "fd", {"dim": d, "ell": 5}, "emb"),
+        ("ids", "hll", {"p": 10}, "id")], num_salts=8)
+    _check_fd_per_label(out, "payload_fd", A, labels)
+    for _, row in out.iterrows():
+        est = HyperLogLog.from_bytes(row["payload_ids"]).estimate()
+        assert abs(est - row["rows"]) <= 0.15 * row["rows"]

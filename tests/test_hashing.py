@@ -151,3 +151,30 @@ def test_sql_splitmix_chain_bit_exact(rng):
         got = con.sql(sql).df()["h"].to_numpy().astype(np.uint64)
         want = splitmix64(xs, seed=seed)
         assert np.array_equal(got, want), add_const
+
+
+def test_sliced_array_hashes_only_its_own_bytes(rng):
+    """A zero-copy slice hashes exactly as the matching rows of the whole
+    array, and its byte view covers only the slice's own span (not the
+    whole value buffer)."""
+    import numpy as np
+    import pyarrow as pa
+
+    from libfilter_ray.sketch import hashing
+
+    texts = ["".join(chr(97 + c) for c in rng.integers(0, 26, int(L)))
+             for L in rng.integers(0, 40, 200)]
+    texts[7] = None
+    for typ in (pa.string(), pa.large_string(), pa.binary()):
+        arr = pa.array(texts, type=typ)
+        whole = hashing.hash_arrow_array(arr, seed=5)
+        for a, b in [(0, 1), (0, 200), (3, 9), (7, 8), (50, 50),
+                     (199, 200), *rng.integers(0, 201, (20, 2)).tolist()]:
+            a, b = min(a, b), max(a, b)
+            part = arr.slice(a, b - a)
+            assert np.array_equal(hashing.hash_arrow_array(part, seed=5),
+                                  whole[a:b])
+            data, starts, ends = hashing._binary_array_parts(part)
+            span = sum(len(t or "") for t in texts[a:b])
+            assert len(data) == span
+            assert (b == a) or (starts[0] == 0 and ends[-1] == span)

@@ -7,6 +7,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from libfilter_ray.sketch.block_bloom import BlockBloom
 from libfilter_ray.sketch.hashing import hash_arrow_array
@@ -120,8 +121,8 @@ def test_salted_merge_under_extreme_skew(ray_session):
 
     from libfilter_ray.sketch.block_bloom import BlockBloom
     from libfilter_ray.sketch.hashing import DEFAULT_SEED, hash_arrow_array
-    from libfilter_ray.stages.sketch_build import (_GroupedPartialBuilder,
-                                                   build_grouped_sketches)
+    from libfilter_ray.stages.sketch_build import (
+        _MultiGroupedPartialBuilder, build_grouped_sketches)
 
     n = 20000
     keys = ["hot"] * (n * 95 // 100) + ["cold"] * (n - n * 95 // 100)
@@ -140,8 +141,8 @@ def test_salted_merge_under_extreme_skew(ray_session):
     # salting actually spreads: stage-1 partials for the hot key land in >1
     # salt group across blocks
     partials = ds.map_batches(
-        _GroupedPartialBuilder("block", {"bytes_": 16384}, "v", "k",
-                               DEFAULT_SEED, 8),
+        _MultiGroupedPartialBuilder([("b", "block", {"bytes_": 16384}, "v")],
+                                    "k", DEFAULT_SEED, 8),
         batch_format="pyarrow", batch_size=None).to_pandas()
     hot_salts = partials.loc[partials["k"] == "hot", "salt"].nunique()
     assert hot_salts > 1, "hot key's partials all hit one stage-1 reducer"
@@ -230,3 +231,60 @@ def test_grouped_build_empty_input_returns_typed_empty_frame(ray_session):
     out2 = build_grouped_multi(ray.data.from_arrow(t), "k",
                                [("b", "block", {"bytes_": 1024}, "v")])
     assert len(out2) == 0 and "payload_b" in out2.columns
+
+
+_ROWS = st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 3)),
+                           st.one_of(st.none(), st.text(max_size=6))),
+                 max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_ROWS, int_keys=st.booleans(), cut=st.integers(0, 40))
+@example(rows=[(0, "v0"), (None, "v1"), (0, "v2")], int_keys=False, cut=0)
+@example(rows=[(None, "x"), (None, "y")], int_keys=True, cut=1)
+@example(rows=[], int_keys=False, cut=0)
+def test_split_by_key_matches_python_grouping(rows, int_keys, cut):
+    """split_by_key against plain Python grouping in row order: keys in
+    first-appearance order typed as the key column, null-key rows dropped,
+    each key's hashes equal to hashing that key's values, each key's values
+    in block order — also for a chunked table."""
+    from libfilter_ray.sketch.hashing import DEFAULT_SEED
+
+    ktype = pa.int64() if int_keys else pa.string()
+    ks = [k if k is None or int_keys else f"k{k}" for k, _v in rows]
+    vs = [v for _k, v in rows]
+    t = pa.table({"k": pa.array(ks, type=ktype),
+                  "v": pa.array(vs, type=pa.string())})
+    cut = min(cut, t.num_rows)
+    t = pa.concat_tables([t.slice(0, cut), t.slice(cut)])  # 2 chunks
+    groups: dict = {}
+    for k, v in zip(ks, vs):
+        if k is not None:
+            groups.setdefault(k, []).append(v)
+
+    keys, bounds, hashes, values = sb.split_by_key(t, "k", ["v"], ["v"])
+    assert keys.type == ktype
+    assert keys.to_pylist() == list(groups)
+    assert int(bounds[-1]) == sum(k is not None for k in ks)
+    for i, k in enumerate(keys.to_pylist()):
+        b0, b1 = int(bounds[i]), int(bounds[i + 1])
+        want = hash_arrow_array(pa.array(groups[k], type=pa.string()),
+                                seed=DEFAULT_SEED)
+        assert np.array_equal(hashes["v"][b0:b1], want)
+        assert values["v"][b0:b1].to_pylist() == groups[k]
+
+
+def test_grouped_probe_counts_int_keys(ray_session):
+    """Integer group keys keep their type through the probe (they used to
+    crash a string-typed key column); null-key rows are not counted."""
+    import ray
+
+    t = pa.table({"k": pa.array([1, 2, None, 1, 3], type=pa.int64()),
+                  "v": pa.array(["a", "b", "c", "d", "e"])})
+    f1 = BlockBloom(1024)
+    f1.add_hashes(hash_arrow_array(pa.array(["a"])))
+    ref = ray.put({1: f1.to_bytes(), 2: BlockBloom(1024).to_bytes()})
+    out = sb.grouped_probe_counts(ref, BlockBloom.from_bytes, "k", "v")(t)
+    assert out.schema.field("k").type == pa.int64()
+    assert out.to_pydict() == {"k": [1, 2, 3], "n": [2, 1, 1],
+                               "found": [1, 0, 0]}
