@@ -144,7 +144,7 @@ def run_bench() -> dict:
         return out
 
     # headline: flagship per-lang BlockBloom build over synthesized web pages
-    # (read -> synth -> extract-verify -> salted grouped build -> probe),
+    # (read -> synth -> extract-verify -> grouped build -> probe),
     # corpus deterministically replicated so the bench measures throughput,
     # not per-pipeline fixed overhead
     replicate = int(os.environ.get("GRAFT_BENCH_REPLICATE", "20"))

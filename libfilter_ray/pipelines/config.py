@@ -24,8 +24,9 @@ Spec shape::
       ],
     }
 
-Grouped specs run in ONE pass via build_grouped_multi (single read + salted
-shuffle); ungrouped specs build one global sketch each via build_sketch —
+Grouped specs run in ONE pass via build_grouped_multi (single read + one
+keyed merge; ``num_salts`` only tags the partial rows, the merge does not
+read it); ungrouped specs build one global sketch each via build_sketch —
 or via build_sketch_exact when the spec carries ``"exact": true`` (the
 raw-hash canonicalized path for growth-order-sensitive sketches).
 """

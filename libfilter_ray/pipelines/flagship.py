@@ -8,7 +8,8 @@ scale and stage count stays constant at 100 TB):
 
 1. build: read documents -> synthesize pages -> extract text with the
    byte-identical invariant ENFORCED per row -> per-block per-lang BlockBloom
-   partials -> two-stage salted groupby merge (one streaming pipeline).
+   partials -> one keyed merge (one task for a small partial set, a
+   key-hash exchange for a large one; stages/sketch_build.merge_keyed).
 2. probe: broadcast the per-lang filters (ray.put once), stream the pages
    again, count members found per lang inside each batch (vectorized),
    tiny groupby sum at the end.
@@ -43,7 +44,7 @@ def sketch_build_throughput_job(sf_dir: str, replicate: int = 400,
     """The north-metric job ("documents/sec sketch-build throughput"): one
     streaming pass over the synthesized web-page corpus building FOUR
     mergeable sketches per lang — BlockBloom + HLL + CMS over url hashes and
-    KLL over text length — through the salted grouped merge. This is the
+    KLL over text length — through the one keyed merge. This is the
     workload `bench.py --scaling` times at two parallelism levels.
 
     Returns one row per lang with the sketch summaries (rows, filter bytes,

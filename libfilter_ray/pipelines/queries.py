@@ -395,7 +395,7 @@ ORDER BY n_events DESC, user_id ASC LIMIT 10
 def q_sketch_summary_events(sf_dir: str) -> pd.DataFrame:
     """One-pass distributed build of FOUR mergeable sketches per event_type
     (HLL over user_id, CMS over user_id, t-digest + KLL over value) via
-    build_grouped_multi — single read, single shuffle of tiny partials."""
+    build_grouped_multi — single read, one keyed merge of tiny partials."""
     from ..sketch.cms import CountMin
     from ..sketch.hll import HyperLogLog
     from ..sketch.kll import KLL
@@ -1098,7 +1098,7 @@ FROM events GROUP BY event_type ORDER BY event_type
 
 def q_sketch_build_throughput(sf_dir: str) -> pd.DataFrame:
     """The north-metric job at correctness scale (replicate=1): one pass
-    building BlockBloom + HLL + CMS + KLL per lang through the salted
+    building BlockBloom + HLL + CMS + KLL per lang through the keyed
     grouped merge. `bench.py --scaling` times this same job at 8 vs 32 CPUs.
     Approximate outputs — accuracy bounds asserted in tests; rows-only."""
     from .flagship import sketch_build_throughput_job
@@ -2228,7 +2228,7 @@ def q_domain_doc_counts(sf_dir: str) -> pd.DataFrame:
     """High-cardinality grouped build — the north star's per-DOMAIN case
     (thousands of keys, not 5 langs): a synthetic domain key (source x
     doc_id%97, ~2000 values) derived deterministically per row, then
-    per-domain HLL through the salted two-stage merge with sort-split
+    per-domain HLL through the keyed grouped merge with sort-split
     partials (one argsort per block, zero-copy per-key slices). The exact
     per-domain row counts ride the same shuffle and are DuckDB-oracled;
     the HLL estimates are bound-asserted in-query."""
@@ -2273,7 +2273,7 @@ def q_tcf_per_domain(sf_dir: str) -> pd.DataFrame:
     the north star's "growable filters for hot domains" case: the same
     synthetic ~2000-value domain key as `domain_doc_counts`, but the
     grouped build produces one mergeable TCF per domain (union =
-    c/lib/taffy-cuckoo.c:260-348) through the salted two-stage merge,
+    c/lib/taffy-cuckoo.c:260-348) through the keyed grouped merge,
     where the raw-hash shuffle guard matters most (tiny domains ship 8-byte
     hash lists, not 512-byte filters). Probe is a second streaming pass
     against the broadcast payload dict. Zero false negatives make
@@ -2548,7 +2548,7 @@ def q_incremental_growable(sf_dir: str) -> pd.DataFrame:
     """The growable filters' raison d'être — taffy GROWTH across batches
     (doc/taffy/taffy.tex; InsertPersists across upsizes in the reference's
     test suites): build per-lang taffy-cuckoo filters on HALF the corpus
-    (even doc_ids) via the salted grouped merge, then GROW those same
+    (even doc_ids) via the keyed grouped merge, then GROW those same
     filter objects with the other half in a second distributed pass
     (per-lang map_groups inserting into the deserialized phase-1 filter),
     and probe ALL docs streaming. Zero false negatives across growth make
@@ -5712,7 +5712,7 @@ def q_kmv_distinct_by_type(sf_dir: str) -> pd.DataFrame:
     and the Beyer (k-1)/U_(k) estimate are exact functions of the input
     set and the oracle replays them bit-for-bit with SQL window
     functions (splitmix64 is a bijection on u64, so DISTINCT user_id ==
-    DISTINCT hash). Built with the salted two-stage grouped merge
+    DISTINCT hash). Built with the keyed grouped merge
     (stages/sketch_build.py:build_grouped_sketches) — partials only ever
     hold <= k hashes, raw-mode ships plain hash lists for tiny blocks."""
     from ..sketch.kmv import KMV

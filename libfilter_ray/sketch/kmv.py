@@ -16,7 +16,7 @@ in SQL via window functions (ORDER BY hash LIMIT k), which is how the
 kmv_* queries are oracled bit-for-bit.
 
 Scale shape: a partial per block is <= 8k bytes; the grouped build's
-salted two-stage merge (stages/sketch_build.py) moves only partials,
+keyed merge (stages/sketch_build.py) moves only partials,
 never raw keys, and the raw-mode guard ships plain hash lists for
 blocks smaller than half a sketch.
 """

@@ -394,7 +394,7 @@ def candidate_pairs_ds(buckets, key: str, id_column: str, *,
 
     Sharding by key-hash RANGE (not one group per bucket) amortizes the
     per-group Python overhead over millions of tiny buckets — the same fix
-    shape as the salted grouped sketch merge (SURVEY.md §2.6). The same
+    shape as the grouped sketch merge's exchange path (SURVEY.md §2.6). The same
     (id_a, id_b) pair can surface from several bands/tables — dedupe with
     `dedup_pairs_ds` before anything that pays per pair (the verify
     stages do it themselves)."""

@@ -16,10 +16,11 @@ parallelism; block size is governed upstream by the read/repartition.)
 2. **Grouped sketches** (per-lang / per-domain): one builder,
    `_MultiGroupedPartialBuilder`, emits per-batch *per-key* partials for
    any number of specs (pre-aggregation: at most one row per key per block
-   leaves the map stage) -> optional salted first-stage groupby merge for
-   hot keys -> final unsalted groupby merge. This is the north star's
-   two-stage salted-key skew mitigation; `build_grouped_sketches` is the
-   one-spec case.
+   leaves the map stage) -> one keyed merge, `merge_keyed`. A partial set
+   that fits `ONE_TASK_BYTES` is folded by ONE remote task; a larger one
+   goes through one key-hash sharded exchange. `build_grouped_sketches` is
+   the one-spec case, and `CheckpointedBuild.merge` (state/checkpoint.py)
+   is the same merge over the checkpoint files.
 
 Every per-key stage — that builder, the checkpointed partition builder
 (state/checkpoint.py) and the grouped probe — splits a block by key one
@@ -37,6 +38,7 @@ from typing import Callable
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from ..sketch import registry
 from ..sketch.hashing import DEFAULT_SEED, hash_arrow_array, splitmix64
@@ -245,9 +247,11 @@ def _block_salt(batch: pa.Table, column: str, key: str,
 def _add_merge_shard(key: str, num_shards: int, with_salt: bool):
     """map_batches callable tagging partial rows with a merge shard: a pure
     hash of (key[, salt]) so one (key, salt) group never splits across
-    shards. Sharded merges run ONE Ray task per shard with a pandas groupby
-    inside — at thousands of keys (per-domain builds) this replaces
-    keys x salts Ray map_groups calls with `num_shards` tasks."""
+    shards. The exchange path of `merge_keyed` shards by key alone and runs
+    ONE Ray task per shard folding all of its keys — at thousands of keys
+    (per-domain builds) this replaces per-key Ray map_groups calls with
+    `num_shards` tasks. `with_salt` is kept for perfbench's replay of the
+    older salted two-round merge (tests/test_perfbench_hooks.py)."""
 
     def add(t: pa.Table) -> pa.Table:
         kh = hash_arrow_array(t[key], seed=0x5AAD)
@@ -308,66 +312,174 @@ def build_grouped_multi(ds, key: str, specs, *, seed: int = DEFAULT_SEED,
                         batch_size: int | None = None, num_salts: int = 8,
                         num_shards: int = 32):
     """Per-key sketches for several (name, kind, params, column) specs in ONE
-    pass over the data + the salted two-stage shuffle of tiny partial rows.
-    Merge tasks are sharded by key-hash (see _add_merge_shard), not per key.
-    Returns pandas (key, rows, payload_<name>...)."""
+    pass over the data, then one keyed merge of the tiny per-block per-key
+    partial rows (`merge_keyed`: one task for a small partial set, else a
+    key-hash exchange over `num_shards` shards). `num_salts` only sets the
+    partials' `salt` column (see `_block_salt`); the merge does not read it.
+    Returns pandas (key, rows, payload_<name>...) sorted by key."""
     import pandas as pd
 
     specs = list(specs)
     partials = ds.map_batches(
         _MultiGroupedPartialBuilder(specs, key, seed, num_salts),
         batch_format="pyarrow", batch_size=batch_size)
-    classes = {name: registry.get(kind) for (name, kind, _p, _c) in specs}
-    paramsby = {name: params for (name, _k, params, _c) in specs}
-    kinds = {name: kind for (name, kind, _p, _c) in specs}
+    out = merge_keyed(partials, key, specs, finalize=True,
+                      num_shards=num_shards)
+    cols = [key, "rows"] + [f"payload_{name}" for (name, *_r) in specs]
+    if out is None:  # no non-null key anywhere: typed empty frame
+        return pd.DataFrame({c: [] for c in cols})
+    return out.select(cols).to_pandas().sort_values(key) \
+        .reset_index(drop=True)
 
-    def merge_group(df: pd.DataFrame, finalize: bool) -> pd.DataFrame:
-        first = df.iloc[:1].copy()
-        for name, cls in classes.items():
-            pcol, fcol = f"payload_{name}", f"fmt_{name}"
-            acc = None
-            raw = [p for p, f in zip(df[pcol], df[fcol]) if f == "raw"]
-            for p, f in zip(df[pcol], df[fcol]):
-                if f == "sketch":
-                    sk = cls.from_bytes(p)
-                    acc = sk if acc is None else acc.merge(sk)
-            if raw:
-                if acc is None:
-                    acc = registry.make(kinds[name], **paramsby[name])
-                acc.update(np.frombuffer(b"".join(raw), dtype=np.uint64))
-            if finalize:
-                acc = acc.finalize()
-            first[pcol] = [acc.to_bytes()]
-            first[fcol] = ["sketch"]
-        first["rows"] = df["rows"].sum()
-        return first
 
-    def merge_frame(by, finalize: bool):
-        def merge(df: pd.DataFrame) -> pd.DataFrame:
-            parts = [merge_group(g, finalize)
-                     for _, g in df.groupby(by, sort=False)]
-            return pd.concat(parts, ignore_index=True) \
-                .drop(columns=["mshard"])
-        return merge
+#: Partial bytes (from Ray block metadata, or parquet footers for
+#: `PartialFiles`) up to which ONE task folds the whole keyed merge; above
+#: it the fold is spread over key-hash shards. The bound is set by the one
+#: task's memory, not by time: on one core, with 16 KB Bloom partials
+#: (tools/keyed_merge_crossover.py), one task folds
+#: 1 / 8 / 64 MB in 0.01 / 0.02 / 0.07 s against 0.16 / 1.1 / 11.9 s for the
+#: exchange, while its worker peaks at ~190 MB plus 5-7x the partial bytes
+#: (0.53 GB at 64 MB, 1.1 GB at 128 MB). No benchmark workload has partials
+#: above the bound, so the exchange's end-to-end cost there is unmeasured.
+ONE_TASK_BYTES = 64 << 20
 
-    stage1 = partials \
-        .map_batches(_add_merge_shard(key, num_shards, True),
-                     batch_format="pyarrow") \
-        .groupby("mshard").map_groups(merge_frame([key, "salt"], False),
-                                      batch_format="pandas")
-    final = stage1 \
+
+def _fold_payloads(kind: str, params: dict, sketches: list, raws: list,
+                   finalize: bool) -> bytes:
+    """One key's payloads of one spec, folded in canonical order: sketch
+    payloads merge in sorted byte order, raw hash lists concatenate in
+    sorted byte order and go in with one bulk update. The result depends
+    on the multiset of payloads only, not on block order or on which path
+    of the merge delivered them (order-sensitive sketches like KLL
+    included)."""
+    cls = registry.get(kind)
+    acc = None
+    for p in sorted(sketches):
+        sk = cls.from_bytes(p)
+        acc = sk if acc is None else acc.merge(sk)
+    if raws:
+        if acc is None:
+            acc = registry.make(kind, **params)
+        acc.update(np.frombuffer(b"".join(sorted(raws)), dtype=np.uint64))
+    if finalize:
+        acc = acc.finalize()
+    return acc.to_bytes()
+
+
+def _keyed_fold(specs, key: str, finalize: bool):
+    """The keyed merge's one fold, used by both of its paths: a function
+    from partial rows (`key`, rows, payload_<name> and fmt_<name> per spec;
+    a spec without a fmt column holds sketch payloads only) to one row per
+    distinct key, with rows summed and each spec folded by
+    `_fold_payloads`. Other columns (`salt`, the exchange's `mshard`) are
+    dropped."""
+
+    def fold(table: pa.Table) -> pa.Table:
+        groups: dict = {}
+        for i, k in enumerate(table[key].to_pylist()):
+            groups.setdefault(k, []).append(i)
+        rows = table["rows"].to_pylist()
+        out = {key: table[key].take([ix[0] for ix in groups.values()]),
+               "rows": pa.array([sum(rows[i] for i in ix)
+                                 for ix in groups.values()], type=pa.int64())}
+        for (name, kind, params, _column) in specs:
+            payloads = table[f"payload_{name}"].to_pylist()
+            fcol = f"fmt_{name}"
+            fmts = (table[fcol].to_pylist() if fcol in table.column_names
+                    else ["sketch"] * table.num_rows)
+            out[f"payload_{name}"] = pa.array([_fold_payloads(
+                kind, params,
+                [payloads[i] for i in ix if fmts[i] == "sketch"],
+                [payloads[i] for i in ix if fmts[i] == "raw"],
+                finalize) for ix in groups.values()],
+                type=pa.large_binary())
+        return pa.table(out)
+
+    return fold
+
+
+def _fold_blocks(fold, *blocks: pa.Table) -> pa.Table:
+    return fold(pa.concat_tables(blocks, promote_options="default"))
+
+
+class PartialFiles:
+    """Partial rows (see `_keyed_fold`) stored in parquet files, as the
+    checkpoint keeps them; `columns` maps each file column to read to its
+    partial-row name."""
+
+    def __init__(self, paths: list[str], columns: dict):
+        self.paths, self.columns = list(paths), dict(columns)
+
+    def fits(self, budget: int) -> bool:
+        """Whether the read columns' uncompressed bytes, summed from the
+        file footers (no payload is read), stay within `budget`. The sum
+        stops at the first file past it, so a large set costs the driver
+        about `budget` bytes' worth of footer reads, not one per file."""
+        size = 0
+        for path in self.paths:
+            md = pq.read_metadata(path)
+            for i in range(md.num_row_groups):
+                rg = md.row_group(i)
+                size += sum(rg.column(j).total_uncompressed_size
+                            for j in range(rg.num_columns)
+                            if rg.column(j).path_in_schema in self.columns)
+            if size > budget:
+                return False
+        return True
+
+    def read(self) -> pa.Table:
+        t = pq.read_table(self.paths, columns=list(self.columns))
+        return t.rename_columns([self.columns[c] for c in t.column_names])
+
+    def dataset(self):
+        import ray.data
+
+        return ray.data.read_parquet(self.paths, columns=list(self.columns)) \
+            .rename_columns(self.columns)
+
+
+def _fold_files(fold, files: PartialFiles) -> pa.Table | None:
+    t = files.read()
+    return fold(t) if t.num_rows else None
+
+
+def merge_keyed(partials, key: str, specs, *, finalize: bool,
+                num_shards: int = 32):
+    """The one keyed merge behind the grouped builds and the checkpoint
+    merge: partial rows (see `_keyed_fold`) -> one pyarrow row per key, or
+    None when there are no partial rows.
+
+    `partials` is a Dataset of partial rows or a `PartialFiles`. A Dataset
+    is materialized and sized from block metadata, files from their
+    footers; no payload reaches the driver. Up to `ONE_TASK_BYTES` ONE
+    remote task receives every block (or reads every file) and folds every
+    key; files that fit never pass through a Ray Data read, whose fixed
+    cost is most of a small merge's wall and most of its spread. Above the
+    budget, one key-hash sharded exchange (`_add_merge_shard` +
+    `groupby("mshard").map_groups`) hands each shard task every partial of
+    its keys. Either way each key's whole payload multiset goes through the
+    same canonical fold, so both paths give the same bytes for every
+    sketch kind."""
+    import ray
+
+    fold = _keyed_fold(specs, key, finalize)
+    if isinstance(partials, PartialFiles):
+        if partials.fits(ONE_TASK_BYTES):
+            return ray.get(ray.remote(_fold_files).remote(fold, partials))
+        partials = partials.dataset()
+    partials = partials.materialize()
+    if not partials.count():
+        return None
+    if partials.size_bytes() <= ONE_TASK_BYTES:
+        task = ray.remote(_fold_blocks)
+        return ray.get(task.remote(fold, *partials.to_arrow_refs()))
+    merged = partials \
         .map_batches(_add_merge_shard(key, num_shards, False),
                      batch_format="pyarrow") \
-        .groupby("mshard").map_groups(merge_frame([key], True),
-                                      batch_format="pandas")
-    drop = ["salt"] + [f"fmt_{name}" for name in classes]
-    out = final.to_pandas()
-    if not len(out):  # fully empty input: typed empty frame, no KeyError
-        cols = {key: [], "rows": []}
-        cols.update({f"payload_{name}": [] for name in classes})
-        return pd.DataFrame(cols)
-    return out.drop(columns=drop).sort_values(key) \
-        .reset_index(drop=True)
+        .groupby("mshard").map_groups(fold, batch_format="pyarrow") \
+        .materialize()  # to_arrow_refs() would re-run the shuffle for a schema
+    return pa.concat_tables(ray.get(merged.to_arrow_refs()),
+                            promote_options="default")
 
 
 def build_sketch_exact(ds, column: str, kind: str = "taffy_block",

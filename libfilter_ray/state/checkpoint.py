@@ -20,9 +20,11 @@ Design (SURVEY.md §4.2 "checkpoint/resume"):
 - **Resume = list the checkpoint dir, skip completed partition ids.** Only
   missing partitions are rebuilt; the final merge re-runs idempotently from
   the checkpoint files alone (a pure function of the directory).
-- The final merge is itself a Ray Data pipeline over the (tiny) checkpoint
-  rows: ``read_parquet(partials/) -> groupby(key) -> map_groups(merge)`` —
-  no driver-side payload concentration; scales to millions of partitions.
+- The final merge runs the engine's one keyed merge over the (tiny)
+  checkpoint files (``stages/sketch_build.merge_keyed``): ONE remote task
+  reads and folds a small partial set, a key-hash sharded exchange merges
+  a large one. No payload is concentrated on the driver; scales to
+  millions of partitions.
 
 At 100 TB: partitions are ~row-group sized (100s of MB), checkpoint rows are
 KBs, and a failed run resumes by re-listing one directory. The partials dir
@@ -400,12 +402,13 @@ class CheckpointedBuild(_CheckpointedJob):
                                  self.transform, self.read_columns)
 
     def merge(self):
-        """Idempotent final merge, pure function of the checkpoint dir:
-        read_parquet(partials/) -> groupby(key) -> map_groups(merge).
-        Returns {key: sketch} (key "" when ungrouped)."""
-        import pandas as pd
-
-        import ray.data
+        """Idempotent final merge, a pure function of the checkpoint dir:
+        the partial files -> `sketch_build.merge_keyed` (one task reads and
+        folds a small partial set, one key-hash exchange round merges a
+        large one; payloads folded in canonical order either way). A torn
+        or unreadable partial file raises. Returns {key: sketch} (key "" when
+        ungrouped)."""
+        from ..stages.sketch_build import PartialFiles, merge_keyed
 
         pending = self.status()["pending"]
         if pending:
@@ -421,26 +424,20 @@ class CheckpointedBuild(_CheckpointedJob):
             if self.key is None:
                 return {"": registry.make(self.kind, **self.params)}
             return {}
-        # file_extensions guard: without it, orphan part-*.parquet.tmp-* files
-        # from a crash inside _atomic_write_table would be ingested too,
-        # double-counting partitions on resume
-        ds = ray.data.read_parquet(
-            os.path.join(self.run_dir, PARTIALS_DIR),
-            columns=["key", "payload", "rows_processed"],
-            file_extensions=["parquet"])
-
-        def merge_group(df: pd.DataFrame) -> pd.DataFrame:
-            acc = cls.from_bytes(df["payload"].iloc[0])
-            for p in df["payload"].iloc[1:]:
-                acc = acc.merge(cls.from_bytes(p))
-            return pd.DataFrame({"key": [df["key"].iloc[0]],
-                                 "payload": [acc.to_bytes()],
-                                 "rows": [int(df["rows_processed"].sum())]})
-
-        out = ds.groupby("key").map_groups(
-            merge_group, batch_format="pandas").to_pandas()
-        return {row["key"]: cls.from_bytes(row["payload"])
-                for _, row in out.iterrows()}
+        # _partial_files() lists *.parquet only: orphan part-*.parquet.tmp-*
+        # files from a crash inside _atomic_write_table would otherwise be
+        # ingested too, double-counting partitions on resume
+        d = os.path.join(self.run_dir, PARTIALS_DIR)
+        files = PartialFiles(
+            [os.path.join(d, f) for f in self._partial_files()],
+            {"key": "key", "payload": "payload_s", "rows_processed": "rows"})
+        out = merge_keyed(files, "key",
+                          [("s", self.kind, self.params, self.column)],
+                          finalize=False)
+        if out is None:  # every partition's keys were null
+            return {}
+        return {k: cls.from_bytes(p) for k, p in
+                zip(out["key"].to_pylist(), out["payload_s"].to_pylist())}
 
     def run(self, max_partitions: int | None = None):
         self.build_partials(max_partitions)

@@ -121,6 +121,58 @@ def test_orphan_tmp_files_ignored(tmp_path, events_parquet, ray_session):
     assert job2.run()[""].to_bytes() == ref.to_bytes()
 
 
+def test_torn_partial_file_raises_then_rebuilds(tmp_path, events_parquet,
+                                               ray_session):
+    """A torn partial file (truncated after a full run) makes merge() raise
+    instead of returning under-counted sketches; once the file is deleted,
+    run() rebuilds only that partition and the result equals the clean
+    build byte for byte."""
+    kw = dict(kind="block", params={"bytes_": 4096}, column="user_id",
+              key="event_type", target_rows=2048)
+    run_dir = str(tmp_path / "r")
+    ref = CheckpointedBuild(run_dir, events_parquet, **kw).run()
+    d = os.path.join(run_dir, PARTIALS_DIR)
+    files = sorted(os.listdir(d))
+    assert len(files) >= 3
+    torn = os.path.join(d, files[1])
+    with open(torn, "r+b") as f:
+        f.truncate(os.path.getsize(torn) // 2)
+
+    job = CheckpointedBuild(run_dir, events_parquet, **kw)
+    with pytest.raises(pa.ArrowInvalid):
+        job.merge()
+
+    os.unlink(torn)
+    kept = {f: os.stat(os.path.join(d, f)).st_mtime_ns
+            for f in files if f != files[1]}
+    job = CheckpointedBuild(run_dir, events_parquet, **kw)
+    assert job.status()["pending"] == [1]
+    out = job.run()
+    assert sorted(os.listdir(d)) == files
+    assert {f: os.stat(os.path.join(d, f)).st_mtime_ns for f in kept} == kept
+    assert set(out) == set(ref)
+    for k in ref:
+        assert out[k].to_bytes() == ref[k].to_bytes()
+
+
+def test_merge_paths_agree(tmp_path, events_parquet, ray_session,
+                           monkeypatch):
+    """merge() gives the same bytes through the one-task fold and through
+    the sharded exchange (forced by a zero one-task budget)."""
+    from libfilter_ray.stages import sketch_build
+
+    job = CheckpointedBuild(str(tmp_path / "r"), events_parquet,
+                            kind="taffy_block", params={"ndv": 64},
+                            column="user_id", key="event_type",
+                            target_rows=2048)
+    one_task = job.run()
+    monkeypatch.setattr(sketch_build, "ONE_TASK_BYTES", 0)
+    exchanged = job.merge()
+    assert len(one_task) >= 2 and set(exchanged) == set(one_task)
+    for k in one_task:
+        assert exchanged[k].to_bytes() == one_task[k].to_bytes()
+
+
 def test_checkpointed_dedup_kill_resume_matches_exact(tmp_path, ray_session):
     """CheckpointedDedup interrupted + resumed drops EXACTLY the rows the
     single-shot stages/dedup.py:exact_dedup drops (duplicates planted by
@@ -333,3 +385,22 @@ def test_checkpointed_build_int_keys(tmp_path, ray_session):
             [v for kk, v in zip(keys, vals) if kk == k])))
         assert sk.to_bytes() == local.to_bytes()
     assert job.metrics()["rows_processed"].sum() == n - len(range(0, n, 11))
+
+
+def test_all_null_keys_merge_empty(tmp_path, ray_session, monkeypatch):
+    """Partitions whose keys are all null write zero-row partial files; the
+    merge returns no keys through the one-task fold and through the
+    sharded exchange alike."""
+    from libfilter_ray.stages import sketch_build
+
+    path = str(tmp_path / "in.parquet")
+    pq.write_table(pa.table({"k": pa.array([None] * 600, type=pa.string()),
+                             "v": pa.array([f"v{i}" for i in range(600)])}),
+                   path, row_group_size=200)
+    job = CheckpointedBuild(str(tmp_path / "run"), [path], kind="block",
+                            params={"bytes_": 2048}, column="v", key="k",
+                            target_rows=200)
+    assert job.run() == {}
+    assert len(os.listdir(tmp_path / "run" / PARTIALS_DIR)) == 3
+    monkeypatch.setattr(sketch_build, "ONE_TASK_BYTES", 0)
+    assert job.merge() == {}

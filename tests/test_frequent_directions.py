@@ -124,7 +124,7 @@ def test_fd_through_job_build_cli(tmp_path, ray_session):
 
 
 def test_fd_grouped_build_per_label(ray_session, rng):
-    """Vectors input through the salted two-stage GROUPED merge:
+    """Vectors input through the keyed GROUPED merge:
     per-label FD sketches each satisfy the covariance bound against
     that label's exact rows."""
     import pyarrow as pa

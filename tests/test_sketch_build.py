@@ -1,5 +1,6 @@
 """Distributed sketch-build framework over Ray Data (global tree merge,
-salted grouped merge, broadcast probe) — SURVEY.md §2.4/§2.6."""
+the keyed grouped merge on both its paths, broadcast probe) — SURVEY.md
+§2.4/§2.6."""
 
 from __future__ import annotations
 
@@ -111,11 +112,11 @@ def test_actor_pool_variant_identical_bytes(ray_session):
     assert h1.to_bytes() == h2.to_bytes()
 
 
-def test_salted_merge_under_extreme_skew(ray_session):
+def test_salted_merge_under_extreme_skew(ray_session, monkeypatch):
     """SURVEY.md §7.4: deliberately skewed fixture — 95% of rows share ONE
-    key. The salted two-stage merge must (a) stay correct (byte-identical
-    result to num_salts=1) and (b) actually spread the hot key's partials
-    across multiple stage-1 salt groups."""
+    key. On the exchange path of the keyed merge, (a) num_salts=8 must give
+    a byte-identical result to num_salts=1, and (b) the map side must
+    actually spread the hot key's partials across multiple salt groups."""
     import pyarrow as pa
     import ray
 
@@ -124,6 +125,7 @@ def test_salted_merge_under_extreme_skew(ray_session):
     from libfilter_ray.stages.sketch_build import (
         _MultiGroupedPartialBuilder, build_grouped_sketches)
 
+    monkeypatch.setattr(sb, "ONE_TASK_BYTES", 0)  # the exchange path
     n = 20000
     keys = ["hot"] * (n * 95 // 100) + ["cold"] * (n - n * 95 // 100)
     vals = [f"v{i}" for i in range(n)]
@@ -138,20 +140,92 @@ def test_salted_merge_under_extreme_skew(ray_session):
     for a, b in zip(salted["payload"], unsalted["payload"]):
         assert a == b  # OR-merge is order/stage invariant -> byte identical
 
-    # salting actually spreads: stage-1 partials for the hot key land in >1
-    # salt group across blocks
+    # salting actually spreads: the hot key's partials land in >1 salt
+    # group across blocks
     partials = ds.map_batches(
         _MultiGroupedPartialBuilder([("b", "block", {"bytes_": 16384}, "v")],
                                     "k", DEFAULT_SEED, 8),
         batch_format="pyarrow", batch_size=None).to_pandas()
     hot_salts = partials.loc[partials["k"] == "hot", "salt"].nunique()
-    assert hot_salts > 1, "hot key's partials all hit one stage-1 reducer"
+    assert hot_salts > 1, "hot key's partials all carry one salt"
 
     # and the filters are correct: every member found
     f = BlockBloom.from_bytes(
         salted.loc[salted["k"] == "hot", "payload"].iloc[0])
     hot_vals = pa.array([v for k, v in zip(keys, vals) if k == "hot"])
     assert f.find_hashes(hash_arrow_array(hot_vals)).all()
+
+
+#: Bloom, HLL and CMS over urls, sized so that _keyed_blocks ships both raw
+#: and sketch partials of each, and a KLL whose k forces compactions on merge
+_SPECS = [("bloom", "block", {"bytes_": 256}, "url"),
+          ("hll", "hll", {"p": 7}, "url"),
+          ("cms", "cms", {"width": 16, "depth": 2}, "url"),
+          ("kll", "kll", {"k": 16}, "len")]
+
+
+def _keyed_blocks(rng, n_blocks: int = 24):
+    """Blocks of 10-150 rows over keys a/b/c (and a few null keys)."""
+    blocks = []
+    for b in range(n_blocks):
+        n = int(rng.integers(10, 150))
+        keys = rng.choice(["a", "a", "b", "c", None], n).tolist()
+        blocks.append(pa.table({
+            "k": pa.array(keys, type=pa.string()),
+            "url": pa.array([f"u{b}-{i}" for i in range(n)]),
+            "len": pa.array(rng.normal(100, 30, n))}))
+    return blocks
+
+
+def test_grouped_multi_block_order_invariant(ray_session, rng):
+    """The same blocks in three block orders give byte-identical payloads
+    for every spec, the merge-order-sensitive KLL included: each key's
+    payloads fold in canonical (sorted byte) order."""
+    import ray.data
+
+    blocks = _keyed_blocks(rng)
+    perm = rng.permutation(len(blocks))
+    outs = [sb.build_grouped_multi(ray.data.from_arrow(order), "k", _SPECS)
+            for order in (blocks, blocks[::-1],
+                          [blocks[i] for i in perm])]
+    assert outs[0]["k"].tolist() == ["a", "b", "c"]
+    for out in outs[1:]:
+        assert out["k"].tolist() == outs[0]["k"].tolist()
+        assert out["rows"].tolist() == outs[0]["rows"].tolist()
+        for name, *_r in _SPECS:
+            assert out[f"payload_{name}"].tolist() == \
+                outs[0][f"payload_{name}"].tolist(), name
+
+
+def test_keyed_merge_paths_agree(ray_session, rng, monkeypatch):
+    """The one-task fold and the sharded exchange give byte-identical
+    payloads for every spec (the merge-order-sensitive KLL included) and
+    equal rows, on normal, empty and all-null-key inputs."""
+    import ray.data
+
+    empty = pa.table({"k": pa.array([], type=pa.string()),
+                      "url": pa.array([], type=pa.string()),
+                      "len": pa.array([], type=pa.float64())})
+    null_keys = pa.table({"k": pa.array([None] * 50, type=pa.string()),
+                          "url": pa.array([f"u{i}" for i in range(50)]),
+                          "len": pa.array(np.arange(50.0))})
+    inputs = [_keyed_blocks(rng), [empty], [null_keys, null_keys]]
+
+    def build(blocks):
+        return sb.build_grouped_multi(ray.data.from_arrow(blocks), "k",
+                                      _SPECS)
+
+    one_task = [build(blocks) for blocks in inputs]
+    monkeypatch.setattr(sb, "ONE_TASK_BYTES", 0)
+    exchanged = [build(blocks) for blocks in inputs]
+    assert [len(o) for o in one_task] == [3, 0, 0]
+    for a, b in zip(one_task, exchanged):
+        assert list(a.columns) == list(b.columns)
+        assert a["k"].tolist() == b["k"].tolist()
+        assert a["rows"].tolist() == b["rows"].tolist()
+        for name, *_r in _SPECS:
+            assert a[f"payload_{name}"].tolist() == \
+                b[f"payload_{name}"].tolist(), name
 
 
 def test_build_sketch_exact_partition_invariant(ray_session, rng):

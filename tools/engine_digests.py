@@ -9,6 +9,9 @@ inputs `perfbench/inputs.py` writes, and stores sha256 prefixes of:
 - `build_grouped_multi` payloads per key: the flagship specs (Bloom, HLL,
   CMS, KLL) on the lang input and the `domain_sketch_build` specs on its
   input; `build_grouped_sketches` (Bloom) on the lang input;
+- `lang_multi_order_invariant`: whether the flagship build over the same
+  materialized blocks in reversed block order gives the same digests (it
+  must be true: the keyed merge folds in a canonical order);
 - `CheckpointedBuild.run()` payloads per key on the
   `domain_checkpoint_resume` input, single-shot and stopped-then-resumed;
 - `grouped_probe_counts` `(n, found)` per group on the probe input.
@@ -36,7 +39,10 @@ def digests(seed: int, work: str) -> dict:
     from spans import Tracer
     from workloads import WORKLOADS
 
-    from libfilter_ray.stages.sketch_build import build_grouped_sketches
+    import ray.data
+
+    from libfilter_ray.stages.sketch_build import (build_grouped_multi,
+                                                   build_grouped_sketches)
 
     def workload(name):
         w = WORKLOADS[name](os.path.join(work, name), seed)
@@ -51,9 +57,14 @@ def digests(seed: int, work: str) -> dict:
 
     out = {}
     w = workload("lang_sketch_build")
-    out["lang_multi"] = per_key(w.traced(Tracer()), "lang",
-                                [s[0] for s in w.specs()])
-    single = build_grouped_sketches(w._stages[1], "lang", "url", "block",
+    names = [s[0] for s in w.specs()]
+    out["lang_multi"] = per_key(w.traced(Tracer()), "lang", names)
+    ext = w._stages[1]
+    reversed_blocks = ray.data.from_arrow_refs(ext.to_arrow_refs()[::-1])
+    out["lang_multi_order_invariant"] = out["lang_multi"] == per_key(
+        build_grouped_multi(reversed_blocks, "lang", w.specs()), "lang",
+        names)
+    single = build_grouped_sketches(ext, "lang", "url", "block",
                                     {"bytes_": 4096})
     out["lang_single"] = per_key(
         single.rename(columns={"payload": "payload_block"}), "lang",
