@@ -85,7 +85,7 @@ def _warm_workers() -> None:
             synthesize_webpages(_replicate_docs(t, 400)))
         bld = _MultiGroupedPartialBuilder(
             [("bloom", "block", {"bytes_": 2 << 20}, "url")], "lang",
-            DEFAULT_SEED, 8)
+            DEFAULT_SEED)
         bld(pages.select(["url", "lang"]))
         # warm the LSH dedup path too (shingle cumprod + per-perm splitmix
         # passes were the worst cold-page offenders: 5-10x first-run cost)

@@ -21,16 +21,10 @@ pipelines themselves avoid collects. The PUSH-BASED sort strategy is
 the same range-partitioned sort (identical results, same operators,
 same wall time in our measurements) with the exchange performed by
 worker-side merge tasks, keeping the driver flat. We therefore pin it.
-
-The `LFR_SHUFFLE` environment variable overrides for A/B measurement:
-``pull`` / ``push`` / ``hash`` (hash = `ShuffleStrategy.HASH_SHUFFLE`,
-which is also driver-flat but changes the exchange to hash
-partitioning — slower on small inputs in our measurements and a larger
-behavioral delta, so it is not the default).
+(`ShuffleStrategy.HASH_SHUFFLE` is also driver-flat but was slower on
+small inputs in our measurements.)
 """
 from __future__ import annotations
-
-import os
 
 
 def apply_scale_defaults() -> None:
@@ -41,10 +35,5 @@ def apply_scale_defaults() -> None:
         from ray.data.context import ShuffleStrategy
     except ImportError:  # future Ray versions: keep their default
         return
-    choice = os.environ.get("LFR_SHUFFLE", "push")
-    strategy = {
-        "pull": ShuffleStrategy.SORT_SHUFFLE_PULL_BASED,
-        "push": ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED,
-        "hash": ShuffleStrategy.HASH_SHUFFLE,
-    }.get(choice, ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED)
-    DataContext.get_current().shuffle_strategy = strategy
+    DataContext.get_current().shuffle_strategy = \
+        ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED

@@ -13,7 +13,6 @@ Spec shape::
       "dedup": {"column": "text",           # optional exact-dedup
                 "id_column": "doc_id"},     #   (min-id survivor) pre-stage
       "key": "lang",                        # optional -> grouped build
-      "num_salts": 8,                       # grouped builds only
       "sketches": [
         {"name": "bloom", "kind": "block", "params": {"bytes_": 4096},
          "column": "url"},
@@ -25,10 +24,10 @@ Spec shape::
     }
 
 Grouped specs run in ONE pass via build_grouped_multi (single read + one
-keyed merge; ``num_salts`` only tags the partial rows, the merge does not
-read it); ungrouped specs build one global sketch each via build_sketch —
-or via build_sketch_exact when the spec carries ``"exact": true`` (the
-raw-hash canonicalized path for growth-order-sensitive sketches).
+keyed merge); ungrouped specs build one global sketch each via build_sketch
+(the same keyed merge over one key) — or via build_sketch_exact when the
+spec carries ``"exact": true`` (the raw-hash canonicalized path for
+growth-order-sensitive sketches).
 """
 
 from __future__ import annotations
@@ -95,8 +94,7 @@ def run_config(spec: dict[str, Any], sf_dir: str) -> pd.DataFrame:
     if key:
         specs = [(s["name"], s["kind"], s.get("params", {}), s["column"])
                  for s in sketches]
-        return build_grouped_multi(ds, key, specs,
-                                   num_salts=int(spec.get("num_salts", 8)))
+        return build_grouped_multi(ds, key, specs)
     rows = []
     for s in sketches:
         build = build_sketch_exact if s.get("exact") else build_sketch

@@ -3496,7 +3496,7 @@ GROUP BY o.o_orderpriority ORDER BY o.o_orderpriority
 def q_shipping_priority(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q3 shape — a THREE-table composition of the engine's two
     join regimes: the customer BUILDING segment builds its Bloom with
-    the DISTRIBUTED tree merge (build_sketch — the driver holds only
+    the DISTRIBUTED keyed merge (build_sketch — the driver holds only
     filter bytes, never a key array that grows with scale), the Bloom
     broadcast-prunes orders (~5x fewer rows shuffle), the survivors
     exact-confirm with a co-partitioned semi-join against the dim keys

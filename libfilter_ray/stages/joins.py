@@ -63,10 +63,10 @@ def hash_equi_join(left_ds, right_ds, *, left_on: str, right_on: str,
     below. Revisit when Dataset.join stabilizes.
 
     `bloom_prune_right=True` builds a distributed BlockBloom of the LEFT
-    keys (mergeable-partial tree, `sketch_build.build_sketch`) and filters
-    the right side per batch BEFORE its shuffle — the classic semi-join
-    reduction, powered by the engine's own §2.1 sketch. Safe for inner and
-    left outer (a pruned right row could never match; bloom false
+    keys (per-block partials + one keyed merge, `sketch_build.build_sketch`)
+    and filters the right side per batch BEFORE its shuffle — the classic
+    semi-join reduction, powered by the engine's own §2.1 sketch. Safe for
+    inner and left outer (a pruned right row could never match; bloom false
     positives just ride the shuffle and drop in the per-shard join), but
     REJECTED for full outer: a pruned right row must still appear
     null-extended there. Worth it when the right side is much larger than

@@ -1,26 +1,27 @@
 """Distributed mergeable-sketch builds over Ray Data.
 
-Two layers:
+Two layers, one merge:
 
 (Default batch_size=None everywhere: one partial per BLOCK. A fixed
 batch_size would coalesce small blocks into few huge tasks and collapse
 parallelism; block size is governed upstream by the read/repartition.)
 
-1. **Per-block partials + tree merge** (the scale path, SURVEY.md §2.4):
-   a stateless `map_batches` stage turns each input block into ONE small
-   serialized partial sketch — a pure function of the block, so Ray task
-   retries are safe and results are deterministic — then an associative
-   merge tree (`map_batches` over batches of partials, repeated) reduces
-   ~millions of partials without ever concentrating them on the driver.
+1. **Global sketches** (`build_sketch`): a stateless `map_batches` stage
+   turns each input block into ONE small serialized partial sketch — a
+   pure function of the block, so Ray task retries are safe — keyed by
+   the one key "", and the keyed merge below folds them.
 
 2. **Grouped sketches** (per-lang / per-domain): one builder,
    `_MultiGroupedPartialBuilder`, emits per-batch *per-key* partials for
    any number of specs (pre-aggregation: at most one row per key per block
-   leaves the map stage) -> one keyed merge, `merge_keyed`. A partial set
-   that fits `ONE_TASK_BYTES` is folded by ONE remote task; a larger one
-   goes through one key-hash sharded exchange. `build_grouped_sketches` is
-   the one-spec case, and `CheckpointedBuild.merge` (state/checkpoint.py)
-   is the same merge over the checkpoint files.
+   leaves the map stage) -> the same keyed merge. `build_grouped_sketches`
+   is the one-spec case, and `CheckpointedBuild.merge`
+   (state/checkpoint.py) is the same merge over the checkpoint files.
+
+The one keyed merge, `merge_keyed`: a partial set that fits
+`ONE_TASK_BYTES` is folded by ONE remote task; a larger one goes through
+one key-hash sharded exchange. Both fold each key's payloads in canonical
+order (`_fold_payloads`), so every output is independent of block order.
 
 Every per-key stage — that builder, the checkpointed partition builder
 (state/checkpoint.py) and the grouped probe — splits a block by key one
@@ -82,7 +83,8 @@ def _updates_from(batch_col, sketch, seed: int, pre_hashed: bool = False):
 
 
 class _PartialBuilder:
-    """Stateless per-block partial: block -> one serialized sketch row."""
+    """Stateless per-block partial: block -> one keyed partial row (key "",
+    rows, payload_s), the shape `merge_keyed` folds."""
 
     def __init__(self, kind: str, params: dict, column: str, seed: int,
                  pre_hashed: bool = False):
@@ -93,64 +95,36 @@ class _PartialBuilder:
         sk = registry.make(self.kind, **self.params)
         _updates_from(batch[self.column], sk, self.seed, self.pre_hashed)
         return pa.table({
-            "kind": pa.array([self.kind]),
-            "payload": pa.array([sk.to_bytes()], type=pa.large_binary()),
+            "key": pa.array([""]),
             "rows": pa.array([batch.num_rows], type=pa.int64()),
+            "payload_s": pa.array([sk.to_bytes()], type=pa.large_binary()),
         })
-
-
-def _merge_payload_batch(kind: str):
-    cls = registry.get(kind)
-
-    def merge_batch(batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"]
-        acc = cls.from_bytes(payloads[0].as_py())
-        for p in payloads[1:]:
-            acc = acc.merge(cls.from_bytes(p.as_py()))
-        return pa.table({
-            "kind": pa.array([kind]),
-            "payload": pa.array([acc.to_bytes()], type=pa.large_binary()),
-            "rows": pa.array([int(pa.compute.sum(batch["rows"]).as_py() or 0)],
-                             type=pa.int64()),
-        })
-
-    return merge_batch
 
 
 def build_sketch(ds, column: str, kind: str, params: dict | None = None, *,
                  seed: int = DEFAULT_SEED, batch_size: int | None = None,
-                 merge_fanin: int = 64, driver_fanin: int = 256,
                  pre_hashed: bool = False):
     """Build ONE global sketch of `column` over the whole Dataset.
 
-    read -> map_batches(partial per block) -> tree merge (map_batches over
-    partial batches, log_fanin rounds) -> small driver-side final merge.
-    Returns the finalized sketch object.
+    map_batches(one partial per block) -> `merge_keyed` over the one key ""
+    -> `.finalize()` on the driver. The fold is canonical, so the result
+    does not depend on block order (KLL included). Returns the finalized
+    sketch object; an empty Dataset gives the empty sketch.
+
+    Known limit: one key cannot spread over shards, so partials above
+    `ONE_TASK_BYTES` fold in ONE shard task of the exchange (as a hot key
+    does in a grouped build); that task's memory bounds the build.
     """
     params = params or {}
     partials = ds.map_batches(
         _PartialBuilder(kind, params, column, seed, pre_hashed),
         batch_format="pyarrow", batch_size=batch_size)
-    # Tree merge: each round collapses `merge_fanin` partials into one.
-    # Partial counts shrink geometrically; at 100 TB (~1M blocks) this is
-    # 3 rounds of tiny tasks instead of 1M payloads on the driver.
-    # Each round materializes its (small — KBs per row) partial set so the
-    # next round doesn't re-execute the full upstream lineage.
-    partials = partials.materialize()
-    rows = partials.count()
-    while rows > driver_fanin:
-        partials = partials.repartition(max(1, rows // merge_fanin)) \
-            .map_batches(_merge_payload_batch(kind), batch_format="pyarrow",
-                         batch_size=merge_fanin).materialize()
-        rows = partials.count()
-    cls = registry.get(kind)
-    out = None
-    for row in partials.take_all():
-        sk = cls.from_bytes(row["payload"])
-        out = sk if out is None else out.merge(sk)
+    out = merge_keyed(partials, "key", [("s", kind, params, column)],
+                      finalize=False)
     if out is None:
-        out = registry.make(kind, **params)
-    return out.finalize()
+        return registry.make(kind, **params).finalize()
+    return registry.get(kind).from_bytes(out["payload_s"][0].as_py()) \
+        .finalize()
 
 
 def split_by_key(table: pa.Table, key: str, hashed=(), valued=(),
@@ -227,12 +201,19 @@ def _key_payloads(split, kind: str, params: dict, column: str, seed: int,
     return payloads, fmts
 
 
-def _block_salt(batch: pa.Table, column: str, key: str,
-                num_salts: int) -> int:
-    """Deterministic per-block salt (a pure function of block content, so
-    retry-safe): a hash of the block's first `column` value — of its first
-    key value when the column is not hashable (vectors) — and row count."""
-    if num_salts <= 1 or not batch.num_rows:
+#: Key-hash shards of the keyed merge's exchange path (`merge_keyed`).
+NUM_SHARDS = 32
+#: Range of the partial rows' `salt` column. The merge does not read it;
+#: perfbench's replay of the older two-round merge groups by it.
+NUM_SALTS = 8
+
+
+def _block_salt(batch: pa.Table, column: str, key: str) -> int:
+    """Deterministic per-block salt in [0, NUM_SALTS) (a pure function of
+    block content, so retry-safe): a hash of the block's first `column`
+    value — of its first key value when the column is not hashable
+    (vectors) — and row count."""
+    if not batch.num_rows:
         return 0
     try:
         fp = hash_arrow_array(batch[column].slice(0, 1), seed=7)
@@ -241,7 +222,7 @@ def _block_salt(batch: pa.Table, column: str, key: str,
     # int() BEFORE the modulo: numpy-u64 % python-int promotes to
     # float64 and rounds away the low bits (salt was always 0)
     return int(splitmix64(np.array([int(fp[0]) ^ batch.num_rows],
-                                   dtype=np.uint64))[0]) % num_salts
+                                   dtype=np.uint64))[0]) % NUM_SALTS
 
 
 def _add_merge_shard(key: str, num_shards: int, with_salt: bool):
@@ -267,13 +248,11 @@ def _add_merge_shard(key: str, num_shards: int, with_salt: bool):
 def build_grouped_sketches(ds, key: str, column: str, kind: str,
                            params: dict | None = None, *,
                            seed: int = DEFAULT_SEED,
-                           batch_size: int | None = None,
-                           num_salts: int = 8, num_shards: int = 32):
+                           batch_size: int | None = None):
     """Per-key sketches of one column: `build_grouped_multi` with one spec.
     Returns a pandas DataFrame (key, rows, payload)."""
     out = build_grouped_multi(ds, key, [("s", kind, params or {}, column)],
-                              seed=seed, batch_size=batch_size,
-                              num_salts=num_salts, num_shards=num_shards)
+                              seed=seed, batch_size=batch_size)
     return out.rename(columns={"payload_s": "payload"})
 
 
@@ -284,18 +263,17 @@ class _MultiGroupedPartialBuilder:
 
     One split_by_key per block: each column is hashed ONCE and reused by
     every spec consuming it; hash-consuming specs may ship raw hash lists
-    (see _key_payloads). Output columns: key, salt, rows, then payload_<name>
-    and fmt_<name> per spec."""
+    (see _key_payloads). Output columns: key, salt (see `NUM_SALTS`), rows,
+    then payload_<name> and fmt_<name> per spec."""
 
-    def __init__(self, specs, key: str, seed: int, num_salts: int = 8):
+    def __init__(self, specs, key: str, seed: int):
         self.specs, self.key, self.seed = specs, key, seed
-        self.num_salts = num_salts
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         split = split_by_key(batch, self.key, *_spec_inputs(self.specs),
                              seed=self.seed)
         keys, bounds = split[0], split[1]
-        salt = _block_salt(batch, self.specs[0][3], self.key, self.num_salts)
+        salt = _block_salt(batch, self.specs[0][3], self.key)
         out = {self.key: keys,
                "salt": pa.array(np.full(len(keys), salt), type=pa.int32()),
                "rows": pa.array(np.diff(bounds), type=pa.int64())}
@@ -309,22 +287,19 @@ class _MultiGroupedPartialBuilder:
 
 
 def build_grouped_multi(ds, key: str, specs, *, seed: int = DEFAULT_SEED,
-                        batch_size: int | None = None, num_salts: int = 8,
-                        num_shards: int = 32):
+                        batch_size: int | None = None):
     """Per-key sketches for several (name, kind, params, column) specs in ONE
     pass over the data, then one keyed merge of the tiny per-block per-key
     partial rows (`merge_keyed`: one task for a small partial set, else a
-    key-hash exchange over `num_shards` shards). `num_salts` only sets the
-    partials' `salt` column (see `_block_salt`); the merge does not read it.
+    key-hash exchange over `NUM_SHARDS` shards).
     Returns pandas (key, rows, payload_<name>...) sorted by key."""
     import pandas as pd
 
     specs = list(specs)
     partials = ds.map_batches(
-        _MultiGroupedPartialBuilder(specs, key, seed, num_salts),
+        _MultiGroupedPartialBuilder(specs, key, seed),
         batch_format="pyarrow", batch_size=batch_size)
-    out = merge_keyed(partials, key, specs, finalize=True,
-                      num_shards=num_shards)
+    out = merge_keyed(partials, key, specs, finalize=True)
     cols = [key, "rows"] + [f"payload_{name}" for (name, *_r) in specs]
     if out is None:  # no non-null key anywhere: typed empty frame
         return pd.DataFrame({c: [] for c in cols})
@@ -443,11 +418,10 @@ def _fold_files(fold, files: PartialFiles) -> pa.Table | None:
     return fold(t) if t.num_rows else None
 
 
-def merge_keyed(partials, key: str, specs, *, finalize: bool,
-                num_shards: int = 32):
-    """The one keyed merge behind the grouped builds and the checkpoint
-    merge: partial rows (see `_keyed_fold`) -> one pyarrow row per key, or
-    None when there are no partial rows.
+def merge_keyed(partials, key: str, specs, *, finalize: bool):
+    """The one keyed merge behind every sketch build (global, grouped and
+    checkpointed): partial rows (see `_keyed_fold`) -> one pyarrow row per
+    key, or None when there are no partial rows.
 
     `partials` is a Dataset of partial rows or a `PartialFiles`. A Dataset
     is materialized and sized from block metadata, files from their
@@ -455,11 +429,11 @@ def merge_keyed(partials, key: str, specs, *, finalize: bool,
     remote task receives every block (or reads every file) and folds every
     key; files that fit never pass through a Ray Data read, whose fixed
     cost is most of a small merge's wall and most of its spread. Above the
-    budget, one key-hash sharded exchange (`_add_merge_shard` +
-    `groupby("mshard").map_groups`) hands each shard task every partial of
-    its keys. Either way each key's whole payload multiset goes through the
-    same canonical fold, so both paths give the same bytes for every
-    sketch kind."""
+    budget, one key-hash sharded exchange over `NUM_SHARDS` shards
+    (`_add_merge_shard` + `groupby("mshard").map_groups`) hands each shard
+    task every partial of its keys. Either way each key's whole payload
+    multiset goes through the same canonical fold, so both paths give the
+    same bytes for every sketch kind."""
     import ray
 
     fold = _keyed_fold(specs, key, finalize)
@@ -474,7 +448,7 @@ def merge_keyed(partials, key: str, specs, *, finalize: bool,
         task = ray.remote(_fold_blocks)
         return ray.get(task.remote(fold, *partials.to_arrow_refs()))
     merged = partials \
-        .map_batches(_add_merge_shard(key, num_shards, False),
+        .map_batches(_add_merge_shard(key, NUM_SHARDS, False),
                      batch_format="pyarrow") \
         .groupby("mshard").map_groups(fold, batch_format="pyarrow") \
         .materialize()  # to_arrow_refs() would re-run the shuffle for a schema
@@ -582,11 +556,8 @@ def build_sketch_actor_pool(ds, column: str, kind: str,
     payloads = ray.get([
         consume.remote(it, kind, params, column, seed, pre_hashed)
         for it in its])
-    cls = registry.get(kind)
-    out = cls.from_bytes(payloads[0])
-    for p in payloads[1:]:
-        out = out.merge(cls.from_bytes(p))
-    return out.finalize()
+    return registry.get(kind).from_bytes(
+        _fold_payloads(kind, params, payloads, [], finalize=False)).finalize()
 
 
 def grouped_probe_counts(payloads_ref, from_bytes, key: str, column: str, *,

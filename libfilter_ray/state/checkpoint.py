@@ -201,10 +201,10 @@ class _PartitionBuilder(_PartitionWorker):
         from ..stages import sketch_build as sb
 
         if self.key is None:
-            sk = registry.make(self.kind, **self.params)
-            sb._updates_from(t[self.column], sk, self.seed)
-            keys, payloads, counts = pa.array([""]), [sk.to_bytes()], \
-                [t.num_rows]
+            p = sb._PartialBuilder(self.kind, self.params, self.column,
+                                   self.seed)(t).to_pydict()
+            keys, payloads, counts = pa.array(p["key"]), p["payload_s"], \
+                p["rows"]
         else:
             # the one key split (sketch_build.split_by_key): null-key rows
             # are excluded, keys keep the key column's type

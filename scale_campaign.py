@@ -77,7 +77,7 @@ def run_child(family: str, sf_dir: str) -> None:
     from libfilter_ray.context import apply_scale_defaults
 
     DataContext.get_current().enable_progress_bars = False
-    apply_scale_defaults()  # push-based sort exchange; LFR_SHUFFLE A/Bs
+    apply_scale_defaults()  # push-based sort exchange
     import libfilter_ray.pipelines.queries as q
 
     if family == "read_count_baseline":

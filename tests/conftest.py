@@ -19,7 +19,7 @@ def ray_session():
     ctx.execution_options.verbose_progress = False
     from libfilter_ray.context import apply_scale_defaults
 
-    apply_scale_defaults()  # push-based sort exchange; LFR_SHUFFLE A/Bs
+    apply_scale_defaults()  # push-based sort exchange
     yield
     ray.shutdown()
 

@@ -1,8 +1,6 @@
 """Entry-point context posture (libfilter_ray/context.py): push-based
-sort exchange pinned by default, LFR_SHUFFLE override honored."""
+sort exchange pinned."""
 from __future__ import annotations
-
-import os
 
 
 def _strategy():
@@ -11,30 +9,11 @@ def _strategy():
     return DataContext.get_current().shuffle_strategy
 
 
-def test_default_is_push_based(monkeypatch):
+def test_default_is_push_based():
     from ray.data.context import ShuffleStrategy
 
     from libfilter_ray.context import apply_scale_defaults
 
-    monkeypatch.delenv("LFR_SHUFFLE", raising=False)
     apply_scale_defaults()
     assert _strategy() == ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
 
-
-def test_env_override_and_unknown_value(monkeypatch):
-    from ray.data.context import ShuffleStrategy
-
-    from libfilter_ray.context import apply_scale_defaults
-
-    monkeypatch.setenv("LFR_SHUFFLE", "hash")
-    apply_scale_defaults()
-    assert _strategy() == ShuffleStrategy.HASH_SHUFFLE
-    monkeypatch.setenv("LFR_SHUFFLE", "pull")
-    apply_scale_defaults()
-    assert _strategy() == ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
-    monkeypatch.setenv("LFR_SHUFFLE", "bogus")
-    apply_scale_defaults()  # unknown value falls back to the safe default
-    assert _strategy() == ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-    # leave the session in the engine-default state for later tests
-    monkeypatch.delenv("LFR_SHUFFLE", raising=False)
-    apply_scale_defaults()

@@ -175,7 +175,7 @@ def test_fd_first_spec_in_grouped_multi(ray_session, rng):
         .repartition(4)
     out = build_grouped_multi(ds, "label", [
         ("fd", "fd", {"dim": d, "ell": 5}, "emb"),
-        ("ids", "hll", {"p": 10}, "id")], num_salts=8)
+        ("ids", "hll", {"p": 10}, "id")])
     _check_fd_per_label(out, "payload_fd", A, labels)
     for _, row in out.iterrows():
         est = HyperLogLog.from_bytes(row["payload_ids"]).estimate()

@@ -1,6 +1,6 @@
-"""Distributed sketch-build framework over Ray Data (global tree merge,
-the keyed grouped merge on both its paths, broadcast probe) — SURVEY.md
-§2.4/§2.6."""
+"""Distributed sketch-build framework over Ray Data (global and grouped
+builds through the one keyed merge on both its paths, broadcast probe) —
+SURVEY.md §2.4/§2.6."""
 
 from __future__ import annotations
 
@@ -44,10 +44,12 @@ def test_global_build_matches_local(docs):
     assert dist == local
 
 
-def test_global_build_forced_tree_rounds(docs):
-    """Tiny fanin forces multiple merge rounds; result still byte-identical."""
+def test_global_build_forced_exchange(docs, monkeypatch):
+    """A zero one-task budget sends the global build's partials through the
+    keyed merge's sharded exchange; result still byte-identical."""
+    monkeypatch.setattr(sb, "ONE_TASK_BYTES", 0)
     dist = sb.build_sketch(docs, "text", "block", {"bytes_": 1024},
-                           batch_size=16, merge_fanin=4, driver_fanin=4)
+                           batch_size=16)
     local = BlockBloom(1024)
     tbl = docs.to_pandas()
     local.add_hashes(hash_arrow_array(pa.array(tbl["text"].tolist())))
@@ -56,8 +58,7 @@ def test_global_build_forced_tree_rounds(docs):
 
 def test_grouped_build_no_false_negatives(docs):
     grouped = sb.build_grouped_sketches(docs, "lang", "text", "block",
-                                        {"bytes_": 1024}, batch_size=64,
-                                        num_salts=4)
+                                        {"bytes_": 1024}, batch_size=64)
     tbl = docs.to_pandas()
     assert set(grouped["lang"]) == set(tbl["lang"])
     for _, row in grouped.iterrows():
@@ -70,8 +71,7 @@ def test_grouped_build_no_false_negatives(docs):
 def test_grouped_build_matches_local_bytes(docs):
     """Per-key OR-merge is order invariant -> equals local per-key build."""
     grouped = sb.build_grouped_sketches(docs, "lang", "text", "block",
-                                        {"bytes_": 512}, batch_size=32,
-                                        num_salts=8)
+                                        {"bytes_": 512}, batch_size=32)
     tbl = docs.to_pandas()
     for _, row in grouped.iterrows():
         local = BlockBloom(512)
@@ -114,9 +114,9 @@ def test_actor_pool_variant_identical_bytes(ray_session):
 
 def test_salted_merge_under_extreme_skew(ray_session, monkeypatch):
     """SURVEY.md §7.4: deliberately skewed fixture — 95% of rows share ONE
-    key. On the exchange path of the keyed merge, (a) num_salts=8 must give
-    a byte-identical result to num_salts=1, and (b) the map side must
-    actually spread the hot key's partials across multiple salt groups."""
+    key. The map side must spread the hot key's partials across multiple
+    salt groups, and the exchange path of the keyed merge must still find
+    every member of the hot key."""
     import pyarrow as pa
     import ray
 
@@ -132,26 +132,20 @@ def test_salted_merge_under_extreme_skew(ray_session, monkeypatch):
     t = pa.table({"k": pa.array(keys), "v": pa.array(vals)})
     ds = ray.data.from_arrow(t).repartition(16)
 
-    salted = build_grouped_sketches(ds, "k", "v", "block",
-                                    {"bytes_": 16384}, num_salts=8)
-    unsalted = build_grouped_sketches(ds, "k", "v", "block",
-                                      {"bytes_": 16384}, num_salts=1)
-    assert list(salted["k"]) == list(unsalted["k"])
-    for a, b in zip(salted["payload"], unsalted["payload"]):
-        assert a == b  # OR-merge is order/stage invariant -> byte identical
+    built = build_grouped_sketches(ds, "k", "v", "block", {"bytes_": 16384})
 
     # salting actually spreads: the hot key's partials land in >1 salt
     # group across blocks
     partials = ds.map_batches(
         _MultiGroupedPartialBuilder([("b", "block", {"bytes_": 16384}, "v")],
-                                    "k", DEFAULT_SEED, 8),
+                                    "k", DEFAULT_SEED),
         batch_format="pyarrow", batch_size=None).to_pandas()
     hot_salts = partials.loc[partials["k"] == "hot", "salt"].nunique()
     assert hot_salts > 1, "hot key's partials all carry one salt"
 
     # and the filters are correct: every member found
     f = BlockBloom.from_bytes(
-        salted.loc[salted["k"] == "hot", "payload"].iloc[0])
+        built.loc[built["k"] == "hot", "payload"].iloc[0])
     hot_vals = pa.array([v for k, v in zip(keys, vals) if k == "hot"])
     assert f.find_hashes(hash_arrow_array(hot_vals)).all()
 
@@ -195,6 +189,45 @@ def test_grouped_multi_block_order_invariant(ray_session, rng):
         for name, *_r in _SPECS:
             assert out[f"payload_{name}"].tolist() == \
                 outs[0][f"payload_{name}"].tolist(), name
+
+
+#: one spec per global-build kind checked for order invariance; KLL's k
+#: forces compactions on merge
+_GLOBAL_SPECS = [("block", {"bytes_": 256}, "url"), ("hll", {"p": 7}, "url"),
+                 ("kll", {"k": 16}, "len")]
+
+
+def test_global_build_block_order_invariant(ray_session, rng):
+    """The same materialized blocks, forward and reversed, give
+    byte-identical global sketches, the merge-order-sensitive KLL
+    included: the global build folds through the keyed merge's canonical
+    order."""
+    import ray.data
+
+    blocks = _keyed_blocks(rng, n_blocks=32)
+    fwd = ray.data.from_arrow(blocks).materialize()
+    rev = ray.data.from_arrow_refs(fwd.to_arrow_refs()[::-1])
+    for kind, params, column in _GLOBAL_SPECS:
+        a = sb.build_sketch(fwd, column, kind, params)
+        b = sb.build_sketch(rev, column, kind, params)
+        assert a.to_bytes() == b.to_bytes(), kind
+
+
+def test_global_build_empty_input(ray_session):
+    """No rows in: the empty sketch out, as a sequential build over no rows
+    gives it — for an empty block and for a Dataset filtered to nothing."""
+    import ray.data
+
+    t = pa.table({"url": pa.array([], type=pa.string()),
+                  "len": pa.array([], type=pa.float64())})
+    none_left = ray.data.from_arrow(pa.table({
+        "url": pa.array(["a", "b"]), "len": pa.array([1.0, 2.0])})) \
+        .filter(lambda r: False)
+    for kind, params, column in _GLOBAL_SPECS:
+        want = registry.make(kind, **params).finalize().to_bytes()
+        for ds in (ray.data.from_arrow(t), none_left):
+            got = sb.build_sketch(ds, column, kind, params)
+            assert got.to_bytes() == want, kind
 
 
 def test_keyed_merge_paths_agree(ray_session, rng, monkeypatch):
@@ -277,7 +310,7 @@ def test_grouped_build_null_keys_excluded_correct_rows(ray_session):
     t = pa.table({"k": pa.array(["a", None, "a"]),
                   "v": pa.array(["v0", "v1", "v2"])})
     out = build_grouped_sketches(ray.data.from_arrow(t), "k", "v", "block",
-                                 {"bytes_": 1024}, num_salts=1)
+                                 {"bytes_": 1024})
     assert out["k"].tolist() == ["a"]
     assert out["rows"].tolist() == [2]
     f = BlockBloom.from_bytes(out["payload"].iloc[0])

@@ -276,7 +276,7 @@ def test_bulk_build_set_semantics(rng):
 
 def test_bulk_build_merges_like_sequential(rng):
     """Partial filters built with the bulk path union correctly (the
-    grouped distributed build: per-partition update -> tree merge)."""
+    grouped distributed build: per-partition update -> keyed merge)."""
     keys = rand_u64(rng, 6000)
     parts = [TaffyCuckoo(512).add_hashes_bulk(keys[i::4]) for i in range(4)]
     acc = parts[0].clone()

@@ -12,6 +12,9 @@ inputs `perfbench/inputs.py` writes, and stores sha256 prefixes of:
 - `lang_multi_order_invariant`: whether the flagship build over the same
   materialized blocks in reversed block order gives the same digests (it
   must be true: the keyed merge folds in a canonical order);
+- `global`: `build_sketch` (one unkeyed sketch) of each flagship spec over
+  the same lang blocks, and `global_order_invariant`, whether the reversed
+  blocks give the same digests (it must be true);
 - `CheckpointedBuild.run()` payloads per key on the
   `domain_checkpoint_resume` input, single-shot and stopped-then-resumed;
 - `grouped_probe_counts` `(n, found)` per group on the probe input.
@@ -42,7 +45,8 @@ def digests(seed: int, work: str) -> dict:
     import ray.data
 
     from libfilter_ray.stages.sketch_build import (build_grouped_multi,
-                                                   build_grouped_sketches)
+                                                   build_grouped_sketches,
+                                                   build_sketch)
 
     def workload(name):
         w = WORKLOADS[name](os.path.join(work, name), seed)
@@ -64,6 +68,14 @@ def digests(seed: int, work: str) -> dict:
     out["lang_multi_order_invariant"] = out["lang_multi"] == per_key(
         build_grouped_multi(reversed_blocks, "lang", w.specs()), "lang",
         names)
+
+    def global_digests(ds):
+        return {name: _h(build_sketch(ds, column, kind, params).to_bytes())
+                for (name, kind, params, column) in w.specs()}
+
+    out["global"] = global_digests(ext)
+    out["global_order_invariant"] = out["global"] == global_digests(
+        reversed_blocks)
     single = build_grouped_sketches(ext, "lang", "url", "block",
                                     {"bytes_": 4096})
     out["lang_single"] = per_key(
