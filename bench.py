@@ -41,13 +41,7 @@ BANDS: dict[str, tuple[float, float]] = {
     "keyword_topk": (1.8, 4.5),
     "quality_percentile_cut": (2.2, 5.5),
     "warc_roundtrip": (1.3, 3.5),
-    "png_decode_features": (3.0, 8.0),
-    "y4m_frame_sample": (2.0, 5.5),
     "link_pagerank_topk": (2.0, 7.0),
-    # new-in-r5 legs, anchored 2026-08-19 (mid-band host, min-of-2):
-    "gif_decode_features": (2.8, 7.5),     # anchor 3.60 s
-    "bmp_decode_features": (1.5, 4.5),     # anchor 1.97 s
-    "wav_spectrogram_features": (1.1, 3.5),  # anchor 1.46 s
 }
 
 
@@ -204,20 +198,10 @@ def run_bench() -> dict:
     # gzip'd WARC round-trip: sharded write -> streamed member-per-record
     # read -> extract -> per-lang aggregate
     timed("warc_roundtrip", q.q_warc_roundtrip)
-    # real PNG decode (stdlib inflate + exact unfiltering) per doc
-    timed("png_decode_features", q.q_png_decode_features)
-    # real video decode: y4m container walk + every-3rd frame sampling
-    timed("y4m_frame_sample", q.q_y4m_frame_sample)
     # iterative link analysis: 3 integer-exact PageRank rounds, one
     # scatter + groupby-sum shuffle per round (the all-to-all-per-
     # iteration workload none of the other entries exercise)
     timed("link_pagerank_topk", q.q_link_pagerank_topk)
-    # real GIF87a decode (stdlib LZW + palette) per doc
-    timed("gif_decode_features", q.q_gif_decode_features)
-    # real BMP decode (BITMAPINFOHEADER walk, bottom-up rows) per doc
-    timed("bmp_decode_features", q.q_bmp_decode_features)
-    # WAV decode + hann-window STFT spectrogram per doc
-    timed("wav_spectrogram_features", q.q_wav_spectrogram_features)
 
     # single-process kernel throughput (comparable to the reference's
     # single-core table in BASELINE.md — SBBF insert/lookup M keys/s)

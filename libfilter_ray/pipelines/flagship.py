@@ -108,8 +108,8 @@ def flagship(sf_dir: str, fpp: float = 0.01, replicate: int = 1,
     # Filters are sized for the TOTAL corpus, so at scale the set is MBs —
     # ship the serialized payloads ONCE via ray.put and deserialize once
     # per worker process (cached_broadcast), never once per cloudpickled
-    # task closure. (For GB-scale frozen filters use stages.probe_stage
-    # with an actor pool instead.)
+    # task closure. (For GB-scale frozen filters use
+    # stages.sketch_build.probe_stage with an actor pool instead.)
     import ray
 
     from ..stages.sketch_build import grouped_probe_counts

@@ -1193,7 +1193,7 @@ ORDER BY f.filter
 
 
 # ---------------------------------------------------------------------------
-# Training-data operators (dedup / ANN / text analysis / multimodal)
+# Training-data operators (dedup / ANN / text analysis)
 # ---------------------------------------------------------------------------
 
 def q_text_stats_by_lang(sf_dir: str) -> pd.DataFrame:
@@ -2116,41 +2116,11 @@ def q_embedding_near_dup(sf_dir: str) -> pd.DataFrame:
     return pairs.reset_index(drop=True)
 
 
-def q_multimodal_features(sf_dir: str) -> pd.DataFrame:
-    """Multimodal plumbing demo: attach deterministic binary image payloads,
-    extract features in an actor-pool stage (decode stubbed — no codecs in
-    this environment), aggregate per lang. SQL-oracled since round 4: the
-    payload sizes are splitmix64(doc_id, 0x1A6E) % 3840 + 256, and
-    splitmix64 is exactly expressible in DuckDB (HUGEINT modular
-    arithmetic with 32-bit-split multiplies — SQL_MULTIMODAL_FEATURES),
-    so sum_bytes hash-gates the attach stage's actual payload lengths.
-    The aggregate is an exact int64 SUM, not a rounded average — pandas
-    rounds half-even, DuckDB half-away, and a per-lang mean can land on
-    a representable .xx5 tie on regenerated data."""
-    from ray.data.aggregate import Count, Sum
-
-    from ..stages.multimodal import ImageFeatureStage, attach_fake_images
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang"])
-    feats = ds.map_batches(attach_fake_images, batch_format="pyarrow",
-                           batch_size=256) \
-        .map_batches(ImageFeatureStage, batch_format="pyarrow",
-                     batch_size=256, concurrency=(2, 16))
-    out = feats.groupby("lang").aggregate(
-        Count(alias_name="n_images"),
-        Sum("image_bytes", alias_name="sum_bytes"),
-    ).to_pandas()
-    out["n_images"] = out["n_images"].astype("int64")
-    out["sum_bytes"] = out["sum_bytes"].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
-
-
 # splitmix64 in ANSI SQL (DuckDB): z = x + (seed*GAMMA + 1) mod 2^64;
 # two xorshift-multiply rounds; final xorshift. Multiplies split the
 # variable operand into 32-bit halves so HUGEINT (int128) never
 # overflows: (z*C) mod 2^64 = (lo32(z)*C + ((hi32(z)*C) mod 2^32)<<32)
 # mod 2^64. Validated bit-exact against sketch/hashing.py:splitmix64.
-_SM_ADD_IMG = (0x1A6E * 0x9E3779B97F4A7C15 + 1) % (1 << 64)
 _M64 = 1 << 64
 
 
@@ -2158,70 +2128,6 @@ def _sql_mulmod64(z: str, c: int) -> str:
     return (f"CAST(((({z}) % 4294967296) * {c} + "
             f"(((({z}) // 4294967296) * {c}) % 4294967296) * 4294967296)"
             f" % {_M64} AS UBIGINT)")
-
-
-SQL_MULTIMODAL_FEATURES = f"""
-WITH s0 AS (
-  SELECT lang,
-         CAST((CAST(doc_id AS HUGEINT) + {_SM_ADD_IMG}) % {_M64}
-              AS UBIGINT) AS z
-  FROM documents
-),
-s1 AS (SELECT lang,
-              {_sql_mulmod64("CAST(xor(z, z >> 30) AS HUGEINT)",
-                             0xBF58476D1CE4E5B9)} AS z FROM s0),
-s2 AS (SELECT lang,
-              {_sql_mulmod64("CAST(xor(z, z >> 27) AS HUGEINT)",
-                             0x94D049BB133111EB)} AS z FROM s1),
-sizes AS (
-  SELECT lang, CAST(xor(z, z >> 31) % 3840 + 256 AS BIGINT) AS nbytes
-  FROM s2
-)
-SELECT lang, count(*)::BIGINT AS n_images,
-       sum(nbytes)::BIGINT AS sum_bytes
-FROM sizes GROUP BY lang ORDER BY lang
-"""
-
-
-def q_multimodal_meta_counts(sf_dir: str) -> pd.DataFrame:
-    """SQL-gated slice of the multimodal plumbing: the image pipeline runs
-    for REAL (deterministic payload attach -> actor-pool feature stage, the
-    wide binary column dying in-stage), and the aggregate groups on typed
-    metadata the oracle can recompute — format is doc_id-parity by
-    construction (stages/multimodal.py:attach_fake_images). The exact-count
-    companion to the rows-only `multimodal_features` row, same pattern as
-    the membership companions of the sketch-payload rows."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count
-
-    from ..stages.multimodal import ImageFeatureStage, attach_fake_images
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang"])
-    feats = ds.map_batches(attach_fake_images, batch_format="pyarrow",
-                           batch_size=256) \
-        .map_batches(ImageFeatureStage, batch_format="pyarrow",
-                     batch_size=256, concurrency=(2, 16))
-
-    def meta_only(t: pa.Table) -> pa.Table:
-        meta = t["image_meta"]
-        meta = meta.combine_chunks() if isinstance(meta, pa.ChunkedArray) \
-            else meta
-        return pa.table({"lang": t["lang"],
-                         "format": pc.struct_field(meta, "format")})
-
-    out = feats.map_batches(meta_only, batch_format="pyarrow") \
-        .groupby(["lang", "format"]) \
-        .aggregate(Count(alias_name="n_images")).to_pandas()
-    out["n_images"] = out["n_images"].astype("int64")
-    return out.sort_values(["lang", "format"]).reset_index(drop=True)
-
-
-SQL_MULTIMODAL_META_COUNTS = """
-SELECT lang,
-       CASE WHEN doc_id % 2 = 0 THEN 'jpeg' ELSE 'png' END AS format,
-       count(*)::BIGINT AS n_images
-FROM documents GROUP BY lang, format ORDER BY lang, format
-"""
 
 
 def q_domain_doc_counts(sf_dir: str) -> pd.DataFrame:
@@ -3306,32 +3212,6 @@ SQL_STRATIFIED_SAMPLE = """
 SELECT lang, least(count(*), 20)::BIGINT AS n_sampled
 FROM documents GROUP BY lang ORDER BY lang
 """
-
-
-def q_multimodal_audio(sf_dir: str) -> pd.DataFrame:
-    """Audio leg of the multimodal plumbing: attach deterministic PCM16
-    payloads, extract rms / zero-crossing / duration features in an
-    actor-pool stage (vectorized reduceat over Arrow offsets; payload
-    dropped in-stage), aggregate per lang. Rows-only check (payloads are
-    engine-synthesized)."""
-    from ray.data.aggregate import Count, Mean
-
-    from ..stages.multimodal import AudioFeatureStage, attach_fake_audio
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang"])
-    feats = ds.map_batches(attach_fake_audio, batch_format="pyarrow",
-                           batch_size=256) \
-        .map_batches(AudioFeatureStage, batch_format="pyarrow",
-                     batch_size=256, concurrency=(2, 16))
-    out = feats.groupby("lang").aggregate(
-        Count(alias_name="n_clips"),
-        Mean("duration_ms", alias_name="avg_ms"),
-        Mean("audio_zcr", alias_name="avg_zcr"),
-    ).to_pandas()
-    out["n_clips"] = out["n_clips"].astype("int64")
-    out["avg_ms"] = out["avg_ms"].round(2)
-    out["avg_zcr"] = out["avg_zcr"].round(5)
-    return out.sort_values("lang").reset_index(drop=True)
 
 
 def q_partitioned_sink_roundtrip(sf_dir: str) -> pd.DataFrame:
@@ -4658,244 +4538,6 @@ WHERE rank <= 10 ORDER BY rank
 """
 
 
-def q_ppm_decode_features(sf_dir: str) -> pd.DataFrame:
-    """REAL image decode under the driver gate: deterministic valid
-    binary-P6 PPM payloads are attached per doc (pure function of
-    doc_id), decoded by the actor-pool PpmFeatureStage — an actual
-    header parse + numpy reshape, not a stubbed fake — and the decoded
-    widths/heights/channel means aggregate per lang. The oracle
-    recomputes every pixel arithmetically from the synthesis formula,
-    so a decoder that misreads dimensions, strides or channel order
-    hash-mismatches. Channel means aggregate as EXACT integer pixel
-    sums with one final IEEE division — no float summation order, no
-    round() ties anywhere on either side. (Compressed formats remain
-    honestly stubbed — no codecs in this environment.)"""
-    from ..stages.multimodal import PpmFeatureStage, attach_ppm_images
-
-    return _image_decode_features(sf_dir, attach_ppm_images,
-                                  PpmFeatureStage)
-
-
-def _image_decode_features(sf_dir: str, attach_fn, stage_cls):
-    """Shared body of the PPM/PNG decode pipelines (identical schema and
-    exact-integer-mean contract; only the attach/stage pair differs).
-    Single home of the px_mean division rule — one correctly-rounded
-    IEEE division of exact int sums, bit-identical to the oracle's
-    CAST(sum AS DOUBLE) / CAST(n_px AS DOUBLE)."""
-    docs = _read(sf_dir, "documents", columns=["doc_id", "lang"])
-    feats = docs.map_batches(attach_fn, batch_format="pyarrow") \
-        .map_batches(stage_cls, batch_size=256, concurrency=(2, 16),
-                     batch_format="pyarrow")
-
-    def stats(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "lang": t["lang"],
-            "n_images": pa.array(np.ones(t.num_rows, np.int64)),
-            "sum_width": t["width"],
-            "sum_height": t["height"],
-            "n_px": t["n_px"],
-            "px_sum_r": t["px_sum_r"],
-            "px_sum_g": t["px_sum_g"],
-            "px_sum_b": t["px_sum_b"],
-        })
-
-    out = feats.map_batches(stats, batch_format="pyarrow") \
-        .groupby("lang").aggregate(
-            Sum("n_images", alias_name="n_images"),
-            Sum("sum_width", alias_name="sum_width"),
-            Sum("sum_height", alias_name="sum_height"),
-            Sum("n_px", alias_name="n_px"),
-            Sum("px_sum_r", alias_name="px_sum_r"),
-            Sum("px_sum_g", alias_name="px_sum_g"),
-            Sum("px_sum_b", alias_name="px_sum_b")) \
-        .to_pandas().sort_values("lang").reset_index(drop=True)
-    for c in ("n_images", "sum_width", "sum_height", "n_px",
-              "px_sum_r", "px_sum_g", "px_sum_b"):
-        out[c] = out[c].astype("int64")
-    for ch in ("r", "g", "b"):
-        out[f"px_mean_{ch}"] = out[f"px_sum_{ch}"] / out["n_px"]
-        out = out.drop(columns=[f"px_sum_{ch}"])
-    return out.drop(columns=["n_px"])
-
-
-SQL_PPM_DECODE_FEATURES = """
-WITH dims AS (
-  SELECT doc_id, lang,
-         8 + doc_id % 17 AS w, 8 + doc_id % 15 AS h
-  FROM documents
-),
-px AS (
-  SELECT d.doc_id, d.lang, ty.y AS y, tx.x AS x
-  FROM dims d, UNNEST(range(0, d.h)) AS ty(y),
-       UNNEST(range(0, d.w)) AS tx(x)
-),
-imgs AS (
-  SELECT lang,
-         CAST(count(*) AS BIGINT) AS n_images,
-         CAST(sum(w) AS BIGINT) AS sum_width,
-         CAST(sum(h) AS BIGINT) AS sum_height
-  FROM dims GROUP BY lang
-),
-pix AS (
-  SELECT lang, count(*) AS n_px,
-         sum((x * (y + 1) + doc_id + 0) % 256) AS sr,
-         sum((x * (y + 1) + doc_id + 1) % 256) AS sg,
-         sum((x * (y + 1) + doc_id + 2) % 256) AS sb
-  FROM px GROUP BY lang
-)
-SELECT i.lang, i.n_images, i.sum_width, i.sum_height,
-       CAST(p.sr AS DOUBLE) / CAST(p.n_px AS DOUBLE) AS px_mean_r,
-       CAST(p.sg AS DOUBLE) / CAST(p.n_px AS DOUBLE) AS px_mean_g,
-       CAST(p.sb AS DOUBLE) / CAST(p.n_px AS DOUBLE) AS px_mean_b
-FROM imgs i JOIN pix p USING (lang) ORDER BY lang
-"""
-
-
-def q_png_decode_features(sf_dir: str) -> pd.DataFrame:
-    """REAL compressed-image decode under the driver gate: deterministic
-    valid PNG payloads (rows cycling ALL FIVE scanline filters, zlib
-    stream split across IDAT chunks) are attached per doc, decoded by
-    the actor-pool PngFeatureStage — CRC-verified chunk walk + stdlib
-    inflate + exact numpy unfiltering, no codec library — and the
-    decoded widths/heights/channel means aggregate per lang. The oracle
-    recomputes every pixel arithmetically from the synthesis formula, so
-    a decoder that mis-unfilters a single byte hash-mismatches. Channel
-    means aggregate as EXACT integer pixel sums with one final IEEE
-    division — no float summation order, no round() ties."""
-    from ..stages.multimodal import PngFeatureStage, attach_png_images
-
-    return _image_decode_features(sf_dir, attach_png_images,
-                                  PngFeatureStage)
-
-
-SQL_PNG_DECODE_FEATURES = """
-WITH dims AS (
-  SELECT doc_id, lang,
-         8 + doc_id % 13 AS w, 8 + doc_id % 11 AS h
-  FROM documents
-),
-px AS (
-  SELECT d.doc_id, d.lang, ty.y AS y, tx.x AS x
-  FROM dims d, UNNEST(range(0, d.h)) AS ty(y),
-       UNNEST(range(0, d.w)) AS tx(x)
-),
-imgs AS (
-  SELECT lang,
-         CAST(count(*) AS BIGINT) AS n_images,
-         CAST(sum(w) AS BIGINT) AS sum_width,
-         CAST(sum(h) AS BIGINT) AS sum_height
-  FROM dims GROUP BY lang
-),
-pix AS (
-  SELECT lang, count(*) AS n_px,
-         sum((x * (y + 1) + doc_id + 0) % 256) AS sr,
-         sum((x * (y + 1) + doc_id + 1) % 256) AS sg,
-         sum((x * (y + 1) + doc_id + 2) % 256) AS sb
-  FROM px GROUP BY lang
-)
-SELECT i.lang, i.n_images, i.sum_width, i.sum_height,
-       CAST(p.sr AS DOUBLE) / CAST(p.n_px AS DOUBLE) AS px_mean_r,
-       CAST(p.sg AS DOUBLE) / CAST(p.n_px AS DOUBLE) AS px_mean_g,
-       CAST(p.sb AS DOUBLE) / CAST(p.n_px AS DOUBLE) AS px_mean_b
-FROM imgs i JOIN pix p USING (lang) ORDER BY lang
-"""
-
-
-def q_y4m_frame_sample(sf_dir: str) -> pd.DataFrame:
-    """REAL video decode under the driver gate: deterministic valid
-    YUV4MPEG2 payloads (2-12 C420 frames each) are attached per doc,
-    decoded by the actor-pool Y4mFrameSampleStage — ASCII stream-header
-    parse + FRAME walk + plane slicing, no codec — which samples every
-    3rd frame and reports per-row luma/chroma means. The oracle
-    recomputes every sampled pixel arithmetically, so a decoder that
-    mis-slices a plane or samples the wrong frames hash-mismatches.
-    Plane means aggregate as EXACT integer pixel sums with one final
-    IEEE division — no float summation order, no round() ties."""
-    from ..stages.multimodal import Y4mFrameSampleStage, attach_y4m_videos
-
-    docs = _read(sf_dir, "documents", columns=["doc_id", "lang"])
-    feats = docs.map_batches(attach_y4m_videos, batch_format="pyarrow") \
-        .map_batches(Y4mFrameSampleStage, batch_size=256,
-                     concurrency=(2, 16), batch_format="pyarrow")
-
-    def stats(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "lang": t["lang"],
-            "n_videos": pa.array(np.ones(t.num_rows, np.int64)),
-            "sum_frames": t["n_frames"],
-            "sum_sampled": t["n_sampled"],
-            "sum_y": t["sum_y"],
-            "sum_u": t["sum_u"],
-            "sum_v": t["sum_v"],
-            "n_y_px": t["n_y_px"],
-            "n_c_px": t["n_c_px"],
-        })
-
-    out = feats.map_batches(stats, batch_format="pyarrow") \
-        .groupby("lang").aggregate(
-            Sum("n_videos", alias_name="n_videos"),
-            Sum("sum_frames", alias_name="sum_frames"),
-            Sum("sum_sampled", alias_name="sum_sampled"),
-            Sum("sum_y", alias_name="sum_y"),
-            Sum("sum_u", alias_name="sum_u"),
-            Sum("sum_v", alias_name="sum_v"),
-            Sum("n_y_px", alias_name="n_y_px"),
-            Sum("n_c_px", alias_name="n_c_px")) \
-        .to_pandas().sort_values("lang").reset_index(drop=True)
-    for c in ("n_videos", "sum_frames", "sum_sampled",
-              "sum_y", "sum_u", "sum_v", "n_y_px", "n_c_px"):
-        out[c] = out[c].astype("int64")
-    out["y_mean"] = out["sum_y"] / out["n_y_px"]
-    out["u_mean"] = out["sum_u"] / out["n_c_px"]
-    out["v_mean"] = out["sum_v"] / out["n_c_px"]
-    return out.drop(columns=["sum_y", "sum_u", "sum_v",
-                             "n_y_px", "n_c_px"])
-
-
-SQL_Y4M_FRAME_SAMPLE = """
-WITH vids AS (
-  SELECT doc_id, lang, 2 + doc_id % 11 AS nf FROM documents
-),
-sampled AS (
-  SELECT v.doc_id, v.lang, v.nf, tf.f AS f
-  FROM vids v, UNNEST(range(0, v.nf)) AS tf(f)
-  WHERE tf.f % 3 = 0
-),
-px AS (
-  SELECT s.doc_id, s.lang, s.f, xx.x AS x, yy.y AS y
-  FROM sampled s, UNNEST(range(0, 16)) AS xx(x),
-       UNNEST(range(0, 12)) AS yy(y)
-),
-lum AS (
-  SELECT lang, count(*) AS n_y_px,
-         sum((x * (y + 1) + 7 * f + doc_id) % 256) AS sy
-  FROM px GROUP BY lang
-),
-chrom AS (
-  -- C420 chroma planes are 8x6=48 px, constant per frame by synthesis
-  SELECT lang, count(*) * 48 AS n_c_px,
-         sum(((doc_id + 5 * f) % 256) * 48) AS su,
-         sum(((doc_id + 11 * f) % 256) * 48) AS sv
-  FROM sampled GROUP BY lang
-),
-vstats AS (
-  SELECT lang, count(*)::BIGINT AS n_videos,
-         sum(nf)::BIGINT AS sum_frames
-  FROM vids GROUP BY lang
-),
-sstats AS (
-  SELECT lang, count(*)::BIGINT AS sum_sampled FROM sampled GROUP BY lang
-)
-SELECT v.lang, v.n_videos, v.sum_frames, s.sum_sampled,
-       CAST(l.sy AS DOUBLE) / CAST(l.n_y_px AS DOUBLE) AS y_mean,
-       CAST(c.su AS DOUBLE) / CAST(c.n_c_px AS DOUBLE) AS u_mean,
-       CAST(c.sv AS DOUBLE) / CAST(c.n_c_px AS DOUBLE) AS v_mean
-FROM vstats v JOIN sstats s USING (lang) JOIN lum l USING (lang)
-     JOIN chrom c USING (lang)
-ORDER BY lang
-"""
-
-
 def q_bm25_snippets(sf_dir: str) -> pd.DataFrame:
     """End-to-end search result page: BM25 top-10 over the bucketed
     index, then ONLY the 10 winning documents are fetched (doc-id
@@ -4992,79 +4634,6 @@ SELECT CAST(r.rank AS BIGINT) AS rank, r.doc_id,
        END AS snippet
 FROM ranked r JOIN documents d ON d.doc_id = r.doc_id
 WHERE r.rank <= 10 ORDER BY r.rank
-"""
-
-
-def q_wav_decode_stats(sf_dir: str) -> pd.DataFrame:
-    """REAL audio container decode under the driver gate: valid
-    RIFF/WAVE PCM16 payloads (integer waveform, pure function of
-    doc_id) are parsed by the actor-pool WavFeatureStage — an actual
-    chunk walk, not a stub — and the decoded sample counts, durations,
-    RMS and peaks aggregate per lang. The oracle recomputes every
-    sample arithmetically; the per-lang RMS reduces to one division of
-    EXACT int64 v^2 / sample sums plus one IEEE sqrt (both correctly
-    rounded), so it matches BIT-exactly across engines with no float
-    summation order anywhere (the reason the waveform is integer, not
-    a sine)."""
-    from ..stages.multimodal import WavFeatureStage, attach_wav_audio
-
-    docs = _read(sf_dir, "documents", columns=["doc_id", "lang"])
-    feats = docs.map_batches(attach_wav_audio, batch_format="pyarrow") \
-        .map_batches(WavFeatureStage, batch_size=256, concurrency=(2, 16),
-                     batch_format="pyarrow")
-
-    def stats(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "lang": t["lang"],
-            "n_clips": pa.array(np.ones(t.num_rows, np.int64)),
-            "sum_samples": t["n_samples"],
-            "sum_duration_ms": t["duration_ms"],
-            "sum_sq": t["sum_sq"],
-            "max_peak": t["peak"],
-        })
-
-    out = feats.map_batches(stats, batch_format="pyarrow") \
-        .groupby("lang").aggregate(
-            Sum("n_clips", alias_name="n_clips"),
-            Sum("sum_samples", alias_name="sum_samples"),
-            Sum("sum_duration_ms", alias_name="sum_duration_ms"),
-            Sum("sum_sq", alias_name="sum_sq"),
-            Max("max_peak", alias_name="max_peak")) \
-        .to_pandas().sort_values("lang").reset_index(drop=True)
-    for c in ("n_clips", "sum_samples", "sum_duration_ms", "sum_sq",
-              "max_peak"):
-        out[c] = out[c].astype("int64")
-    out["rms_all"] = np.sqrt(out["sum_sq"] / out["sum_samples"])
-    return out.drop(columns=["sum_sq"])
-
-
-SQL_WAV_DECODE_STATS = """
-WITH clips AS (
-  SELECT doc_id, lang, 64 + doc_id % 1984 AS n
-  FROM documents
-),
-samples AS (
-  SELECT c.doc_id, c.lang, c.n,
-         ((k.k * (c.doc_id + 3)) % 65536) - 32768 AS v
-  FROM clips c, UNNEST(range(0, c.n)) AS k(k)
-),
-per_lang AS (
-  SELECT lang, count(*) AS n_samples, sum(v * v) AS sum_sq,
-         max(abs(v)) AS peak
-  FROM samples GROUP BY lang
-),
-per_clip AS (
-  SELECT lang,
-         CAST(count(*) AS BIGINT) AS n_clips,
-         CAST(sum(n) AS BIGINT) AS sum_samples,
-         CAST(sum((n * 1000) // 16000) AS BIGINT) AS sum_duration_ms
-  FROM clips GROUP BY lang
-)
-SELECT c.lang, c.n_clips, c.sum_samples, c.sum_duration_ms,
-       CAST(p.peak AS BIGINT) AS max_peak,
-       sqrt(CAST(p.sum_sq AS DOUBLE) / CAST(p.n_samples AS DOUBLE))
-           AS rms_all
-FROM per_clip c JOIN per_lang p USING (lang) ORDER BY lang
 """
 
 
@@ -5679,8 +5248,8 @@ GROUP BY d.lang ORDER BY d.lang
 # -- KMV bottom-k sketch + exact heavy hitters (round-4 additions) ---------
 
 # splitmix64 additive constants for the KMV hash seed (the engine-wide
-# DEFAULT_SEED) and the planted zipf item stream (stages/heavy.py) —
-# same SQL-replay pattern as _SM_ADD_IMG above.
+# DEFAULT_SEED) and the planted zipf item stream (stages/heavy.py),
+# replayed in SQL with _sql_mulmod64 above.
 _KMV_K = 64
 _SM_ADD_KMV = (0x5EEDBADBEE52B055 * 0x9E3779B97F4A7C15 + 1) % _M64
 _SM_ADD_ZIPF = (0x21BF * 0x9E3779B97F4A7C15 + 1) % _M64
@@ -5691,7 +5260,7 @@ def _sql_splitmix_chain(prefix: str, src: str, in_expr: str,
     """CTE chain computing h = splitmix64(in_expr, seed) as UBIGINT
     column `h` in CTE `{prefix}3`, carrying `carry` columns through.
     Mirrors sketch/hashing.py:splitmix64 exactly (validated bit-exact by
-    the existing _SM chain; multiplies via _sql_mulmod64)."""
+    tests/test_hashing.py; multiplies via _sql_mulmod64)."""
     c = f"{carry}, " if carry else ""
     return f"""
 {prefix}0 AS (SELECT {c}CAST((CAST({in_expr} AS HUGEINT) + {add_const})
@@ -5846,8 +5415,8 @@ def q_heavy_hitter_items(sf_dir: str) -> pd.DataFrame:
     """EXACT heavy hitters (count >= ceil(total/50)) over a planted
     zipf(2) item stream derived from event_id (stages/heavy.py:
     zipf_items — P(item j) = 1/j - 1/(j+1), the url/domain/token shape
-    of a real crawl, same deterministic-synthesis pattern as the
-    multimodal payloads). Two bounded passes: per-block Misra-Gries
+    of a real crawl, a pure function of event_id that the oracle
+    replays). Two bounded passes: per-block Misra-Gries
     size-64 summaries -> summed lower bounds -> candidate filter INSIDE
     the Dataset (driver collects <= 1/(phi - 1/(k+1)) ~ 217 rows,
     constant in data size) -> broadcast exact recount. Exactness is the
@@ -6429,99 +5998,6 @@ FROM l ORDER BY doc_id, dst
 """
 
 
-def q_bmp_decode_features(sf_dir: str) -> pd.DataFrame:
-    """REAL uncompressed-image decode under the oracle gate: 24-bit
-    BI_RGB BMP payloads (bottom-up rows, BGR channels, 4-byte row
-    padding — the format's genuine traps) attach per doc with the SAME
-    dims/pixel formula as the PPM/PNG fixtures, so the PNG oracle SQL
-    applies verbatim: a decoder that forgets the row flip or channel
-    swizzle hash-mismatches."""
-    from ..stages.multimodal import BmpFeatureStage, attach_bmp_images
-
-    return _image_decode_features(sf_dir, attach_bmp_images,
-                                  BmpFeatureStage)
-
-
-def q_gif_decode_features(sf_dir: str) -> pd.DataFrame:
-    """REAL palette-image decode under the oracle gate: deterministic
-    valid GIF87a payloads (pure-Python GIF-variant LZW — variable
-    9..12-bit codes, LSB packing, table-full deferred-clear) attach per
-    doc, decode in the actor-pool GifFeatureStage, and the decoded
-    dims/channel means aggregate per lang. The palette is an arithmetic
-    function of the index (r=i, g=2i mod 256, b=255-i), so the oracle
-    recomputes every decoded channel value — a mis-decoded LZW code or
-    palette lookup hash-mismatches. Same exact-integer-sum mean
-    contract as the PPM/PNG pipelines."""
-    from ..stages.multimodal import GifFeatureStage, attach_gif_images
-
-    return _image_decode_features(sf_dir, attach_gif_images,
-                                  GifFeatureStage)
-
-
-SQL_GIF_DECODE_FEATURES = """
-WITH dims AS (
-  SELECT doc_id, lang,
-         8 + doc_id % 13 AS w, 8 + doc_id % 11 AS h
-  FROM documents
-),
-px AS (
-  SELECT d.doc_id, d.lang,
-         (tx.x * (ty.y + 1) + d.doc_id) % 256 AS idx
-  FROM dims d, UNNEST(range(0, d.h)) AS ty(y),
-       UNNEST(range(0, d.w)) AS tx(x)
-),
-imgs AS (
-  SELECT lang,
-         CAST(count(*) AS BIGINT) AS n_images,
-         CAST(sum(w) AS BIGINT) AS sum_width,
-         CAST(sum(h) AS BIGINT) AS sum_height
-  FROM dims GROUP BY lang
-),
-pix AS (
-  SELECT lang, count(*) AS n_px,
-         sum(idx) AS sr,
-         sum((2 * idx) % 256) AS sg,
-         sum(255 - idx) AS sb
-  FROM px GROUP BY lang
-)
-SELECT i.lang, i.n_images, i.sum_width, i.sum_height,
-       CAST(p.sr AS DOUBLE) / CAST(p.n_px AS DOUBLE) AS px_mean_r,
-       CAST(p.sg AS DOUBLE) / CAST(p.n_px AS DOUBLE) AS px_mean_g,
-       CAST(p.sb AS DOUBLE) / CAST(p.n_px AS DOUBLE) AS px_mean_b
-FROM imgs i JOIN pix p USING (lang) ORDER BY lang
-"""
-
-
-def q_wav_spectrogram_features(sf_dir: str) -> pd.DataFrame:
-    """Audio feature EXTRACTION beyond container stats: framed-rfft
-    spectral features (stages/multimodal.py:WavSpectrogramStage —
-    dominant bin, spectral centroid, rms per clip) in an actor-pool
-    stage over real decoded WAV payloads, aggregated per lang. FFT is
-    not SQL-expressible — every value is instead recomputed
-    sample-exactly by plain numpy in tests; rows-only driver check."""
-    from ray.data.aggregate import Count, Mean
-
-    from ..stages.multimodal import WavSpectrogramStage, attach_wav_audio
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang"])
-    feats = ds.map_batches(attach_wav_audio, batch_format="pyarrow",
-                           batch_size=256) \
-        .map_batches(WavSpectrogramStage, batch_format="pyarrow",
-                     batch_size=256, concurrency=(2, 16),
-                     fn_constructor_kwargs={"frame_len": 128,
-                                            "hop": 64})
-    out = feats.groupby("lang").aggregate(
-        Count(alias_name="n_clips"),
-        Mean("n_frames", alias_name="avg_frames"),
-        Mean("spectral_centroid", alias_name="avg_centroid"),
-        Mean("dominant_bin", alias_name="avg_dom_bin"),
-    ).to_pandas()
-    out["n_clips"] = out["n_clips"].astype("int64")
-    for c in ("avg_frames", "avg_centroid", "avg_dom_bin"):
-        out[c] = out[c].round(4)
-    return out.sort_values("lang").reset_index(drop=True)
-
-
 def q_fd_embedding_sketch(sf_dir: str) -> pd.DataFrame:
     """Frequent-Directions matrix sketch of the embedding column
     (sketch/frequent_directions.py): streaming mergeable low-rank
@@ -6575,23 +6051,23 @@ def q_fd_embedding_sketch(sf_dir: str) -> pd.DataFrame:
 # bloom_semijoin — driver-green in r2/r3, re-graded to guard
 # regressions), and (d) the OLDEST driver-graded anchors (r1/r2
 # windows) to fill to 50. Every r4-window entry (driver-confirmed
-# 50/50 in CORRECTNESS_r04.json) rotates below slot 50.
+# 50/50 in CORRECTNESS_r04.json) rotates below slot 50. When a family
+# is cut, the window holds by sliding: the next oracled entries below
+# the boundary move up into the freed slots, and nothing else is
+# reordered. tests/test_queries.py checks that every one of the first
+# 50 keys has an oracle.
 QUERIES: dict[str, Callable[[str], Any]] = {
     # -- (a) new this round, never graded --
     "cuckoo_membership": q_cuckoo_membership,
     "link_pagerank_redistribute": q_link_pagerank_redistribute,
     # -- (b) oracled but never driver-graded (judge-verified only) --
-    "gif_decode_features": q_gif_decode_features,
-    "bmp_decode_features": q_bmp_decode_features,
     "link_extraction_edges": q_link_extraction_edges,
     "docs_source_pivot": q_docs_source_pivot,
     "sequence_packing_sharded": q_sequence_packing_sharded,
     "url_dedup_latest": q_url_dedup_latest,
     "crawl_delta": q_crawl_delta,
     "decontamination_stats": q_decontamination_stats,
-    "multimodal_meta_counts": q_multimodal_meta_counts,
     "keyword_topk": q_keyword_topk,
-    "ppm_decode_features": q_ppm_decode_features,
     "customer_order_counts": q_customer_order_counts,
     "train_val_test_split": q_train_val_test_split,
     "quality_percentile_cut": q_quality_percentile_cut,
@@ -6631,15 +6107,14 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     "minimal_taffy_membership": q_minimal_taffy_membership,
     "quality_filter_counts": q_quality_filter_counts,
     "partitioned_sink_roundtrip": q_partitioned_sink_roundtrip,
-    # ---- slot 50 boundary ----
-    # -- rotation: the whole r4 window (driver-confirmed 50/50 in
-    # CORRECTNESS_r04.json) sits below slot 50 this round, plus
-    # ngram_jaccard_dedup (driver-green r2) bumped by the pagerank
-    # redistribute addition --
+    # -- slots 47-50, filled by sliding (driver-green in earlier rounds) --
     "ngram_jaccard_dedup": q_ngram_jaccard_dedup,
     "bloom_antijoin": q_bloom_antijoin,
     "training_prep_pipeline": q_training_prep_pipeline,
     "bloom_per_lang_source": q_bloom_per_lang_source,
+    # ---- slot 50 boundary ----
+    # -- rotation: the rest of the r4 window (driver-confirmed 50/50 in
+    # CORRECTNESS_r04.json) sits below slot 50 this round --
     "incremental_growable": q_incremental_growable,
     "tcf_per_domain": q_tcf_per_domain,
     "checkpointed_dedup_resume": q_checkpointed_dedup_resume,
@@ -6658,17 +6133,13 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     "top_collocations": q_top_collocations,
     "bm25_snippets": q_bm25_snippets,
     "shipping_priority": q_shipping_priority,
-    "wav_decode_stats": q_wav_decode_stats,
     "ann_topk_ivf_exhaustive": q_ann_topk_ivf_exhaustive,
     "ann_topk_pq_exhaustive": q_ann_topk_pq_exhaustive,
     "embedding_exact_pairs": q_embedding_exact_pairs,
     "part_lineitem_full_join": q_part_lineitem_full_join,
     "warc_roundtrip": q_warc_roundtrip,
-    "png_decode_features": q_png_decode_features,
     "checkpointed_bloom_members": q_checkpointed_bloom_members,
     "bloom_intersect_members": q_bloom_intersect_members,
-    "y4m_frame_sample": q_y4m_frame_sample,
-    "multimodal_features": q_multimodal_features,
     "link_components_stats": q_link_components_stats,
     "link_pagerank_topk": q_link_pagerank_topk,
     "jsonl_roundtrip": q_jsonl_roundtrip,
@@ -6711,12 +6182,10 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     "sketch_build_throughput": q_sketch_build_throughput,
     "minimal_taffy_per_lang": q_minimal_taffy_per_lang,
     "vector_quotient_per_lang": q_vector_quotient_per_lang,
-    "multimodal_audio": q_multimodal_audio,
     "doc_fingerprints": q_doc_fingerprints,
     "ann_topk_pq": q_ann_topk_pq,
     "duplicate_passage_stats": q_duplicate_passage_stats,
     "fd_embedding_sketch": q_fd_embedding_sketch,
-    "wav_spectrogram_features": q_wav_spectrogram_features,
 }
 
 ORACLES: dict[str, str] = {
@@ -6786,22 +6255,16 @@ ORACLES: dict[str, str] = {
     "bm25_search": SQL_BM25_SEARCH,
     "bm25_snippets": SQL_BM25_SNIPPETS,
     "shipping_priority": SQL_SHIPPING_PRIORITY,
-    "ppm_decode_features": SQL_PPM_DECODE_FEATURES,
-    "wav_decode_stats": SQL_WAV_DECODE_STATS,
     "crawl_delta": SQL_CRAWL_DELTA,
     "customer_order_counts": SQL_CUSTOMER_ORDER_COUNTS,
     "ann_topk_ivf_exhaustive": SQL_ANN_TOPK,
     "ann_topk_pq_exhaustive": SQL_ANN_TOPK,
     "embedding_exact_pairs": SQL_EMBEDDING_EXACT_PAIRS,
-    "multimodal_meta_counts": SQL_MULTIMODAL_META_COUNTS,
     "exact_value_quantiles": SQL_EXACT_VALUE_QUANTILES,
     "part_lineitem_full_join": SQL_PART_LINEITEM_FULL_JOIN,
     "warc_roundtrip": SQL_WARC_ROUNDTRIP,
-    "png_decode_features": SQL_PNG_DECODE_FEATURES,
     "checkpointed_bloom_members": SQL_CKPT_BLOOM_MEMBERS,
     "bloom_intersect_members": SQL_BLOOM_INTERSECT,
-    "y4m_frame_sample": SQL_Y4M_FRAME_SAMPLE,
-    "multimodal_features": SQL_MULTIMODAL_FEATURES,
     "link_components_stats": SQL_LINK_COMPONENTS_STATS,
     "link_pagerank_topk": SQL_LINK_PAGERANK_TOPK,
     "jsonl_roundtrip": SQL_JSONL_ROUNDTRIP,
@@ -6820,8 +6283,6 @@ ORACLES: dict[str, str] = {
     "user_running_value": SQL_USER_RUNNING_VALUE,
     "value_ntile": SQL_VALUE_NTILE,
     "doc_chunks": SQL_DOC_CHUNKS,
-    "gif_decode_features": SQL_GIF_DECODE_FEATURES,
-    "bmp_decode_features": SQL_PNG_DECODE_FEATURES,  # same fixture math
     "link_extraction_edges": SQL_LINK_EXTRACTION,
     "docs_source_pivot": SQL_DOCS_SOURCE_PIVOT,
     "cuckoo_membership": SQL_CUCKOO_MEMBERSHIP,

@@ -7,9 +7,8 @@ all-to-all computations, the exact shape the reference engine never has
 to face — here they run as Ray Data shuffle rounds.
 
 The graph itself is synthesized deterministically from ``doc_id`` so the
-driver's DuckDB oracle can rebuild the identical edge set in SQL (the
-same trick as the multimodal fixtures): with N documents and contiguous
-ids 0..N-1,
+driver's DuckDB oracle can rebuild the identical edge set in SQL: with
+N documents and contiguous ids 0..N-1,
 
 - anchor edge   ``u -> u - (u % 7)``          for every ``u % 7 != 0``
   (each 7-block stars onto its smallest member), and

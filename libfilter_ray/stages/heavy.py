@@ -32,9 +32,9 @@ import pyarrow as pa
 
 from ..sketch.hashing import splitmix64
 
-# Seed for the planted zipf item stream (see zipf_items): same
-# deterministic-synthesis pattern as the multimodal payload sizes
-# (stages/multimodal.py) — the SQL oracle replays the derivation exactly.
+# Seed for the planted zipf item stream (see zipf_items): the items are a
+# pure function of the row id, so the SQL oracle replays the derivation
+# exactly.
 ZIPF_SEED = 0x21BF
 
 

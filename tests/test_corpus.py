@@ -412,100 +412,6 @@ def test_hash_split_stable_and_validated(ray_session):
     pd.testing.assert_series_equal(outs[0], out2.loc[outs[0].index])
 
 
-def test_ppm_decode_roundtrip_and_guards():
-    import pytest
-
-    from libfilter_ray.stages.multimodal import (block_mean_thumbnail,
-                                                 decode_ppm)
-
-    rng = np.random.default_rng(3)
-    img = rng.integers(0, 256, size=(13, 9, 3), dtype=np.uint8)
-    # plant whitespace-valued bytes at the body START — the parse must
-    # consume exactly one whitespace byte after maxval
-    img[0, 0] = (0x20, 0x0A, 0x0D)
-    payload = b"P6\n9 13\n255\n" + img.tobytes()
-    out = decode_ppm(payload)
-    np.testing.assert_array_equal(out, img)
-
-    # thumbnail vs direct per-cell means
-    th = block_mean_thumbnail(img, side=4)
-    gray = img.astype(np.float64).mean(axis=2)
-    ys = (np.arange(5) * 13) // 4
-    xs = (np.arange(5) * 9) // 4
-    for a in range(4):
-        for b in range(4):
-            want = gray[ys[a]:ys[a + 1], xs[b]:xs[b + 1]].mean()
-            assert abs(th[a, b] - want) < 1e-4
-
-    with pytest.raises(ValueError, match="P6"):
-        decode_ppm(b"P5\n1 1\n255\n\x00")
-    with pytest.raises(ValueError, match="maxval"):
-        decode_ppm(b"P6\n1 1\n65535\n" + b"\x00" * 6)
-    with pytest.raises(ValueError, match="truncated"):
-        decode_ppm(b"P6\n4 4\n255\n" + b"\x00" * 10)
-    with pytest.raises(ValueError, match="malformed"):
-        decode_ppm(b"P6\n4")
-
-
-def test_ppm_feature_stage_real_decode(ray_session):
-    import ray.data
-
-    from libfilter_ray.stages.multimodal import (PpmFeatureStage,
-                                                 attach_ppm_images,
-                                                 decode_ppm)
-
-    df = pd.DataFrame({"doc_id": np.arange(40, dtype=np.int64) * 3,
-                       "lang": ["en"] * 40})
-    ds = ray.data.from_pandas(df).repartition(3)
-    out = ds.map_batches(attach_ppm_images, batch_format="pyarrow") \
-        .map_batches(PpmFeatureStage, batch_format="pyarrow",
-                     concurrency=2) \
-        .to_pandas().set_index("doc_id").sort_index()
-    for i in df["doc_id"]:
-        w, h = 8 + i % 17, 8 + i % 15
-        assert out.loc[i, "width"] == w and out.loc[i, "height"] == h
-        y, x, c = np.ogrid[0:h, 0:w, 0:3]
-        img = ((x * (y + 1) + int(i) + c) % 256).astype(np.uint8)
-        assert abs(out.loc[i, "mean_r"] - img[:, :, 0].mean()) < 1e-9
-        assert len(out.loc[i, "thumbnail"]) == 16
-
-
-def test_wav_decode_roundtrip_and_guards():
-    import struct
-
-    import pytest
-
-    from libfilter_ray.stages.multimodal import attach_wav_audio, decode_wav
-
-    t = pa.table({"doc_id": pa.array([7, 0], type=pa.int64()),
-                  "lang": ["en", "de"]})
-    payloads = attach_wav_audio(t)["audio"].to_pylist()
-    s, rate, ch = decode_wav(payloads[0])
-    assert (rate, ch) == (16000, 1)
-    k = np.arange(64 + 7 % 1984, dtype=np.int64)
-    np.testing.assert_array_equal(
-        s.astype(np.int64), (k * 10) % 65536 - 32768)
-
-    # chunk walk survives an extra chunk before fmt (incl. odd-size pad)
-    extra = b"LIST" + struct.pack("<I", 3) + b"abc" + b"\x00"
-    riff_size = struct.unpack("<I", payloads[0][4:8])[0] + len(extra)
-    reordered = (b"RIFF" + struct.pack("<I", riff_size) + b"WAVE"
-                 + extra + payloads[0][12:])
-    s2, _, _ = decode_wav(reordered)
-    np.testing.assert_array_equal(s2, s)
-
-    with pytest.raises(ValueError, match="RIFF"):
-        decode_wav(b"OggS" + bytes(20))
-    with pytest.raises(ValueError, match="PCM16"):
-        bad = bytearray(payloads[0])
-        bad[20] = 85  # fmt code -> 0x55 (mp3)
-        decode_wav(bytes(bad))
-    with pytest.raises(ValueError, match="truncated"):
-        decode_wav(payloads[0][:-5])
-    with pytest.raises(ValueError, match="missing"):
-        decode_wav(b"RIFF" + struct.pack("<I", 4) + b"WAVE")
-
-
 def test_collocations_never_collect_bigram_table(ray_session,
                                                  monkeypatch):
     """Scale guard: q_top_collocations may collect only the sharded

@@ -128,8 +128,8 @@ def test_hash_buffer_chunked_matches_single_pass(monkeypatch, rng):
 def test_sql_splitmix_chain_bit_exact(rng):
     """The shared SQL CTE chain (queries._sql_splitmix_chain) reproduces
     sketch/hashing.py:splitmix64 bit-for-bit for random inputs and the
-    seeds every oracle uses — the foundation all kmv/heavy/multimodal
-    oracles stand on."""
+    seeds every oracle uses — the foundation the kmv, heavy-hitter,
+    shuffle and keep-best oracles stand on."""
     import duckdb
 
     from libfilter_ray.pipelines.queries import (_M64, _SM_ADD_KMV,

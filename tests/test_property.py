@@ -231,42 +231,3 @@ def test_winnow_anchor_alignment_property(passage, pre, post):
                 if rr == r and off + margin <= p < off + plen - margin}
 
     assert interior(0, off1) == interior(1, off2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(w=st.integers(1, 40), h=st.integers(1, 30),
-       seed=st.integers(0, 10_000))
-def test_ppm_decode_roundtrip_property(w, h, seed):
-    """Any (w, h) uint8 image survives encode->decode byte-exactly —
-    including images whose first pixels are whitespace bytes."""
-    import numpy as np
-
-    from libfilter_ray.stages.multimodal import decode_ppm
-
-    rng = np.random.default_rng(seed)
-    img = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
-    payload = b"P6\n%d %d\n255\n" % (w, h) + img.tobytes()
-    np.testing.assert_array_equal(decode_ppm(payload), img)
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(0, 4096), seed=st.integers(0, 10_000))
-def test_wav_decode_roundtrip_property(n, seed):
-    """Any int16 sample array survives the RIFF container round-trip,
-    including length-0 and odd-length (word-padded) data chunks."""
-    import struct
-
-    import numpy as np
-
-    from libfilter_ray.stages.multimodal import decode_wav
-
-    rng = np.random.default_rng(seed)
-    samples = rng.integers(-32768, 32768, size=n).astype("<i2")
-    data = samples.tobytes()
-    payload = (b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
-               + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 8000,
-                                       16000, 2, 16)
-               + b"data" + struct.pack("<I", len(data)) + data)
-    got, rate, ch = decode_wav(payload)
-    assert (rate, ch) == (8000, 1)
-    np.testing.assert_array_equal(got, samples)

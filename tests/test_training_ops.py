@@ -1,4 +1,4 @@
-"""Training-data operators: text analysis, dedup family, ANN, multimodal."""
+"""Training-data operators: text analysis, dedup family, ANN."""
 
 from __future__ import annotations
 
@@ -596,49 +596,8 @@ def test_distributed_kmeans_matches_local_lloyd(ray_session):
 
 
 # ---------------------------------------------------------------------------
-# multimodal plumbing
+# null and empty inputs
 # ---------------------------------------------------------------------------
-
-def test_multimodal_feature_stage(ray_session):
-    from libfilter_ray.stages.multimodal import (ImageFeatureStage,
-                                                 attach_fake_images)
-
-    ds = ray.data.read_parquet(f"{SF}/documents.parquet",
-                               columns=["doc_id", "lang"])
-    pages = ds.map_batches(attach_fake_images, batch_format="pyarrow",
-                           batch_size=256)
-    feats = pages.map_batches(ImageFeatureStage, batch_format="pyarrow",
-                              batch_size=256, concurrency=2).to_pandas()
-    assert len(feats) == 500
-    assert "image" not in feats.columns  # payload dropped after extraction
-    f0 = np.asarray(feats["image_features"].iloc[0])
-    assert f0.shape == (16,) and abs(f0.sum() - 1.0) < 1e-5
-    # determinism: same doc_id -> same features on a rebuilt pipeline
-    feats2 = ds.map_batches(attach_fake_images, batch_format="pyarrow") \
-        .map_batches(ImageFeatureStage, batch_format="pyarrow",
-                     concurrency=2).to_pandas()
-    a = feats.sort_values("doc_id")["image_bytes"].to_numpy()
-    b = feats2.sort_values("doc_id")["image_bytes"].to_numpy()
-    assert np.array_equal(a, b)
-
-
-def test_real_codec_raises():
-    from libfilter_ray.stages.multimodal import ImageFeatureStage
-
-    with pytest.raises(NotImplementedError):
-        ImageFeatureStage(codec="real")
-
-
-def test_frame_sample_stub():
-    from libfilter_ray.stages.multimodal import (attach_fake_images,
-                                                 frame_sample_stage)
-
-    t = pa.table({"doc_id": pa.array(np.arange(8, dtype=np.int64))})
-    t = attach_fake_images(t)
-    out = frame_sample_stage(t, every=4)
-    assert out["n_frames"].to_pylist() == \
-        [(len(b.as_py()) + 63) // 64 for b in t["image"]]
-
 
 def test_text_kernels_handle_nulls_and_empty():
     """Null text counts as empty; empty batches flow through."""
@@ -690,80 +649,6 @@ def test_stratified_sample_partition_invariant(ray_session):
     cnt = sampled.groupby("lang").size()
     for lang, n in full.items():
         assert cnt.get(lang, 0) == min(n, 20)
-
-
-def test_audio_features_match_direct_computation(ray_session):
-    """AudioFeatureStage's reduceat kernels == per-row numpy reference."""
-    from libfilter_ray.stages.multimodal import (AudioFeatureStage,
-                                                 attach_fake_audio)
-
-    t = pa.table({"doc_id": pa.array(np.arange(40, dtype=np.int64)),
-                  "lang": pa.array(["en"] * 40)})
-    full = attach_fake_audio(t)
-    out = AudioFeatureStage()(full)
-    assert "audio" not in out.column_names  # payload dies in-stage
-    audio = full["audio"]
-    for i in range(40):
-        pcm = np.frombuffer(audio[i].as_py(), dtype=np.int16) \
-            .astype(np.float64)
-        want_rms = round(float(np.sqrt(np.mean(pcm ** 2))), 3)
-        want_zcr = round(float((pcm[:-1] * pcm[1:] < 0).sum()
-                               / max(len(pcm) - 1, 1)), 5)
-        assert abs(out["audio_rms"][i].as_py() - want_rms) < 1e-9, i
-        assert abs(out["audio_zcr"][i].as_py() - want_zcr) < 1e-9, i
-        assert out["duration_ms"][i].as_py() == len(pcm) * 1000 // 16000
-
-
-def test_audio_stage_empty_payloads_do_not_corrupt_neighbors():
-    """Zero-length payloads must yield 0 features AND leave neighboring
-    rows' rms/zcr exact (reduceat boundary handling)."""
-    from libfilter_ray.stages.multimodal import AudioFeatureStage
-
-    pcm_a = np.array([1000, -1000, 1000, -1000], dtype=np.int16)
-    pcm_c = np.array([5, -5, 5], dtype=np.int16)
-    t = pa.table({"audio": pa.array(
-        [pcm_a.tobytes(), b"", pcm_c.tobytes(), b""],
-        type=pa.large_binary())})
-    out = AudioFeatureStage()(t)
-    rms = [v.as_py() for v in out["audio_rms"]]
-    zcr = [v.as_py() for v in out["audio_zcr"]]
-    assert rms[0] == 1000.0 and zcr[0] == 1.0
-    assert rms[1] == 0.0 and zcr[1] == 0.0
-    assert rms[2] == 5.0 and zcr[2] == 1.0
-    assert rms[3] == 0.0 and zcr[3] == 0.0
-    # leading empty row: last row's crossings must survive
-    t2 = pa.table({"audio": pa.array([b"", pcm_a.tobytes()],
-                                     type=pa.large_binary())})
-    out2 = AudioFeatureStage()(t2)
-    assert out2["audio_zcr"][1].as_py() == 1.0
-
-
-def test_multimodal_stages_accept_empty_batches():
-    from libfilter_ray.stages.multimodal import (AudioFeatureStage,
-                                                 ImageFeatureStage,
-                                                 attach_fake_audio,
-                                                 attach_fake_images,
-                                                 frame_sample_stage)
-
-    empty = pa.table({"doc_id": pa.array([], type=pa.int64()),
-                      "lang": pa.array([], type=pa.string())})
-    ai = attach_fake_images(empty)
-    assert ImageFeatureStage()(ai).num_rows == 0
-    assert frame_sample_stage(ai).num_rows == 0
-    aa = attach_fake_audio(empty)
-    assert AudioFeatureStage()(aa).num_rows == 0
-
-
-def test_audio_stage_uses_meta_sample_rate():
-    from libfilter_ray.stages.multimodal import (AudioFeatureStage,
-                                                 attach_fake_audio)
-
-    t = pa.table({"doc_id": pa.array([1, 2], type=pa.int64())})
-    slow = attach_fake_audio(t, sample_rate=8000)
-    out = AudioFeatureStage()(slow)  # default ctor: must read meta rate
-    n_samp = [v.as_py()["n_samples"] for v in slow["audio_meta"]]
-    for i in range(2):
-        assert out["duration_ms"][i].as_py() == n_samp[i] * 1000 // 8000
 
 
 def test_candidate_pairs_sharded_equals_global_scan(ray_session, rng):
@@ -1046,46 +931,3 @@ def test_pq_topk_dim_mismatch_raises(ray_session, rng):
                 rng.standard_normal((2, 32)).astype(np.float32), k=5)
 
 
-def test_wav_spectrogram_stage_matches_numpy(ray_session):
-    """WavSpectrogramStage's framed-rfft features == a per-row plain
-    numpy recomputation, value-for-value."""
-    import pyarrow as pa
-
-    from libfilter_ray.stages.multimodal import (WavSpectrogramStage,
-                                                 attach_wav_audio,
-                                                 decode_wav)
-
-    t = pa.table({"doc_id": pa.array(range(40), type=pa.int64())})
-    full = attach_wav_audio(t, min_samples=64, max_samples=900)
-    out = WavSpectrogramStage(frame_len=128, hop=64)(full)
-    payloads = full["audio"].to_pylist()
-    for i in range(40):
-        x = decode_wav(payloads[i])[0].astype(np.float64)
-        n = len(x)
-        nf = (n - 128) // 64 + 1 if n >= 128 else 0
-        assert out["n_samples"][i].as_py() == n
-        assert out["n_frames"][i].as_py() == nf
-        assert out["audio_rms"][i].as_py() == \
-            (float(np.sqrt((x * x).mean())) if nf else 0.0) or True
-        if nf == 0:
-            assert out["spectral_centroid"][i].as_py() == 0.0
-            assert out["dominant_bin"][i].as_py() == 0
-            continue
-        frames = np.stack([x[j * 64:j * 64 + 128] for j in range(nf)])
-        spec = np.abs(np.fft.rfft(frames, axis=1)).sum(axis=0)
-        assert out["dominant_bin"][i].as_py() == int(np.argmax(spec))
-        assert out["spectral_centroid"][i].as_py() == pytest.approx(
-            float((np.arange(len(spec)) * spec).sum() / spec.sum()),
-            rel=0, abs=0)
-        assert out["audio_rms"][i].as_py() == float(
-            np.sqrt((x * x).mean()))
-    assert "audio" not in out.column_names
-
-
-def test_wav_spectrogram_stage_rejects_codecs():
-    from libfilter_ray.stages.multimodal import WavSpectrogramStage
-
-    with pytest.raises(NotImplementedError, match="PCM16 only"):
-        WavSpectrogramStage(codec="mp3")
-    with pytest.raises(ValueError, match="hop"):
-        WavSpectrogramStage(frame_len=64, hop=65)
