@@ -290,19 +290,11 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     _check_columns(paths, cols)
     ds = ray.data.read_parquet(paths, columns=cols)
     if grouped:
-        from ray.data.aggregate import Sum
+        from .stages.sketch_build import probe_grouped
 
-        from .stages.sketch_build import grouped_probe_counts
-
-        ref = ray.put(dict(zip(filt["key"], filt["payload"])))
-        out = ds.map_batches(
-            grouped_probe_counts(ref, cls.from_bytes, args.key,
-                                 args.column),
-            batch_format="pyarrow") \
-            .groupby(args.key) \
-            .aggregate(Sum("n", alias_name="n_probed"),
-                       Sum("found", alias_name="n_found")) \
-            .to_pandas().sort_values(args.key).reset_index(drop=True)
+        out = probe_grouped(ds, dict(zip(filt["key"], filt["payload"])),
+                            cls.from_bytes, args.key, args.column) \
+            .rename(columns={"n": "n_probed", "found": "n_found"})
         _write_result(out, args.output)
         return 0
     from .sketch.hashing import hash_arrow_array

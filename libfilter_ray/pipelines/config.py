@@ -26,8 +26,9 @@ Spec shape::
 Grouped specs run in ONE pass via build_grouped_multi (single read + one
 keyed merge); ungrouped specs build one global sketch each via build_sketch
 (the same keyed merge over one key) — or via build_sketch_exact when the
-spec carries ``"exact": true`` (the raw-hash canonicalized path for
-growth-order-sensitive sketches).
+spec carries ``"exact": true``: each block ships its raw hash list and the
+same merge inserts the sorted hash multiset once, the partition-invariant
+path for growth-order-sensitive sketches.
 """
 
 from __future__ import annotations

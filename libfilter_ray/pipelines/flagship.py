@@ -12,7 +12,8 @@ scale and stage count stays constant at 100 TB):
    key-hash exchange for a large one; stages/sketch_build.merge_keyed).
 2. probe: broadcast the per-lang filters (ray.put once), stream the pages
    again, count members found per lang inside each batch (vectorized),
-   tiny groupby sum at the end.
+   and sum the per-batch counts through the same keyed merge
+   (stages/sketch_build.probe_grouped).
 
 FPP on non-members is measured driver-side on a synthetic probe set
 (vectorized, no Ray needed).
@@ -29,7 +30,7 @@ from ..sketch.block_bloom import BlockBloom
 from ..sketch.hashing import hash_arrow_array
 from ..sources.webpages import read_webpages
 from ..stages.extract import verify_extract_stage
-from ..stages.sketch_build import build_grouped_sketches
+from ..stages.sketch_build import build_grouped_multi, probe_grouped
 
 
 def _document_count(sf_dir: str) -> int:
@@ -54,7 +55,6 @@ def sketch_build_throughput_job(sf_dir: str, replicate: int = 400,
     from ..sketch.cms import CountMin
     from ..sketch.hll import HyperLogLog
     from ..sketch.kll import KLL
-    from ..stages.sketch_build import build_grouped_multi
 
     total = _document_count(sf_dir) * replicate
     size = sizing.block_bytes_needed(max(total, 1), fpp)
@@ -101,32 +101,21 @@ def flagship(sf_dir: str, fpp: float = 0.01, replicate: int = 1,
     pages = read_webpages(sf_dir, replicate=replicate,
                           parallelism=parallelism).map_batches(
         verify_extract_stage, batch_format="pyarrow")
-    grouped = build_grouped_sketches(pages, "lang", "url", "block",
-                                     {"bytes_": size})
+    grouped = build_grouped_multi(pages, "lang", [
+        ("bloom", "block", {"bytes_": size}, "url")])
 
     # --- Ray execution 2: broadcast probe, per-batch vectorized counts ----
     # Filters are sized for the TOTAL corpus, so at scale the set is MBs —
-    # ship the serialized payloads ONCE via ray.put and deserialize once
-    # per worker process (cached_broadcast), never once per cloudpickled
-    # task closure. (For GB-scale frozen filters use
+    # probe_grouped ships the serialized payloads ONCE via ray.put and each
+    # worker process deserializes them once (cached_broadcast), never once
+    # per cloudpickled task closure. (For GB-scale frozen filters use
     # stages.sketch_build.probe_stage with an actor pool instead.)
-    import ray
-
-    from ..stages.sketch_build import grouped_probe_counts
-
-    payloads_ref = ray.put({row["lang"]: bytes(row["payload"])
-                            for _, row in grouped.iterrows()})
-    probe_count = grouped_probe_counts(payloads_ref, BlockBloom.from_bytes,
-                                       "lang", "url")
-
-    from ray.data.aggregate import Sum
-
-    probe = read_webpages(sf_dir, include_html=False, replicate=replicate,
-                          parallelism=parallelism) \
-        .select_columns(["url", "lang"]) \
-        .map_batches(probe_count, batch_format="pyarrow") \
-        .groupby("lang").aggregate(Sum("found", alias_name="members_found"),
-                                   Sum("n", alias_name="n")).to_pandas()
+    probe = probe_grouped(
+        read_webpages(sf_dir, include_html=False, replicate=replicate,
+                      parallelism=parallelism).select_columns(["url", "lang"]),
+        {row["lang"]: bytes(row["payload_bloom"])
+         for _, row in grouped.iterrows()},
+        BlockBloom.from_bytes, "lang", "url")
 
     # --- driver-side fpp measurement (vectorized, tiny) -------------------
     probe_hashes = hash_arrow_array(pa.array(
@@ -134,12 +123,12 @@ def flagship(sf_dir: str, fpp: float = 0.01, replicate: int = 1,
     out = []
     probe = probe.set_index("lang")
     for _, row in grouped.iterrows():
-        f = BlockBloom.from_bytes(row["payload"])
+        f = BlockBloom.from_bytes(row["payload_bloom"])
         lang = row["lang"]
         out.append({
             "lang": lang, "rows": int(row["rows"]),
             "filter_bytes": f.size_in_bytes(),
-            "members_found": int(probe.loc[lang, "members_found"]),
+            "members_found": int(probe.loc[lang, "found"]),
             "fpp_measured": round(float(f.find_hashes(probe_hashes).mean()), 5),
             "fpp_configured": fpp,
         })

@@ -22,6 +22,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
+from ..stages.broadcast import cached_broadcast
+
 
 def _read(sf_dir: str, table: str, columns=None, filter=None):
     """Pruned parquet read: `columns` limits what leaves storage;
@@ -121,10 +123,8 @@ def q_bloom_semijoin(sf_dir: str) -> pd.DataFrame:
     bloom_ref = ray.put(f.to_bytes())
     exact_ref = ray.put(np.sort(keys.astype(np.int64)))
 
-    from ..stages.dedup import _cached_filter
-
     def semi_join(t: pa.Table) -> pa.Table:
-        bloom = _cached_filter(bloom_ref, BlockBloom.from_bytes)
+        bloom = cached_broadcast(bloom_ref, BlockBloom.from_bytes)
         exact = ray.get(exact_ref)
         h = hash_arrow_array(t["o_custkey"])
         maybe = bloom.find_hashes(h)
@@ -165,7 +165,6 @@ def q_bloom_antijoin(sf_dir: str) -> pd.DataFrame:
     from ..sketch import sizing
     from ..sketch.block_bloom import BlockBloom
     from ..sketch.hashing import hash_arrow_array
-    from ..stages.dedup import _cached_filter
 
     cust = _read(sf_dir, "customer", columns=["c_custkey"],
                  filter=pc.field("c_mktsegment") == "BUILDING")
@@ -176,7 +175,7 @@ def q_bloom_antijoin(sf_dir: str) -> pd.DataFrame:
     exact_ref = ray.put(np.sort(keys.astype(np.int64)))
 
     def anti_join(t: pa.Table) -> pa.Table:
-        bloom = _cached_filter(bloom_ref, BlockBloom.from_bytes)
+        bloom = cached_broadcast(bloom_ref, BlockBloom.from_bytes)
         h = hash_arrow_array(t["o_custkey"])
         maybe = bloom.find_hashes(h)
         keep = ~maybe
@@ -660,7 +659,6 @@ def q_checkpointed_bloom_members(sf_dir: str) -> pd.DataFrame:
 
     from ..sketch.block_bloom import BlockBloom
     from ..sketch.hashing import DEFAULT_SEED, hash_arrow_array
-    from ..stages.dedup import _cached_filter
     from ..state.checkpoint import CheckpointedBuild
 
     run_dir = tempfile.mkdtemp(prefix="lfr-ckptbloom-", dir="/tmp")
@@ -676,7 +674,7 @@ def q_checkpointed_bloom_members(sf_dir: str) -> pd.DataFrame:
     fref = ray.put({k: sk.to_bytes() for k, sk in out.items()})
 
     def probe(t: pa.Table) -> pa.Table:
-        filters = _cached_filter(fref, lambda d: {
+        filters = cached_broadcast(fref, lambda d: {
             k: BlockBloom.from_bytes(v) for k, v in d.items()})
         h = hash_arrow_array(t["user_id"], seed=DEFAULT_SEED)
         et = t["event_type"]
@@ -736,12 +734,10 @@ def q_revenue_by_nation(sf_dir: str) -> pd.DataFrame:
         dim.sort_values("c_custkey")["n_name"].to_numpy(),
         dim.sort_values("c_custkey")["r_name"].to_numpy()))
 
-    from ..stages.dedup import _cached_filter
-
     def attach_nation(t: pa.Table) -> pa.Table:
         # the name arrays are object-dtype (not zero-copy): memoize the
         # deserialization per worker process instead of per batch
-        keys, n_name, r_name = _cached_filter(lookup_ref, lambda x: x)
+        keys, n_name, r_name = cached_broadcast(lookup_ref, lambda x: x)
         ck = t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         idx = np.searchsorted(keys, ck)
         ok = (idx < len(keys)) & (keys[np.minimum(
@@ -2141,7 +2137,7 @@ def q_domain_doc_counts(sf_dir: str) -> pd.DataFrame:
     import pyarrow.compute as pc
 
     from ..sketch.hll import HyperLogLog
-    from ..stages.sketch_build import build_grouped_sketches
+    from ..stages.sketch_build import build_grouped_multi
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "source"])
 
@@ -2153,12 +2149,12 @@ def q_domain_doc_counts(sf_dir: str) -> pd.DataFrame:
             src, "-d", pc.cast(pa.array(ids % 97), pa.string()), "")
         return pa.table({"domain": dom, "text": t["text"]})
 
-    grouped = build_grouped_sketches(
+    grouped = build_grouped_multi(
         ds.map_batches(with_domain, batch_format="pyarrow"),
-        "domain", "text", "hll", {"p": 12})
+        "domain", [("hll", "hll", {"p": 12}, "text")])
     rows = grouped["rows"].to_numpy().astype(np.int64)
     est = np.array([HyperLogLog.from_bytes(p).estimate()
-                    for p in grouped["payload"]])
+                    for p in grouped["payload_hll"]])
     # per-domain counts are tiny (1-10 docs): HLL with small-range
     # correction is near-exact there — a loose 15% mean bound catches
     # a broken merge path without flaking on estimator bias
@@ -2188,8 +2184,7 @@ def q_tcf_per_domain(sf_dir: str) -> pd.DataFrame:
     import pyarrow.compute as pc
 
     from ..sketch.taffy_cuckoo import TaffyCuckoo
-    from ..stages.sketch_build import (build_grouped_sketches,
-                                       grouped_probe_counts)
+    from ..stages.sketch_build import build_grouped_multi, probe_grouped
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "source"])
 
@@ -2202,27 +2197,20 @@ def q_tcf_per_domain(sf_dir: str) -> pd.DataFrame:
         return pa.table({"domain": dom, "text": t["text"]})
 
     keyed = ds.map_batches(with_domain, batch_format="pyarrow")
-    built = build_grouped_sketches(keyed, "domain", "text", "taffy_cuckoo",
-                                   {"bytes_": 512})
+    built = build_grouped_multi(keyed, "domain", [
+        ("tcf", "taffy_cuckoo", {"bytes_": 512}, "text")])
     # growable contract: every per-domain filter holds at least its keys
     # (capacity >= rows proves upsizing engaged where needed)
     caps = np.array([TaffyCuckoo.from_bytes(p).capacity()
-                     for p in built["payload"]])
+                     for p in built["payload_tcf"]])
     assert (caps >= built["rows"].to_numpy()).all()
 
-    payloads = {row["domain"]: bytes(row["payload"])
-                for _, row in built.iterrows()}
-    fref = ray.put(payloads)
-    probe = grouped_probe_counts(fref, TaffyCuckoo.from_bytes,
-                                 "domain", "text")
-    out = keyed.map_batches(probe, batch_format="pyarrow") \
-        .groupby("domain").aggregate(
-            Sum("n", alias_name="n_docs"),
-            Sum("found", alias_name="members_found")).to_pandas()
-    out["n_docs"] = out["n_docs"].astype("int64")
-    out["members_found"] = out["members_found"].astype("int64")
+    out = probe_grouped(keyed, {row["domain"]: bytes(row["payload_tcf"])
+                                for _, row in built.iterrows()},
+                        TaffyCuckoo.from_bytes, "domain", "text") \
+        .rename(columns={"n": "n_docs", "found": "members_found"})
     assert (out["members_found"] == out["n_docs"]).all()
-    return out.sort_values("domain").reset_index(drop=True)
+    return out
 
 
 SQL_TCF_PER_DOMAIN = """
@@ -2249,10 +2237,8 @@ def q_tbf_exact_membership(sf_dir: str) -> pd.DataFrame:
     payload = tbf.to_bytes()
     ref = ray.put(payload)
 
-    from ..stages.dedup import _cached_filter
-
     def probe(t: pa.Table) -> pa.Table:
-        f = _cached_filter(ref, TaffyBlock.from_bytes)
+        f = cached_broadcast(ref, TaffyBlock.from_bytes)
         h = _hash(t["text"])
         return pa.table({
             "n": pa.array([t.num_rows], type=pa.int64()),
@@ -2307,7 +2293,6 @@ def q_bloom_intersect_members(sf_dir: str) -> pd.DataFrame:
     from ..sketch import sizing
     from ..sketch.block_bloom import BlockBloom
     from ..sketch.hashing import hash_arrow_array
-    from ..stages.dedup import _cached_filter
     from ..stages.sketch_build import build_sketch
 
     docs_a = _read(sf_dir, "documents", columns=["doc_id"],
@@ -2321,7 +2306,7 @@ def q_bloom_intersect_members(sf_dir: str) -> pd.DataFrame:
     fref = ray.put(fa.intersect(fb).to_bytes())
 
     def probe(t: pa.Table) -> pa.Table:
-        f = _cached_filter(fref, BlockBloom.from_bytes)
+        f = cached_broadcast(fref, BlockBloom.from_bytes)
         found = f.find_hashes(hash_arrow_array(t["doc_id"]))
         return pa.table({
             "n_both": pa.array(np.ones(t.num_rows, np.int64)),
@@ -2462,8 +2447,7 @@ def q_incremental_growable(sf_dir: str) -> pd.DataFrame:
     oracles."""
     from ..sketch.hashing import hash_arrow_array
     from ..sketch.taffy_cuckoo import TaffyCuckoo
-    from ..stages.broadcast import cached_broadcast
-    from ..stages.sketch_build import build_grouped_sketches
+    from ..stages.sketch_build import build_grouped_multi, probe_grouped
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "text"])
 
@@ -2476,9 +2460,9 @@ def q_incremental_growable(sf_dir: str) -> pd.DataFrame:
     half1 = ds.map_batches(_half(0), batch_format="pyarrow")
     half2 = ds.map_batches(_half(1), batch_format="pyarrow")
 
-    built = build_grouped_sketches(half1, "lang", "text", "taffy_cuckoo",
-                                   {"bytes_": 512})
-    phase1 = {r["lang"]: bytes(r["payload"]) for _, r in built.iterrows()}
+    built = build_grouped_multi(half1, "lang", [
+        ("tcf", "taffy_cuckoo", {"bytes_": 512}, "text")])
+    phase1 = {r["lang"]: bytes(r["payload_tcf"]) for _, r in built.iterrows()}
     p1_ref = ray.put(phase1)
 
     def grow(df: pd.DataFrame) -> pd.DataFrame:
@@ -2499,19 +2483,9 @@ def q_incremental_growable(sf_dir: str) -> pd.DataFrame:
     final_payloads = dict(phase1)
     final_payloads.update({r["lang"]: bytes(r["payload"])
                            for _, r in grown.iterrows()})
-    g_ref = ray.put(final_payloads)
-
-    from ..stages.sketch_build import grouped_probe_counts
-    probe = grouped_probe_counts(g_ref, TaffyCuckoo.from_bytes,
-                                 "lang", "text")
-
-    out = ds.map_batches(probe, batch_format="pyarrow") \
-        .groupby("lang").aggregate(
-            Sum("n", alias_name="n_docs"),
-            Sum("found", alias_name="members_found")).to_pandas()
-    out["n_docs"] = out["n_docs"].astype("int64")
-    out["members_found"] = out["members_found"].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
+    return probe_grouped(ds, final_payloads, TaffyCuckoo.from_bytes,
+                         "lang", "text") \
+        .rename(columns={"n": "n_docs", "found": "members_found"})
 
 
 SQL_INCREMENTAL_GROWABLE = """
@@ -2522,8 +2496,8 @@ FROM documents GROUP BY lang ORDER BY lang
 
 def q_bloom_per_lang_source(sf_dir: str) -> pd.DataFrame:
     """Composite-key grouped build: one BlockBloom per (lang, source) —
-    the key is a derived `lang|source` column fed through the same salted
-    two-stage grouped merge — then a streaming broadcast probe. Zero false
+    the key is a derived `lang|source` column fed through the same keyed
+    grouped merge — then a streaming broadcast probe. Zero false
     negatives make members_found deterministic (= n_docs per group), so
     the whole output oracles."""
     import pyarrow.compute as pc
@@ -2531,7 +2505,7 @@ def q_bloom_per_lang_source(sf_dir: str) -> pd.DataFrame:
     from ..sketch.block_bloom import BlockBloom
     from ..sketch.hashing import hash_arrow_array
     from ..stages.dedup import _str
-    from ..stages.sketch_build import build_grouped_sketches
+    from ..stages.sketch_build import build_grouped_multi, probe_grouped
 
     ds = _read(sf_dir, "documents", columns=["lang", "source", "text"])
 
@@ -2541,23 +2515,15 @@ def q_bloom_per_lang_source(sf_dir: str) -> pd.DataFrame:
         return pa.table({"grp": key, "text": t["text"]})
 
     keyed = ds.map_batches(composite, batch_format="pyarrow")
-    built = build_grouped_sketches(keyed, "grp", "text", "block",
-                                   {"bytes_": 1 << 14})
-    from ..stages.sketch_build import grouped_probe_counts
-    payloads = {row["grp"]: bytes(row["payload"])
-                for _, row in built.iterrows()}
-    fref = ray.put(payloads)
-    probe = grouped_probe_counts(fref, BlockBloom.from_bytes, "grp", "text")
-
-    agg = keyed.map_batches(probe, batch_format="pyarrow") \
-        .groupby("grp").aggregate(
-            Sum("n", alias_name="n_docs"),
-            Sum("found", alias_name="members_found")).to_pandas()
+    built = build_grouped_multi(keyed, "grp", [
+        ("bloom", "block", {"bytes_": 1 << 14}, "text")])
+    agg = probe_grouped(keyed, {row["grp"]: bytes(row["payload_bloom"])
+                                for _, row in built.iterrows()},
+                        BlockBloom.from_bytes, "grp", "text")
     parts = agg["grp"].str.split("|", n=1, expand=True)
     out = pd.DataFrame({
         "lang": parts[0], "source": parts[1],
-        "n_docs": agg["n_docs"].astype("int64"),
-        "members_found": agg["members_found"].astype("int64"),
+        "n_docs": agg["n"], "members_found": agg["found"],
     })
     return out.sort_values(["lang", "source"]).reset_index(drop=True)
 
@@ -3391,7 +3357,6 @@ def q_shipping_priority(sf_dir: str) -> pd.DataFrame:
     from ..sketch import sizing
     from ..sketch.block_bloom import BlockBloom
     from ..sketch.hashing import hash_arrow_array
-    from ..stages.dedup import _cached_filter
     from ..stages.joins import hash_equi_join
     from ..stages.sketch_build import build_sketch
 
@@ -3405,7 +3370,7 @@ def q_shipping_priority(sf_dir: str) -> pd.DataFrame:
     bloom_ref = ray.put(f.to_bytes())
 
     def prune_orders(t: pa.Table) -> pa.Table:
-        bloom = _cached_filter(bloom_ref, BlockBloom.from_bytes)
+        bloom = cached_broadcast(bloom_ref, BlockBloom.from_bytes)
         maybe = bloom.find_hashes(hash_arrow_array(t["o_custkey"]))
         return t.filter(pa.array(maybe)) \
             .select(["o_orderkey", "o_custkey", "o_orderdate"])
@@ -5282,17 +5247,17 @@ def q_kmv_distinct_by_type(sf_dir: str) -> pd.DataFrame:
     set and the oracle replays them bit-for-bit with SQL window
     functions (splitmix64 is a bijection on u64, so DISTINCT user_id ==
     DISTINCT hash). Built with the keyed grouped merge
-    (stages/sketch_build.py:build_grouped_sketches) — partials only ever
+    (stages/sketch_build.py:build_grouped_multi) — partials only ever
     hold <= k hashes, raw-mode ships plain hash lists for tiny blocks."""
     from ..sketch.kmv import KMV
-    from ..stages.sketch_build import build_grouped_sketches
+    from ..stages.sketch_build import build_grouped_multi
 
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
-    built = build_grouped_sketches(ds, key="event_type", column="user_id",
-                                   kind="kmv", params={"k": _KMV_K})
+    built = build_grouped_multi(ds, "event_type", [
+        ("kmv", "kmv", {"k": _KMV_K}, "user_id")])
     rows = []
     for _, r in built.iterrows():
-        sk = KMV.from_bytes(r["payload"])
+        sk = KMV.from_bytes(r["payload_kmv"])
         rows.append({"event_type": r["event_type"],
                      "n_kept": len(sk.kept),
                      "kept_digest": sk.digest(),
@@ -5345,12 +5310,12 @@ def q_kmv_set_ops_types(sf_dir: str) -> pd.DataFrame:
     keys. Deterministic end to end (sketch/kmv.py:set_ops), oracled by
     replaying the bottom-k sets and the theta restriction in SQL."""
     from ..sketch.kmv import KMV, set_ops
-    from ..stages.sketch_build import build_grouped_sketches
+    from ..stages.sketch_build import build_grouped_multi
 
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
-    built = build_grouped_sketches(ds, key="event_type", column="user_id",
-                                   kind="kmv", params={"k": _KMV_K})
-    sks = {r["event_type"]: KMV.from_bytes(r["payload"])
+    built = build_grouped_multi(ds, "event_type", [
+        ("kmv", "kmv", {"k": _KMV_K}, "user_id")])
+    sks = {r["event_type"]: KMV.from_bytes(r["payload_kmv"])
            for _, r in built.iterrows()}
     types = sorted(sks)
     rows = []
@@ -5845,8 +5810,6 @@ def q_value_ntile(sf_dir: str) -> pd.DataFrame:
                                 counts["count()"].astype(np.int64))))
 
     def bucketize(t: pa.Table) -> pa.Table:
-        from ..stages.broadcast import cached_broadcast
-
         nk = cached_broadcast(n_by_key, lambda m: m)
         keycol = t.column("event_type").combine_chunks()
         dict_arr = pc.dictionary_encode(keycol)

@@ -37,18 +37,13 @@ import pyarrow as pa
 from ..functions.shingles import (hamming64, jaccard_pairwise, lsh_band_keys,
                                   minhash_signatures, simhash64)
 from ..sketch.hashing import hash_arrow_array
+from .broadcast import cached_broadcast
 
 U64 = np.uint64
 
 
 def _str(col):
     return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-
-
-# Broadcast state is shipped once via ray.put and read per task with
-# ray.get; deserialized objects are memoized per worker process — see
-# stages/broadcast.py (the alias keeps existing imports working).
-from .broadcast import cached_broadcast as _cached_filter  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +234,7 @@ def exact_dedup_drop_ds(ds, column: str, id_column: str, *,
         """Select rows in duplicated hash groups (bloom prune -> exact
         confirm when available), tagged with a hash-shard for the confirm
         groupby."""
-        bloom = _cached_filter(bloom_ref, BlockBloom.from_bytes)
+        bloom = cached_broadcast(bloom_ref, BlockBloom.from_bytes)
         h = hash_arrow_array(t[column]).view(np.int64)
         maybe = bloom.find_hashes(h.view(np.uint64))
         cols = [id_column, column] + ([keep_score] if keep_score else [])
@@ -625,7 +620,7 @@ def _candidate_rows(ds, id_column: str, pairs_mat, columns: dict[str, str],
             hit = (pos < len(want)) & (
                 want[np.minimum(pos, len(want) - 1)] == rid)
         else:
-            bloom = _cached_filter(bloom_ref, BlockBloom.from_bytes)
+            bloom = cached_broadcast(bloom_ref, BlockBloom.from_bytes)
             hit = bloom.find_hashes(hash_arrow_array(
                 pa.array(rid, type=pa.int64())))
         t2 = t.select([id_column] + src_cols).filter(pa.array(hit))

@@ -111,7 +111,7 @@ def hash_equi_join(left_ds, right_ds, *, left_on: str, right_on: str,
         from ..sketch import sizing
         from ..sketch.block_bloom import BlockBloom
         from ..sketch.hashing import hash_arrow_array
-        from .dedup import _cached_filter
+        from .broadcast import cached_broadcast
         from .sketch_build import build_sketch
 
         n_left = left_ds.count()
@@ -122,7 +122,7 @@ def hash_equi_join(left_ds, right_ds, *, left_on: str, right_on: str,
         bref = ray.put(bloom.to_bytes())
 
         def prune(t: pa.Table) -> pa.Table:
-            f = _cached_filter(bref, BlockBloom.from_bytes)
+            f = cached_broadcast(bref, BlockBloom.from_bytes)
             return t.filter(pa.array(
                 f.find_hashes(hash_arrow_array(t[right_on]))))
 

@@ -1,27 +1,29 @@
-"""Distributed mergeable-sketch builds over Ray Data.
+"""Distributed mergeable-sketch builds and probes over Ray Data.
 
-Two layers, one merge:
+One map, one merge. A stateless per-block `map_batches` stage turns
+each block into small keyed partial rows (a pure function of the block,
+so Ray task retries are safe); the one keyed merge, `merge_keyed`, folds
+them. Every engine result is produced this way:
 
-(Default batch_size=None everywhere: one partial per BLOCK. A fixed
-batch_size would coalesce small blocks into few huge tasks and collapse
-parallelism; block size is governed upstream by the read/repartition.)
-
-1. **Global sketches** (`build_sketch`): a stateless `map_batches` stage
-   turns each input block into ONE small serialized partial sketch — a
-   pure function of the block, so Ray task retries are safe — keyed by
-   the one key "", and the keyed merge below folds them.
+1. **Global sketches** (`build_sketch`): one partial sketch per block,
+   keyed by the one key "". `build_sketch_exact` ships each block's raw
+   hash list instead, so the fold inserts the sorted hash multiset once.
 
 2. **Grouped sketches** (per-lang / per-domain): one builder,
-   `_MultiGroupedPartialBuilder`, emits per-batch *per-key* partials for
-   any number of specs (pre-aggregation: at most one row per key per block
-   leaves the map stage) -> the same keyed merge. `build_grouped_sketches`
-   is the one-spec case, and `CheckpointedBuild.merge`
-   (state/checkpoint.py) is the same merge over the checkpoint files.
+   `_MultiGroupedPartialBuilder`, emits per-block *per-key* partials for
+   any number of specs (`build_grouped_multi`), and
+   `CheckpointedBuild.merge` (state/checkpoint.py) folds the checkpoint
+   files the same way.
 
-The one keyed merge, `merge_keyed`: a partial set that fits
-`ONE_TASK_BYTES` is folded by ONE remote task; a larger one goes through
-one key-hash sharded exchange. Both fold each key's payloads in canonical
-order (`_fold_payloads`), so every output is independent of block order.
+3. **Grouped probe** (`probe_grouped`): per-block per-key `(n, found)`
+   counts against broadcast filters; the fold sums them.
+
+`merge_keyed`: a partial set that fits `ONE_TASK_BYTES` is folded by ONE
+remote task; a larger one goes through one key-hash sharded exchange.
+Both fold each key's payloads in canonical order (`_fold_payloads`), so
+every output is independent of block order. Maps run one partial per
+BLOCK (no batch_size): a fixed batch size would coalesce small blocks
+into few huge tasks; block size is governed upstream by the read.
 
 Every per-key stage — that builder, the checkpointed partition builder
 (state/checkpoint.py) and the grouped probe — splits a block by key one
@@ -34,8 +36,6 @@ level-wise OR for taffy-block — see SURVEY.md §2.6.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -53,17 +53,24 @@ def _combined(col):
     return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
 
 
-def _updates_from(batch_col, sketch, seed: int, pre_hashed: bool = False):
-    """Feed an Arrow column into a sketch (hash it first if hash-consuming).
-
-    pre_hashed=True: the column already holds 64-bit hashes (the reference's
-    own API contract — it only ever sees pre-hashed keys, block.h:43-46);
-    int64 columns are bit-reinterpreted as u64."""
+def _column_hashes(col, seed: int, pre_hashed: bool) -> np.ndarray:
+    """u64 hashes of an Arrow column. pre_hashed=True: the column already
+    holds 64-bit hashes (the reference's own API contract — it only ever
+    sees pre-hashed keys, block.h:43-46); nulls are dropped and the int64
+    values reinterpreted bit-exact as u64 (never through float64, which
+    rounds hashes above 2^53). Otherwise `hash_arrow_array` (nulls hash to
+    its sentinel)."""
     if pre_hashed:
-        vals = batch_col.to_numpy(zero_copy_only=False)
-        sketch.update(np.ascontiguousarray(vals, dtype=np.int64).view(np.uint64))
-    elif _column_input(sketch) == "hashes":
-        sketch.update(hash_arrow_array(batch_col, seed=seed))
+        vals = _combined(col).drop_null().to_numpy(zero_copy_only=False)
+        return np.ascontiguousarray(vals, dtype=np.int64).view(np.uint64)
+    return hash_arrow_array(col, seed=seed)
+
+
+def _updates_from(batch_col, sketch, seed: int, pre_hashed: bool = False):
+    """Feed an Arrow column into a sketch (hash it first if hash-consuming;
+    see `_column_hashes` for pre_hashed)."""
+    if pre_hashed or _column_input(sketch) == "hashes":
+        sketch.update(_column_hashes(batch_col, seed, pre_hashed))
     elif _column_input(sketch) == "vectors":
         # list<float> column -> (n, dim) float64 matrix (null rows out);
         # flatten() respects offsets so sliced/filtered arrays are safe
@@ -84,26 +91,46 @@ def _updates_from(batch_col, sketch, seed: int, pre_hashed: bool = False):
 
 class _PartialBuilder:
     """Stateless per-block partial: block -> one keyed partial row (key "",
-    rows, payload_s), the shape `merge_keyed` folds."""
+    rows, payload_s, fmt_s), the shape `merge_keyed` folds. raw=True ships
+    the block's hash list (fmt "raw") instead of a sketch."""
 
     def __init__(self, kind: str, params: dict, column: str, seed: int,
-                 pre_hashed: bool = False):
+                 pre_hashed: bool = False, raw: bool = False):
         self.kind, self.params, self.column, self.seed = kind, params, column, seed
-        self.pre_hashed = pre_hashed
+        self.pre_hashed, self.raw = pre_hashed, raw
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        sk = registry.make(self.kind, **self.params)
-        _updates_from(batch[self.column], sk, self.seed, self.pre_hashed)
+        col = batch[self.column]
+        if self.raw:
+            payload = _column_hashes(col, self.seed, self.pre_hashed).tobytes()
+        else:
+            sk = registry.make(self.kind, **self.params)
+            payload = _updates_from(col, sk, self.seed, self.pre_hashed) \
+                .to_bytes()
         return pa.table({
             "key": pa.array([""]),
             "rows": pa.array([batch.num_rows], type=pa.int64()),
-            "payload_s": pa.array([sk.to_bytes()], type=pa.large_binary()),
+            "payload_s": pa.array([payload], type=pa.large_binary()),
+            "fmt_s": pa.array(["raw" if self.raw else "sketch"]),
         })
 
 
+def _build_global(ds, column: str, kind: str, params: dict | None,
+                  seed: int, pre_hashed: bool, raw: bool):
+    params = params or {}
+    partials = ds.map_batches(
+        _PartialBuilder(kind, params, column, seed, pre_hashed, raw),
+        batch_format="pyarrow")
+    out = merge_keyed(partials, "key", [("s", kind, params, column)],
+                      finalize=False)
+    if out is None:
+        return registry.make(kind, **params).finalize()
+    return registry.get(kind).from_bytes(out["payload_s"][0].as_py()) \
+        .finalize()
+
+
 def build_sketch(ds, column: str, kind: str, params: dict | None = None, *,
-                 seed: int = DEFAULT_SEED, batch_size: int | None = None,
-                 pre_hashed: bool = False):
+                 seed: int = DEFAULT_SEED, pre_hashed: bool = False):
     """Build ONE global sketch of `column` over the whole Dataset.
 
     map_batches(one partial per block) -> `merge_keyed` over the one key ""
@@ -115,16 +142,31 @@ def build_sketch(ds, column: str, kind: str, params: dict | None = None, *,
     `ONE_TASK_BYTES` fold in ONE shard task of the exchange (as a hot key
     does in a grouped build); that task's memory bounds the build.
     """
-    params = params or {}
-    partials = ds.map_batches(
-        _PartialBuilder(kind, params, column, seed, pre_hashed),
-        batch_format="pyarrow", batch_size=batch_size)
-    out = merge_keyed(partials, "key", [("s", kind, params, column)],
-                      finalize=False)
-    if out is None:
-        return registry.make(kind, **params).finalize()
-    return registry.get(kind).from_bytes(out["payload_s"][0].as_py()) \
-        .finalize()
+    return _build_global(ds, column, kind, params, seed, pre_hashed,
+                         raw=False)
+
+
+def build_sketch_exact(ds, column: str, kind: str = "taffy_block",
+                       params: dict | None = None, *,
+                       seed: int = DEFAULT_SEED, pre_hashed: bool = False):
+    """Partition-INVARIANT exact build for growth-order-sensitive sketches.
+
+    TaffyBlock's distributed level-OR merge is exact only while both sides
+    share one level plan (taffy_block.py docstring) — growth under merge
+    degrades the fpp plan. This path sidesteps merge entirely: each block's
+    partial is its RAW 8-byte hash list (the grouped builder's own "raw"
+    fmt, `_key_payloads`), and the keyed merge's fold inserts the sorted
+    multiset of all of them into one fresh sketch (`_fold_payloads`). The
+    result is byte-identical to a sequential build over the sorted hash
+    stream no matter how the input was partitioned (property-tested).
+
+    Scale shape: hashing runs distributed in map_batches; only the 8 B/row
+    hash stream reaches the one fold task (never the driver), as in
+    `build_sketch`'s known limit. The single writer is inherent: byte-exact
+    growable-filter construction is sequential in the reference too
+    (c/lib/taffy-block.c:9-32)."""
+    return _build_global(ds, column, kind, params, seed, pre_hashed,
+                         raw=True)
 
 
 def split_by_key(table: pa.Table, key: str, hashed=(), valued=(),
@@ -245,17 +287,6 @@ def _add_merge_shard(key: str, num_shards: int, with_salt: bool):
     return add
 
 
-def build_grouped_sketches(ds, key: str, column: str, kind: str,
-                           params: dict | None = None, *,
-                           seed: int = DEFAULT_SEED,
-                           batch_size: int | None = None):
-    """Per-key sketches of one column: `build_grouped_multi` with one spec.
-    Returns a pandas DataFrame (key, rows, payload)."""
-    out = build_grouped_multi(ds, key, [("s", kind, params or {}, column)],
-                              seed=seed, batch_size=batch_size)
-    return out.rename(columns={"payload_s": "payload"})
-
-
 class _MultiGroupedPartialBuilder:
     """One pass, many sketches: per-block per-key partials for a list of
     (name, kind, params, column) specs. At 100 TB this is the pattern that
@@ -286,8 +317,7 @@ class _MultiGroupedPartialBuilder:
         return pa.table(out)
 
 
-def build_grouped_multi(ds, key: str, specs, *, seed: int = DEFAULT_SEED,
-                        batch_size: int | None = None):
+def build_grouped_multi(ds, key: str, specs, *, seed: int = DEFAULT_SEED):
     """Per-key sketches for several (name, kind, params, column) specs in ONE
     pass over the data, then one keyed merge of the tiny per-block per-key
     partial rows (`merge_keyed`: one task for a small partial set, else a
@@ -298,7 +328,7 @@ def build_grouped_multi(ds, key: str, specs, *, seed: int = DEFAULT_SEED,
     specs = list(specs)
     partials = ds.map_batches(
         _MultiGroupedPartialBuilder(specs, key, seed),
-        batch_format="pyarrow", batch_size=batch_size)
+        batch_format="pyarrow")
     out = merge_keyed(partials, key, specs, finalize=True)
     cols = [key, "rows"] + [f"payload_{name}" for (name, *_r) in specs]
     if out is None:  # no non-null key anywhere: typed empty frame
@@ -322,11 +352,12 @@ ONE_TASK_BYTES = 64 << 20
 def _fold_payloads(kind: str, params: dict, sketches: list, raws: list,
                    finalize: bool) -> bytes:
     """One key's payloads of one spec, folded in canonical order: sketch
-    payloads merge in sorted byte order, raw hash lists concatenate in
-    sorted byte order and go in with one bulk update. The result depends
-    on the multiset of payloads only, not on block order or on which path
-    of the merge delivered them (order-sensitive sketches like KLL
-    included)."""
+    payloads merge in sorted byte order, and the raw hash lists go in as
+    ONE sorted multiset with one bulk update. The result depends on the
+    multiset of payloads only (for raws, of hashes: a key whose partials
+    are all raw gives the same bytes under any partitioning, growable kinds
+    included), not on block order or on which path of the merge delivered
+    them (order-sensitive sketches like KLL included)."""
     cls = registry.get(kind)
     acc = None
     for p in sorted(sketches):
@@ -335,7 +366,7 @@ def _fold_payloads(kind: str, params: dict, sketches: list, raws: list,
     if raws:
         if acc is None:
             acc = registry.make(kind, **params)
-        acc.update(np.frombuffer(b"".join(sorted(raws)), dtype=np.uint64))
+        acc.update(np.sort(np.frombuffer(b"".join(raws), dtype=np.uint64)))
     if finalize:
         acc = acc.finalize()
     return acc.to_bytes()
@@ -343,20 +374,27 @@ def _fold_payloads(kind: str, params: dict, sketches: list, raws: list,
 
 def _keyed_fold(specs, key: str, finalize: bool):
     """The keyed merge's one fold, used by both of its paths: a function
-    from partial rows (`key`, rows, payload_<name> and fmt_<name> per spec;
-    a spec without a fmt column holds sketch payloads only) to one row per
-    distinct key, with rows summed and each spec folded by
-    `_fold_payloads`. Other columns (`salt`, the exchange's `mshard`) are
-    dropped."""
+    from partial rows to one row per distinct key. Each spec's
+    payload_<name> column (with its fmt_<name>, "sketch" or "raw"; a spec
+    without a fmt column holds sketch payloads only) is folded by
+    `_fold_payloads`. The routing columns `salt` and the exchange's
+    `mshard` are dropped, and every other column is an int64 count summed
+    per key: `rows` for builds, `n` and `found` for the probe."""
+    skip = {key, "salt", "mshard"}
+    for (name, *_r) in specs:
+        skip |= {f"payload_{name}", f"fmt_{name}"}
 
     def fold(table: pa.Table) -> pa.Table:
         groups: dict = {}
         for i, k in enumerate(table[key].to_pylist()):
             groups.setdefault(k, []).append(i)
-        rows = table["rows"].to_pylist()
-        out = {key: table[key].take([ix[0] for ix in groups.values()]),
-               "rows": pa.array([sum(rows[i] for i in ix)
-                                 for ix in groups.values()], type=pa.int64())}
+        out = {key: table[key].take([ix[0] for ix in groups.values()])}
+        for c in table.column_names:
+            if c not in skip:
+                vals = table[c].to_pylist()
+                out[c] = pa.array([sum(vals[i] for i in ix)
+                                   for ix in groups.values()],
+                                  type=pa.int64())
         for (name, kind, params, _column) in specs:
             payloads = table[f"payload_{name}"].to_pylist()
             fcol = f"fmt_{name}"
@@ -419,9 +457,10 @@ def _fold_files(fold, files: PartialFiles) -> pa.Table | None:
 
 
 def merge_keyed(partials, key: str, specs, *, finalize: bool):
-    """The one keyed merge behind every sketch build (global, grouped and
-    checkpointed): partial rows (see `_keyed_fold`) -> one pyarrow row per
-    key, or None when there are no partial rows.
+    """The one keyed merge behind every engine result (global, exact,
+    grouped and checkpointed builds, and the grouped probe): partial rows
+    (see `_keyed_fold`) -> one pyarrow row per key, or None when there are
+    no partial rows.
 
     `partials` is a Dataset of partial rows or a `PartialFiles`. A Dataset
     is materialized and sized from block metadata, files from their
@@ -454,62 +493,6 @@ def merge_keyed(partials, key: str, specs, *, finalize: bool):
         .materialize()  # to_arrow_refs() would re-run the shuffle for a schema
     return pa.concat_tables(ray.get(merged.to_arrow_refs()),
                             promote_options="default")
-
-
-def build_sketch_exact(ds, column: str, kind: str = "taffy_block",
-                       params: dict | None = None, *,
-                       seed: int = DEFAULT_SEED,
-                       batch_size: int | None = None,
-                       pre_hashed: bool = False):
-    """Partition-INVARIANT exact build for growth-order-sensitive sketches.
-
-    TaffyBlock's distributed level-OR merge is exact only while both sides
-    share one level plan (taffy_block.py docstring) — growth under merge
-    degrades the fpp plan. This path sidesteps merge entirely: the partial
-    for each block is the RAW 8-byte hash list (concatenation-mergeable
-    under ANY partitioning — the grouped builder's own "raw" fmt,
-    `_key_payloads`), and finalize canonicalizes the multiset by
-    sorting before a single-writer insert inside ONE remote task. The
-    result is byte-identical to a sequential build over the sorted hash
-    stream no matter how the input was partitioned (property-tested).
-
-    Scale shape: hashing runs distributed in map_batches; only the 8 B/row
-    hash stream funnels into the finalize worker (never the driver) via
-    streaming_split. The single-writer finalize is inherent: byte-exact
-    growable-filter construction is sequential in the reference too
-    (c/lib/taffy-block.c:9-32)."""
-    import ray
-
-    params = params or {}
-
-    def to_hashes(t: pa.Table) -> pa.Table:
-        if pre_hashed:
-            h = np.ascontiguousarray(
-                t[column].to_numpy(zero_copy_only=False),
-                dtype=np.int64).view(np.uint64)
-        else:
-            h = hash_arrow_array(t[column], seed=seed)
-        return pa.table({"h": pa.array(h.view(np.int64), type=pa.int64())})
-
-    hashed = ds.map_batches(to_hashes, batch_format="pyarrow",
-                            batch_size=batch_size)
-
-    @ray.remote
-    def finalize(it) -> bytes:
-        chunks = [np.ascontiguousarray(
-            b["h"].to_numpy(zero_copy_only=False), dtype=np.int64)
-            .view(np.uint64)
-            for b in it.iter_batches(batch_size=None, batch_format="pyarrow")
-            if b.num_rows]
-        h = (np.sort(np.concatenate(chunks), kind="stable")
-             if chunks else np.empty(0, dtype=np.uint64))
-        sk = registry.make(kind, **params)
-        sk.update(h)
-        return sk.to_bytes()
-
-    it, = hashed.streaming_split(1)
-    out = ray.get(finalize.remote(it))
-    return registry.get(kind).from_bytes(out).finalize()
 
 
 def build_sketch_actor_pool(ds, column: str, kind: str,
@@ -561,17 +544,15 @@ def build_sketch_actor_pool(ds, column: str, kind: str,
 
 
 def grouped_probe_counts(payloads_ref, from_bytes, key: str, column: str, *,
-                         seed: int = DEFAULT_SEED, count_name: str = "n",
-                         found_name: str = "found"):
+                         seed: int = DEFAULT_SEED):
     """A map_batches FUNCTION emitting per-key membership counts against a
     broadcast dict of per-key serialized filters: one split_by_key per batch
     (the column hashed once), one vectorized find_hashes per present key,
-    one tiny (key, n, found) row per key per batch for the downstream Sum.
+    one tiny (key, n, found) partial row per key per batch, which
+    `probe_grouped`'s keyed merge sums.
 
     `payloads_ref` = ray.put({key: filter_bytes}); filters deserialize ONCE
-    per worker process (stages/broadcast.py memo). The shared body behind
-    the flagship / per-(lang,source) / incremental-growth probes — fix a
-    probe bug here, not in three copies."""
+    per worker process (stages/broadcast.py memo)."""
     from .broadcast import cached_broadcast
 
     def probe(t: pa.Table) -> pa.Table:
@@ -588,11 +569,35 @@ def grouped_probe_counts(payloads_ref, from_bytes, key: str, column: str, *,
             found.append(0 if f is None else
                          int(f.find_hashes(hashes[column][b0:b1]).sum()))
         return pa.table({key: keys,
-                         count_name: pa.array(np.diff(bounds),
-                                              type=pa.int64()),
-                         found_name: pa.array(found, type=pa.int64())})
+                         "n": pa.array(np.diff(bounds), type=pa.int64()),
+                         "found": pa.array(found, type=pa.int64())})
 
     return probe
+
+
+def probe_grouped(ds, payloads: dict, from_bytes, key: str, column: str, *,
+                  seed: int = DEFAULT_SEED):
+    """The engine's grouped probe: count, per `key`, the rows of `ds` and
+    how many of their `column` values the key's filter finds.
+
+    `payloads` = {key: filter_bytes}, `ray.put` once here and deserialized
+    once per worker (`grouped_probe_counts`); the per-block counts are
+    summed by `merge_keyed` with no sketch specs. A key missing from
+    `payloads` finds nothing; null-key rows are not counted. Returns pandas
+    (key, n, found), counts int64, sorted by key."""
+    import pandas as pd
+    import ray
+
+    partials = ds.map_batches(
+        grouped_probe_counts(ray.put(payloads), from_bytes, key, column,
+                             seed=seed),
+        batch_format="pyarrow")
+    out = merge_keyed(partials, key, [], finalize=False)
+    if out is None:  # no non-null key anywhere: typed empty frame
+        return pd.DataFrame({key: pd.Series(dtype=object),
+                             "n": pd.Series(dtype="int64"),
+                             "found": pd.Series(dtype="int64")})
+    return out.to_pandas().sort_values(key).reset_index(drop=True)
 
 
 def probe_stage(sketch_bytes_ref, kind: str, column: str, *,

@@ -130,7 +130,7 @@ def test_fd_grouped_build_per_label(ray_session, rng):
     import pyarrow as pa
     import ray.data
 
-    from libfilter_ray.stages.sketch_build import build_grouped_sketches
+    from libfilter_ray.stages.sketch_build import build_grouped_multi
 
     n, d = 1500, 12
     labels = rng.integers(0, 3, n)
@@ -139,9 +139,9 @@ def test_fd_grouped_build_per_label(ray_session, rng):
         "label": pa.array([f"l{v}" for v in labels]),
         "emb": pa.array(A.tolist(), type=pa.list_(pa.float64()))})) \
         .repartition(6)
-    out = build_grouped_sketches(ds, "label", "emb", "fd",
-                                 {"dim": d, "ell": 6})
-    _check_fd_per_label(out, "payload", A, labels)
+    out = build_grouped_multi(ds, "label",
+                              [("fd", "fd", {"dim": d, "ell": 6}, "emb")])
+    _check_fd_per_label(out, "payload_fd", A, labels)
 
 
 def _check_fd_per_label(out, payload: str, A, labels) -> None:

@@ -36,8 +36,8 @@ def test_registry():
 
 def test_global_build_matches_local(docs):
     """Distributed build == single-process build, byte for byte."""
-    dist = sb.build_sketch(docs, "text", "block", {"bytes_": 2048},
-                           batch_size=64)
+    dist = sb.build_sketch(docs.repartition(8), "text", "block",
+                           {"bytes_": 2048})
     local = BlockBloom(2048)
     tbl = docs.to_pandas()
     local.add_hashes(hash_arrow_array(pa.array(tbl["text"].tolist())))
@@ -48,8 +48,8 @@ def test_global_build_forced_exchange(docs, monkeypatch):
     """A zero one-task budget sends the global build's partials through the
     keyed merge's sharded exchange; result still byte-identical."""
     monkeypatch.setattr(sb, "ONE_TASK_BYTES", 0)
-    dist = sb.build_sketch(docs, "text", "block", {"bytes_": 1024},
-                           batch_size=16)
+    dist = sb.build_sketch(docs.repartition(32), "text", "block",
+                           {"bytes_": 1024})
     local = BlockBloom(1024)
     tbl = docs.to_pandas()
     local.add_hashes(hash_arrow_array(pa.array(tbl["text"].tolist())))
@@ -57,12 +57,12 @@ def test_global_build_forced_exchange(docs, monkeypatch):
 
 
 def test_grouped_build_no_false_negatives(docs):
-    grouped = sb.build_grouped_sketches(docs, "lang", "text", "block",
-                                        {"bytes_": 1024}, batch_size=64)
+    grouped = sb.build_grouped_multi(docs.repartition(8), "lang", [
+        ("b", "block", {"bytes_": 1024}, "text")])
     tbl = docs.to_pandas()
     assert set(grouped["lang"]) == set(tbl["lang"])
     for _, row in grouped.iterrows():
-        f = BlockBloom.from_bytes(row["payload"])
+        f = BlockBloom.from_bytes(row["payload_b"])
         texts = pa.array(tbl.loc[tbl["lang"] == row["lang"], "text"].tolist())
         assert len(texts) == row["rows"]
         assert f.find_hashes(hash_arrow_array(texts)).all()
@@ -70,14 +70,14 @@ def test_grouped_build_no_false_negatives(docs):
 
 def test_grouped_build_matches_local_bytes(docs):
     """Per-key OR-merge is order invariant -> equals local per-key build."""
-    grouped = sb.build_grouped_sketches(docs, "lang", "text", "block",
-                                        {"bytes_": 512}, batch_size=32)
+    grouped = sb.build_grouped_multi(docs.repartition(16), "lang", [
+        ("b", "block", {"bytes_": 512}, "text")])
     tbl = docs.to_pandas()
     for _, row in grouped.iterrows():
         local = BlockBloom(512)
         texts = pa.array(tbl.loc[tbl["lang"] == row["lang"], "text"].tolist())
         local.add_hashes(hash_arrow_array(texts))
-        assert BlockBloom.from_bytes(row["payload"]) == local
+        assert BlockBloom.from_bytes(row["payload_b"]) == local
 
 
 def test_probe_stage(docs, ray_session):
@@ -123,7 +123,7 @@ def test_salted_merge_under_extreme_skew(ray_session, monkeypatch):
     from libfilter_ray.sketch.block_bloom import BlockBloom
     from libfilter_ray.sketch.hashing import DEFAULT_SEED, hash_arrow_array
     from libfilter_ray.stages.sketch_build import (
-        _MultiGroupedPartialBuilder, build_grouped_sketches)
+        _MultiGroupedPartialBuilder, build_grouped_multi)
 
     monkeypatch.setattr(sb, "ONE_TASK_BYTES", 0)  # the exchange path
     n = 20000
@@ -132,7 +132,8 @@ def test_salted_merge_under_extreme_skew(ray_session, monkeypatch):
     t = pa.table({"k": pa.array(keys), "v": pa.array(vals)})
     ds = ray.data.from_arrow(t).repartition(16)
 
-    built = build_grouped_sketches(ds, "k", "v", "block", {"bytes_": 16384})
+    built = build_grouped_multi(ds, "k", [("b", "block", {"bytes_": 16384},
+                                           "v")])
 
     # salting actually spreads: the hot key's partials land in >1 salt
     # group across blocks
@@ -145,7 +146,7 @@ def test_salted_merge_under_extreme_skew(ray_session, monkeypatch):
 
     # and the filters are correct: every member found
     f = BlockBloom.from_bytes(
-        built.loc[built["k"] == "hot", "payload"].iloc[0])
+        built.loc[built["k"] == "hot", "payload_b"].iloc[0])
     hot_vals = pa.array([v for k, v in zip(keys, vals) if k == "hot"])
     assert f.find_hashes(hash_arrow_array(hot_vals)).all()
 
@@ -261,10 +262,12 @@ def test_keyed_merge_paths_agree(ray_session, rng, monkeypatch):
                 b[f"payload_{name}"].tolist(), name
 
 
-def test_build_sketch_exact_partition_invariant(ray_session, rng):
+def test_build_sketch_exact_partition_invariant(ray_session, rng,
+                                                monkeypatch):
     """build_sketch_exact: ANY partitioning of the same rows yields a
     byte-identical TaffyBlock, equal to a sequential single-writer build
-    over the SORTED hash multiset (the canonical order)."""
+    over the SORTED hash multiset (the canonical order), on both paths of
+    the keyed merge; no rows in gives the empty sketch."""
     import pyarrow as pa
 
     import ray
@@ -293,6 +296,47 @@ def test_build_sketch_exact_partition_invariant(ray_session, rng):
     assert build_sketch_exact(ds, "v", "taffy_block", params) \
         .to_bytes() == want
 
+    empty = registry.make("taffy_block", **params).finalize().to_bytes()
+    none_left = ray.data.from_arrow(pa.table({"v": pa.array(vals)})) \
+        .filter(lambda r: False)
+    empty_block = ray.data.from_arrow(
+        pa.table({"v": pa.array([], type=pa.string())}))
+    monkeypatch.setattr(sb, "ONE_TASK_BYTES", 0)  # the exchange path
+    for blocks in (3, 17):
+        ds = ray.data.from_arrow(pa.table({"v": pa.array(vals)})) \
+            .repartition(blocks)
+        assert build_sketch_exact(ds, "v", "taffy_block", params) \
+            .to_bytes() == want
+    for ds in (none_left, empty_block):
+        assert build_sketch_exact(ds, "v", "taffy_block", params) \
+            .to_bytes() == empty
+
+
+def test_pre_hashed_nulls_keep_hash_bits(ray_session, rng):
+    """pre_hashed=True over int64 hash columns holding a null per block:
+    nulls are dropped and every hash goes in bit-exact, so every member is
+    found and the bytes equal the build without the nulls (a null-bearing
+    int column read through float64 rounds away every bit below 2^53's
+    precision: a false-negative filter)."""
+    import ray
+
+    vals = rng.integers(-(1 << 63), (1 << 63) - 1, 1000, dtype=np.int64)
+    chunks = np.array_split(vals, 4)
+    with_nulls = ray.data.from_arrow([
+        pa.table({"h": pa.array(c.tolist() + [None], type=pa.int64())})
+        for c in chunks])
+    without = ray.data.from_arrow([
+        pa.table({"h": pa.array(c, type=pa.int64())}) for c in chunks])
+    members = vals.view(np.uint64)
+    for build, kind, params in (
+            (sb.build_sketch, "block", {"bytes_": 4096}),
+            (sb.build_sketch_exact, "taffy_block", {"ndv": 256,
+                                                    "fpp": 0.01})):
+        got = build(with_nulls, "h", kind, params, pre_hashed=True)
+        assert got.find_hashes(members).all(), kind
+        assert got.to_bytes() == build(without, "h", kind, params,
+                                       pre_hashed=True).to_bytes(), kind
+
 
 def test_grouped_build_null_keys_excluded_correct_rows(ray_session):
     """Null-key rows are EXCLUDED (documented) and — the regression — the
@@ -305,15 +349,15 @@ def test_grouped_build_null_keys_excluded_correct_rows(ray_session):
 
     from libfilter_ray.sketch.block_bloom import BlockBloom
     from libfilter_ray.sketch.hashing import DEFAULT_SEED, hash_arrow_array
-    from libfilter_ray.stages.sketch_build import build_grouped_sketches
+    from libfilter_ray.stages.sketch_build import build_grouped_multi
 
     t = pa.table({"k": pa.array(["a", None, "a"]),
                   "v": pa.array(["v0", "v1", "v2"])})
-    out = build_grouped_sketches(ray.data.from_arrow(t), "k", "v", "block",
-                                 {"bytes_": 1024})
+    out = build_grouped_multi(ray.data.from_arrow(t), "k",
+                              [("b", "block", {"bytes_": 1024}, "v")])
     assert out["k"].tolist() == ["a"]
     assert out["rows"].tolist() == [2]
-    f = BlockBloom.from_bytes(out["payload"].iloc[0])
+    f = BlockBloom.from_bytes(out["payload_b"].iloc[0])
     h = hash_arrow_array(pa.array(["v0", "v1", "v2"]), seed=DEFAULT_SEED)
     got = f.find_hashes(h)
     assert got[0] and got[2], "member rows must be found (no false negatives)"
@@ -328,16 +372,18 @@ def test_grouped_build_empty_input_returns_typed_empty_frame(ray_session):
     import ray
 
     from libfilter_ray.stages.sketch_build import (build_grouped_multi,
-                                                   build_grouped_sketches)
+                                                   probe_grouped)
 
     t = pa.table({"k": pa.array([], type=pa.string()),
                   "v": pa.array([], type=pa.string())})
-    out = build_grouped_sketches(ray.data.from_arrow(t), "k", "v", "block",
-                                 {"bytes_": 1024})
-    assert len(out) == 0 and {"k", "payload", "rows"} <= set(out.columns)
-    out2 = build_grouped_multi(ray.data.from_arrow(t), "k",
-                               [("b", "block", {"bytes_": 1024}, "v")])
-    assert len(out2) == 0 and "payload_b" in out2.columns
+    out = build_grouped_multi(ray.data.from_arrow(t), "k",
+                              [("b", "block", {"bytes_": 1024}, "v")])
+    assert len(out) == 0 and {"k", "rows", "payload_b"} <= set(out.columns)
+    # the grouped probe: (key, n, found) with int64 counts
+    probed = probe_grouped(ray.data.from_arrow(t), {},
+                           BlockBloom.from_bytes, "k", "v")
+    assert len(probed) == 0 and list(probed.columns) == ["k", "n", "found"]
+    assert str(probed["n"].dtype) == str(probed["found"].dtype) == "int64"
 
 
 _ROWS = st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 3)),
@@ -381,9 +427,12 @@ def test_split_by_key_matches_python_grouping(rows, int_keys, cut):
         assert values["v"][b0:b1].to_pylist() == groups[k]
 
 
-def test_grouped_probe_counts_int_keys(ray_session):
+def test_grouped_probe_counts_int_keys(ray_session, monkeypatch):
     """Integer group keys keep their type through the probe (they used to
-    crash a string-typed key column); null-key rows are not counted."""
+    crash a string-typed key column); null-key rows are not counted.
+    `probe_grouped` over several blocks equals a Python recount on both
+    paths of the keyed merge, for string and int keys with null keys and a
+    key missing from the broadcast filters."""
     import ray
 
     t = pa.table({"k": pa.array([1, 2, None, 1, 3], type=pa.int64()),
@@ -395,3 +444,35 @@ def test_grouped_probe_counts_int_keys(ray_session):
     assert out.schema.field("k").type == pa.int64()
     assert out.to_pydict() == {"k": [1, 2, 3], "n": [2, 1, 1],
                                "found": [1, 0, 0]}
+
+    for ktype, names in ((pa.string(), ["k0", "k1", "k2", "k3", None]),
+                         (pa.int64(), [10, 11, 12, 13, None])):
+        n = 600
+        keys = [names[(i * 7) % 5] for i in range(n)]
+        vals = [f"v{i}" for i in range(n)]
+        filters = {}
+        for k in names[:3]:  # names[3] is absent from the filters
+            f = BlockBloom(256)
+            f.add_hashes(hash_arrow_array(pa.array(
+                [v for kk, v in zip(keys, vals) if kk == k][::2])))
+            filters[k] = f
+        want: dict = {}
+        for k, v in zip(keys, vals):
+            if k is not None:
+                hit = k in filters and bool(filters[k].find_hashes(
+                    hash_arrow_array(pa.array([v])))[0])
+                cnt = want.setdefault(k, [0, 0])
+                cnt[0] += 1
+                cnt[1] += hit
+        t = pa.table({"k": pa.array(keys, type=ktype),
+                      "v": pa.array(vals)})
+        blocks = [t.slice(i, 100) for i in range(0, n, 100)]
+        payloads = {k: f.to_bytes() for k, f in filters.items()}
+        for budget in (sb.ONE_TASK_BYTES, 0):  # one task, then exchange
+            monkeypatch.setattr(sb, "ONE_TASK_BYTES", budget)
+            got = sb.probe_grouped(ray.data.from_arrow(blocks), payloads,
+                                   BlockBloom.from_bytes, "k", "v")
+            assert got["k"].tolist() == sorted(want)
+            assert {k: [n_, f_] for k, n_, f_ in got.itertuples(
+                index=False)} == want
+            assert str(got["n"].dtype) == str(got["found"].dtype) == "int64"

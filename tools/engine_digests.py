@@ -8,13 +8,15 @@ inputs `perfbench/inputs.py` writes, and stores sha256 prefixes of:
 
 - `build_grouped_multi` payloads per key: the flagship specs (Bloom, HLL,
   CMS, KLL) on the lang input and the `domain_sketch_build` specs on its
-  input; `build_grouped_sketches` (Bloom) on the lang input;
+  input; a one-spec Bloom build (`lang_single`) on the lang input;
 - `lang_multi_order_invariant`: whether the flagship build over the same
   materialized blocks in reversed block order gives the same digests (it
   must be true: the keyed merge folds in a canonical order);
 - `global`: `build_sketch` (one unkeyed sketch) of each flagship spec over
   the same lang blocks, and `global_order_invariant`, whether the reversed
   blocks give the same digests (it must be true);
+- `exact`: `build_sketch_exact` (TaffyBlock) of the urls over the same lang
+  blocks, and `exact_order_invariant` for the reversed blocks (true);
 - `CheckpointedBuild.run()` payloads per key on the
   `domain_checkpoint_resume` input, single-shot and stopped-then-resumed;
 - `grouped_probe_counts` `(n, found)` per group on the probe input.
@@ -45,8 +47,8 @@ def digests(seed: int, work: str) -> dict:
     import ray.data
 
     from libfilter_ray.stages.sketch_build import (build_grouped_multi,
-                                                   build_grouped_sketches,
-                                                   build_sketch)
+                                                   build_sketch,
+                                                   build_sketch_exact)
 
     def workload(name):
         w = WORKLOADS[name](os.path.join(work, name), seed)
@@ -76,10 +78,15 @@ def digests(seed: int, work: str) -> dict:
     out["global"] = global_digests(ext)
     out["global_order_invariant"] = out["global"] == global_digests(
         reversed_blocks)
-    single = build_grouped_sketches(ext, "lang", "url", "block",
-                                    {"bytes_": 4096})
-    out["lang_single"] = per_key(
-        single.rename(columns={"payload": "payload_block"}), "lang",
+    def exact_digest(ds):
+        return _h(build_sketch_exact(ds, "url", "taffy_block",
+                                     {"ndv": 256, "fpp": 0.01}).to_bytes())
+
+    out["exact"] = exact_digest(ext)
+    out["exact_order_invariant"] = out["exact"] == exact_digest(
+        reversed_blocks)
+    out["lang_single"] = per_key(build_grouped_multi(
+        ext, "lang", [("block", "block", {"bytes_": 4096}, "url")]), "lang",
         ["block"])
 
     w = workload("domain_sketch_build")
