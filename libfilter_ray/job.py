@@ -29,9 +29,6 @@ Subcommands:
   storage shared by all nodes.
 - ``query``   run one named pipeline from the engine's query registry over
   ``--input`` and write/print its result.
-- ``dedup``   checkpointed exact dedup of one table: the content-hash scan
-  is resumable per partition (``CheckpointedDedup``); the deduplicated
-  rows stream to ``--output`` as parquet.
 - ``probe``   membership-probe a table column against filters persisted by a
   previous ``build`` job (broadcast once via ``ray.put``; grouped builds
   probe per key). Build and probe compose across separate job
@@ -233,30 +230,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dedup(args: argparse.Namespace) -> int:
-    import ray.data
-
-    from .state.checkpoint import CheckpointedDedup
-
-    paths = _table_paths(args.input, args.table)
-    need = [args.column, args.id_column]
-    if args.keep_best:
-        need.append(args.keep_best)
-    _check_columns(paths, need)
-    job = CheckpointedDedup(args.checkpoint_dir, paths,
-                            column=args.column, id_column=args.id_column,
-                            target_rows=args.target_rows,
-                            keep_score=args.keep_best)
-    st = job.status()
-    print(f"checkpoint: {st['done']}/{st['total']} partitions done, "
-          f"resuming {len(st['pending'])}", file=sys.stderr)
-    job.run()
-    print(job.metrics().to_string(index=False), file=sys.stderr)
-    ds = ray.data.read_parquet(paths)
-    _write_result(job.dedup(ds), args.output)
-    return 0
-
-
 def _cmd_probe(args: argparse.Namespace) -> int:
     import ray
     import ray.data
@@ -323,24 +296,8 @@ def _cmd_neardup(args: argparse.Namespace) -> int:
     paths = _table_paths(args.input, args.table)
     _check_columns(paths, [args.column, args.id_column])
     ds = ray.data.read_parquet(paths, columns=[args.id_column, args.column])
-    if args.checkpoint_dir and args.method != "minhash":
-        raise SystemExit("--checkpoint-dir is minhash-only (the signature "
-                         "scan is the checkpointable unit)")
     if args.method == "minhash":
-        if args.checkpoint_dir:
-            from .state.checkpoint import CheckpointedBands
-
-            job = CheckpointedBands(
-                args.checkpoint_dir, paths, column=args.column,
-                id_column=args.id_column, k=args.shingle_k,
-                target_rows=args.target_rows)
-            st = job.status()
-            print(f"band scan: {st['done']}/{st['total']} partitions "
-                  "done", file=sys.stderr)
-            pairs = dd.minhash_pairs_from_buckets(
-                job.run(), ds, args.column, args.id_column,
-                k=args.shingle_k, threshold=args.threshold)
-        elif args.output:
+        if args.output:
             # crawl-scale path: the confirmed-pair Dataset streams to the
             # parquet sink — nothing O(pairs) ever lands on the driver
             pairs_ds = dd.minhash_near_dup_pairs_ds(
@@ -386,17 +343,6 @@ def _scrub_fn(column: str):
     return scrub
 
 
-def _compose(*fns):
-    fns = [f for f in fns if f is not None]
-
-    def fn(t: pa.Table) -> pa.Table:
-        for f in fns:
-            t = f(t)
-        return t
-
-    return fn
-
-
 def _cmd_clean(args: argparse.Namespace) -> int:
     import ray.data
 
@@ -407,15 +353,11 @@ def _cmd_clean(args: argparse.Namespace) -> int:
                               ("doc-dedup", not args.no_doc_dedup)) if on]
     if not stages:
         raise SystemExit("all cleaning stages disabled — nothing to do")
-    mode = "checkpointed" if args.checkpoint_dir else "streaming"
-    print(f"stages ({mode}): " + " -> ".join(stages), file=sys.stderr)
+    print("stages (streaming): " + " -> ".join(stages), file=sys.stderr)
     column, id_column = args.column, args.id_column
-    scrub = None if args.no_scrub else _scrub_fn(column)
-    if args.checkpoint_dir:
-        return _clean_checkpointed(args, paths, scrub)
     ds = ray.data.read_parquet(paths)
-    if scrub is not None:
-        ds = ds.map_batches(scrub, batch_format="pyarrow")
+    if not args.no_scrub:
+        ds = ds.map_batches(_scrub_fn(column), batch_format="pyarrow")
     if not args.no_line_dedup:
         from .stages.dedup import line_dedup
 
@@ -430,8 +372,8 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 
 def _drop_source_cached(cache_dir: str, compute_drop_ds, *,
                         broadcast_limit: int):
-    """Resumable drop-set carrier for the clean job: the confirmed drop
-    ids persist as a range-partitioned DropIdStore under the checkpoint
+    """Resumable drop-set carrier for curate's drop stages: the confirmed
+    drop ids persist as a range-partitioned DropIdStore under the checkpoint
     dir (stages/dropstore.py — written once; a resumed job re-attaches
     WITHOUT recomputing; an unfinished store, no manifest, is cleared and
     rewritten). Driver memory is independent of the duplicate count: the
@@ -461,122 +403,6 @@ def _drop_source_cached(cache_dir: str, compute_drop_ds, *,
                  for f in store.files]
         return ray.put(np.sort(np.concatenate(parts))), store.n_ids
     return store, store.n_ids
-
-
-def _clean_checkpointed(args: argparse.Namespace, paths: list[str],
-                        scrub) -> int:
-    """Resumable clean: each dedup family's expensive full-corpus hash scan
-    is a CheckpointedDedup job (per-partition lineage + resume) — the line
-    scan hashes scrubbed exploded lines, the doc scan hashes scrubbed
-    line-deduped text — and the final filtered corpus streams to parquet.
-    Kill it at any point and resubmit: finished partitions are skipped."""
-    import ray
-    import ray.data
-
-    from .stages.dedup import (DROP_BROADCAST_LIMIT, drop_id_filter,
-                               exact_dedup_drop_ds, explode_lines,
-                               line_rebuild_fn)
-    from .stages.dropstore import MANIFEST as _DS_MANIFEST
-    from .state.checkpoint import CheckpointedDedup
-
-    column, id_column = args.column, args.id_column
-    ck = args.checkpoint_dir
-    if args.output and os.path.isdir(args.output) \
-            and os.listdir(args.output):
-        # fail BEFORE the scans, not after minutes of work (_write_result
-        # re-checks for every Dataset write)
-        raise SystemExit(
-            f"--output {args.output} exists and is not empty — remove it "
-            "or point at a fresh dir")
-    read_cols = [column, id_column]
-    line_src, rebuild = None, None
-    if not args.no_line_dedup:
-        line_job = CheckpointedDedup(
-            os.path.join(ck, "lines"), paths, column="line",
-            id_column="line_id", target_rows=args.target_rows,
-            transform=_compose(scrub, explode_lines(column, id_column)),
-            read_columns=read_cols,
-            config_extra={"clean_stage": "lines",
-                          "scrub": not args.no_scrub,
-                          "source_column": column,
-                          "source_id_column": id_column})
-        st = line_job.status()
-        print(f"line scan: {st['done']}/{st['total']} partitions done",
-              file=sys.stderr)
-        line_cache = os.path.join(ck, "lines", "dropstore")
-        if os.path.exists(os.path.join(line_cache, _DS_MANIFEST)) \
-                and st["pending"]:
-            raise SystemExit(
-                f"stale cache: {line_cache} exists but the scan has "
-                f"{len(st['pending'])} pending partition(s) — remove the "
-                "cache dir to recompute")
-
-        def compute_line_drop():
-            line_multi = line_job.run()
-            lines_ds = ray.data.read_parquet(paths, columns=read_cols)
-            if scrub is not None:
-                lines_ds = lines_ds.map_batches(scrub,
-                                                batch_format="pyarrow")
-            lines_ds = lines_ds.map_batches(
-                explode_lines(column, id_column), batch_format="pyarrow")
-            return exact_dedup_drop_ds(lines_ds, "line", "line_id",
-                                       multi_hashes=line_multi)
-
-        # small sets broadcast ONCE via plasma (the rebuild closure is
-        # pickled into three Ray ops — doc scan, doc confirm, final write —
-        # and each worker reads the shared object zero-copy); big sets
-        # stream from the on-disk store, bounded at any duplicate rate
-        line_src, _ = _drop_source_cached(
-            line_cache, compute_line_drop,
-            broadcast_limit=DROP_BROADCAST_LIMIT)
-        if line_src is not None:
-            rebuild = line_rebuild_fn(line_src, column, id_column)
-    cleaned = _compose(scrub, rebuild)
-    if not args.no_doc_dedup:
-        doc_job = CheckpointedDedup(
-            os.path.join(ck, "docs"), paths, column=column,
-            id_column=id_column, target_rows=args.target_rows,
-            transform=cleaned, read_columns=read_cols,
-            config_extra={"clean_stage": "docs",
-                          "scrub": not args.no_scrub,
-                          "line_dedup": not args.no_line_dedup})
-        st = doc_job.status()
-        print(f"doc scan: {st['done']}/{st['total']} partitions done",
-              file=sys.stderr)
-        doc_cache = os.path.join(ck, "docs", "dropstore")
-        if os.path.exists(os.path.join(doc_cache, _DS_MANIFEST)) \
-                and st["pending"]:
-            raise SystemExit(
-                f"stale cache: {doc_cache} exists but the scan has "
-                f"{len(st['pending'])} pending partition(s) — remove the "
-                "cache dir to recompute")
-
-        def compute_doc_drop():
-            doc_multi = doc_job.run()
-            ds = ray.data.read_parquet(paths, columns=read_cols)
-            return exact_dedup_drop_ds(
-                ds.map_batches(cleaned, batch_format="pyarrow"),
-                column, id_column, multi_hashes=doc_multi)
-
-        doc_src, _ = _drop_source_cached(
-            doc_cache, compute_doc_drop,
-            broadcast_limit=DROP_BROADCAST_LIMIT)
-    else:
-        doc_src = None
-    out_ds = ray.data.read_parquet(paths)
-    if scrub is not None:
-        out_ds = out_ds.map_batches(scrub, batch_format="pyarrow")
-    if line_src is not None:
-        from .stages.dedup import line_dedup
-
-        out_ds = line_dedup(out_ds, column, id_column,
-                            drop=line_src)  # same plasma object / store
-    if doc_src is not None:
-        out_ds = out_ds.map_batches(
-            drop_id_filter(doc_src, id_column),
-            batch_format="pyarrow")
-    _write_result(out_ds, args.output)
-    return 0
 
 
 def _parse_mix(spec: str) -> dict[str, float]:
@@ -1818,24 +1644,6 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--output", default=None)
     q.set_defaults(fn=_cmd_query)
 
-    d = sub.add_parser("dedup", help="checkpointed exact dedup of a table")
-    d.add_argument("--input", required=True)
-    d.add_argument("--table", required=True)
-    d.add_argument("--column", required=True,
-                   help="content column to dedup on")
-    d.add_argument("--id-column", required=True,
-                   help="unique id column (min id survives)")
-    d.add_argument("--checkpoint-dir", required=True,
-                   help="shared-storage run dir for the resumable scan")
-    d.add_argument("--output", default=None,
-                   help="deduped parquet output dir")
-    d.add_argument("--target-rows", type=int, default=1 << 20)
-    d.add_argument("--keep-best", default=None, dest="keep_best",
-                   help="score column: each duplicate set keeps its "
-                        "max-score member (ties min id) instead of the "
-                        "min id; pinned in the checkpoint manifest")
-    d.set_defaults(fn=_cmd_dedup)
-
     pr = sub.add_parser("probe", help="probe a column against built filters")
     pr.add_argument("--filters", required=True,
                     help="parquet written by `build`")
@@ -1867,13 +1675,6 @@ def make_parser() -> argparse.ArgumentParser:
                     help="word-shingle size for text methods")
     nd.add_argument("--dim", type=int, default=None,
                     help="embedding width (method=embedding)")
-    nd.add_argument("--checkpoint-dir", default=None,
-                    help="minhash only: resumable per-partition signature "
-                         "scan; the pair scan reads the checkpointed "
-                         "bucket table, never re-signaturing")
-    nd.add_argument("--target-rows", type=int, default=1 << 16,
-                    help="docs per checkpoint partition (band partials "
-                         "are docs x bands rows)")
     nd.add_argument("--output", default=None, help="pair parquet path")
     nd.set_defaults(fn=_cmd_neardup)
 
@@ -1888,10 +1689,6 @@ def make_parser() -> argparse.ArgumentParser:
                     help="skip corpus-level duplicated-line removal")
     cl.add_argument("--no-doc-dedup", action="store_true",
                     help="skip exact document dedup")
-    cl.add_argument("--checkpoint-dir", default=None,
-                    help="shared-storage run dir: both dedup hash scans "
-                         "become resumable per-partition jobs")
-    cl.add_argument("--target-rows", type=int, default=1 << 20)
     cl.add_argument("--output", default=None,
                     help="cleaned parquet output dir")
     cl.set_defaults(fn=_cmd_clean)

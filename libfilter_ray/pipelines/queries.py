@@ -1267,51 +1267,6 @@ GROUP BY lang ORDER BY lang
 """
 
 
-def q_checkpointed_dedup_resume(sf_dir: str) -> pd.DataFrame:
-    """Resumable exact dedup (north rule "resumable from checkpoint"
-    applied to the corpus's most expensive scan): the per-partition
-    content-hash histogram is checkpointed (state/checkpoint.py:
-    CheckpointedDedup), the job is "killed" after one partition, resumed in
-    a fresh job object, and the deduped corpus aggregates identically to
-    the single-shot exact dedup — same SQL oracle as exact_dedup_docs.
-    Duplicates are planted by the clone-shift transform running inside each
-    partition worker (union of per-partition clones == global clone)."""
-    import shutil
-    import tempfile
-
-    from ..stages.dedup import exact_dedup_keys  # noqa: F401 (doc xref)
-    from ..state.checkpoint import CheckpointedDedup
-
-    def clone_shift(t: pa.Table) -> pa.Table:
-        shifted = t.set_column(
-            t.schema.get_field_index("doc_id"), "doc_id",
-            pa.array(np.asarray(t["doc_id"], dtype=np.int64) + 100000,
-                     type=pa.int64()))
-        return pa.concat_tables([t, shifted])
-
-    run_dir = tempfile.mkdtemp(prefix="lfr-dedup-", dir="/tmp")
-    try:
-        paths = [f"{sf_dir}/documents.parquet"]
-        kw = dict(column="text", id_column="doc_id", target_rows=128,
-                  transform=clone_shift, read_columns=["doc_id", "text"])
-        job = CheckpointedDedup(f"{run_dir}/run", paths, **kw)
-        job.run(max_partitions=1)              # interrupted mid-scan
-        job2 = CheckpointedDedup(f"{run_dir}/run", paths, **kw)  # resume
-        assert job2.status()["done"] >= 1      # picked up the checkpoint
-        assert job2.run() is not None          # finish the remaining scan
-        corpus = _read(sf_dir, "documents",
-                       columns=["doc_id", "text", "lang"]) \
-            .map_batches(clone_shift, batch_format="pyarrow")
-        out = job2.dedup(corpus).groupby("lang").aggregate(
-            Count(alias_name="n_docs"),
-            Sum("doc_id", alias_name="sum_ids")).to_pandas()
-    finally:
-        shutil.rmtree(run_dir, ignore_errors=True)
-    out["n_docs"] = out["n_docs"].astype("int64")
-    out["sum_ids"] = out["sum_ids"].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
-
-
 def q_line_dedup_stats(sf_dir: str) -> pd.DataFrame:
     """Corpus-level LINE dedup (C4/Gopher boilerplate removal): every
     duplicated line keeps only its global first occurrence (min (doc_id,
@@ -1319,7 +1274,7 @@ def q_line_dedup_stats(sf_dir: str) -> pd.DataFrame:
     shared footer line and a per-lang header line (the real-world shape:
     nav/footer lines repeated across a crawl). The engine explodes lines
     (16 B/line shuffle), runs the collision-proof exact dedup over the line
-    table (stages/dedup.py:line_dedup_drop_ids), then computes per-lang
+    table (stages/dedup.py:exact_dedup_drop_ids), then computes per-lang
     kept/dropped/char stats in a second streaming pass."""
     import pyarrow.compute as pc
 
@@ -6080,7 +6035,6 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     # CORRECTNESS_r04.json) sits below slot 50 this round --
     "incremental_growable": q_incremental_growable,
     "tcf_per_domain": q_tcf_per_domain,
-    "checkpointed_dedup_resume": q_checkpointed_dedup_resume,
     "line_dedup_stats": q_line_dedup_stats,
     "doc_repetition_stats": q_doc_repetition_stats,
     "top_words": q_top_words,
@@ -6192,7 +6146,6 @@ ORACLES: dict[str, str] = {
     "bloom_per_lang_source": SQL_BLOOM_PER_LANG_SOURCE,
     "incremental_growable": SQL_INCREMENTAL_GROWABLE,
     "tcf_per_domain": SQL_TCF_PER_DOMAIN,
-    "checkpointed_dedup_resume": SQL_EXACT_DEDUP,
     "line_dedup_stats": SQL_LINE_DEDUP_STATS,
     "doc_repetition_stats": SQL_DOC_REPETITION_STATS,
     "top_words": SQL_TOP_WORDS,

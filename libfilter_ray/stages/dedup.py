@@ -90,14 +90,14 @@ def exact_dedup(ds, column: str, id_column: str, *, num_shards: int = 64,
     (ties min id) — with driver/broadcast memory BOUNDED (independent of
     the duplicate count).
 
-    Shape: `exact_dedup_drop_ds` (the shared, checkpointable core) yields
-    the Dataset of ids to REMOVE, then one streaming filter pass drops
-    them. Small drop sets (<= broadcast_limit ids) broadcast as one sorted
-    array; larger ones never touch the driver — they spill to a
-    range-partitioned, bloom-fronted DropIdStore on shared storage
-    (`store_dir`, default a fresh /tmp dir; point it at the job's shared
-    checkpoint volume on a real cluster) and the filter confirms per batch
-    against only the overlapped ranges (stages/dropstore.py).
+    Shape: `exact_dedup_drop_ds` (the shared core) yields the Dataset of
+    ids to REMOVE, then one streaming filter pass drops them. Small drop
+    sets (<= broadcast_limit ids) broadcast as one sorted array; larger
+    ones never touch the driver — they spill to a range-partitioned,
+    bloom-fronted DropIdStore on shared storage (`store_dir`, default a
+    fresh /tmp dir; point it at the job's shared checkpoint volume on a
+    real cluster) and the filter confirms per batch against only the
+    overlapped ranges (stages/dropstore.py).
     """
     drop_ds = exact_dedup_drop_ds(ds, column, id_column,
                                   num_shards=num_shards,
@@ -170,7 +170,6 @@ def drop_id_filter(drop_source, id_column: str):
 
 def exact_dedup_drop_ds(ds, column: str, id_column: str, *,
                         num_shards: int = 64,
-                        multi_hashes: np.ndarray | None = None,
                         multi_limit: int = DROP_BROADCAST_LIMIT,
                         keep_score: str | None = None):
     """Dataset (one int64 `drop_id` column) of the rows exact dedup REMOVES
@@ -180,9 +179,7 @@ def exact_dedup_drop_ds(ds, column: str, id_column: str, *,
     O(duplicate rows) ever lands on the driver — the result stays a
     Dataset; collect it with `exact_dedup_drop_ids` only when small.
 
-    1. groupby(content_hash) -> the hashes with >1 member (pass
-       `multi_hashes` to skip this — e.g. a checkpointed job that already
-       built per-partition hash partials).
+    1. groupby(content_hash) -> the hashes with >1 member.
     2. Prune each batch to rows in duplicated hash groups. Up to
        `multi_limit` dup-group hashes the prune is a broadcast BlockBloom
        PLUS the exact sorted hash array (zero false positives); beyond it
@@ -202,33 +199,26 @@ def exact_dedup_drop_ds(ds, column: str, id_column: str, *,
     from ..sketch.block_bloom import BlockBloom
 
     multi_ref = None
-    if multi_hashes is None:
-        agg = exact_dedup_keys(ds, column, id_column) \
-            .filter(expr="n_members > 1") \
-            .select_columns(["content_hash"]).materialize()
-        n_multi = agg.count()
-        if n_multi == 0:
-            return _empty_drop_ds()  # every payload unique
-        if n_multi <= multi_limit:
-            multi_hashes = np.sort(agg.to_pandas()["content_hash"]
-                                   .to_numpy().astype(np.int64))
-        else:
-            from .sketch_build import build_sketch
-
-            bloom = build_sketch(
-                agg, "content_hash", "block",
-                {"bytes_": sizing.block_bytes_needed(n_multi, 0.001)},
-                pre_hashed=True)  # the column IS the 64-bit content hash
-            bloom_ref = ray.put(bloom.to_bytes())
-    if multi_hashes is not None:
-        multi_hashes = np.ascontiguousarray(multi_hashes, dtype=np.int64)
-        if not len(multi_hashes):
-            return _empty_drop_ds()
-        bloom = BlockBloom(
-            sizing.block_bytes_needed(len(multi_hashes), 0.001))
+    agg = exact_dedup_keys(ds, column, id_column) \
+        .filter(expr="n_members > 1") \
+        .select_columns(["content_hash"]).materialize()
+    n_multi = agg.count()
+    if n_multi == 0:
+        return _empty_drop_ds()  # every payload unique
+    if n_multi <= multi_limit:
+        multi_hashes = np.sort(agg.to_pandas()["content_hash"]
+                               .to_numpy().astype(np.int64))
+        bloom = BlockBloom(sizing.block_bytes_needed(n_multi, 0.001))
         bloom.add_hashes(multi_hashes.view(np.uint64))
-        bloom_ref = ray.put(bloom.to_bytes())
         multi_ref = ray.put(multi_hashes)
+    else:
+        from .sketch_build import build_sketch
+
+        bloom = build_sketch(
+            agg, "content_hash", "block",
+            {"bytes_": sizing.block_bytes_needed(n_multi, 0.001)},
+            pre_hashed=True)  # the column IS the 64-bit content hash
+    bloom_ref = ray.put(bloom.to_bytes())
 
     def pick_multi(t: pa.Table) -> pa.Table:
         """Select rows in duplicated hash groups (bloom prune -> exact
@@ -280,15 +270,13 @@ def _empty_drop_ds():
 
 def exact_dedup_drop_ids(ds, column: str, id_column: str, *,
                          num_shards: int = 64,
-                         multi_hashes: np.ndarray | None = None,
                          keep_score: str | None = None) -> np.ndarray:
     """Sorted int64 collect of `exact_dedup_drop_ds` — O(duplicate rows)
     driver memory, for callers that broadcast the set themselves (bounded
-    corpora / checkpoint caches). Large-scale callers should keep the
-    Dataset (`exact_dedup_drop_ds` + `drop_source_of`) instead."""
+    corpora). Large-scale callers should keep the Dataset
+    (`exact_dedup_drop_ds` + `drop_source_of`) instead."""
     drop = exact_dedup_drop_ds(ds, column, id_column,
                                num_shards=num_shards,
-                               multi_hashes=multi_hashes,
                                keep_score=keep_score).to_pandas()
     if not len(drop) or "drop_id" not in drop.columns:
         # all pruned rows survived (hash collisions between distinct
@@ -526,8 +514,10 @@ def minhash_near_dup_pairs(ds, column: str, id_column: str, *, k: int = 5,
     buckets = minhash_bucket_ds(ds, column, id_column, k=k,
                                 num_perm=num_perm, bands=bands,
                                 batch_size=batch_size)
-    return minhash_pairs_from_buckets(buckets, ds, column, id_column,
-                                      k=k, threshold=threshold)
+    cand = candidate_pairs_ds(buckets, "band_key", id_column)
+    return _collect_pairs(
+        verify_jaccard_pairs_ds(cand, ds, column, id_column, k, threshold),
+        values={"jaccard": np.float64})
 
 
 def minhash_bucket_ds(ds, column: str, id_column: str, *, k: int = 5,
@@ -738,18 +728,6 @@ def verify_jaccard_pairs_ds(pairs_ds, ds, column: str, id_column: str,
                                  pa.array(jac[keep], type=pa.float64()))
 
     return joined.map_batches(verify, batch_format="pyarrow")
-
-
-def minhash_pairs_from_buckets(buckets, ds, column: str, id_column: str,
-                               *, k: int = 5,
-                               threshold: float = 0.7) -> pd.DataFrame:
-    """Stages 2+3 of the minhash pipeline from a prebuilt (band_key, id)
-    bucket Dataset — e.g. read back from a CheckpointedBands run, where
-    the expensive signature scan is never repeated."""
-    cand = candidate_pairs_ds(buckets, "band_key", id_column)
-    return _collect_pairs(
-        verify_jaccard_pairs_ds(cand, ds, column, id_column, k, threshold),
-        values={"jaccard": np.float64})
 
 
 def ngram_jaccard_pairs_ds(ds, column: str, id_column: str, *, k: int = 5,
@@ -1098,16 +1076,6 @@ def line_dedup_drop_ds(ds, column: str, id_column: str, *,
     return exact_dedup_drop_ds(lines, "line", "line_id")
 
 
-def line_dedup_drop_ids(ds, column: str, id_column: str, *,
-                        sep: str = "\n") -> np.ndarray:
-    """Sorted int64 collect of `line_dedup_drop_ds` — O(duplicate lines)
-    driver memory, for bounded corpora / checkpoint caches."""
-    drop = line_dedup_drop_ds(ds, column, id_column, sep=sep).to_pandas()
-    if not len(drop) or "drop_id" not in drop.columns:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(drop["drop_id"].to_numpy().astype(np.int64))
-
-
 def line_rebuild_fn(drop_source, column: str, id_column: str,
                     sep: str = "\n"):
     """map_batches fn factory: rebuild `column` with the lines whose packed
@@ -1144,7 +1112,7 @@ def line_rebuild_fn(drop_source, column: str, id_column: str,
 
 
 def line_dedup(ds, column: str, id_column: str, *, sep: str = "\n",
-               drop=None, broadcast_limit: int = DROP_BROADCAST_LIMIT,
+               broadcast_limit: int = DROP_BROADCAST_LIMIT,
                store_dir: str | None = None):
     """The corpus with duplicated lines removed (first occurrence kept),
     text rebuilt in place. Documents never shuffle: the rebuild is a
@@ -1152,25 +1120,13 @@ def line_dedup(ds, column: str, id_column: str, *, sep: str = "\n",
     only the 16 B/line dedup pass moves data. The drop set broadcasts when
     it fits `broadcast_limit`, else spills to a range-partitioned
     DropIdStore (`store_dir`) — driver memory stays bounded at any
-    duplicate-line rate. Pass a precomputed `drop` (ndarray, ObjectRef, or
-    DropIdStore — e.g. from a checkpointed scan) to skip the dedup pass."""
-    import ray
-
-    from .dropstore import DropIdStore
-
-    if drop is None:
-        drop_ds = line_dedup_drop_ds(ds, column, id_column,
-                                     sep=sep).materialize()
-        source = drop_source_of(drop_ds, broadcast_limit=broadcast_limit,
-                                store_dir=store_dir)
-        if source is None:
-            return ds
-    elif isinstance(drop, (ray.ObjectRef, DropIdStore)):
-        source = drop  # caller already broadcast/spilled it (and knows
-    else:              # it's non-empty — an empty set never gets a ref)
-        if not len(drop):
-            return ds
-        source = ray.put(drop)
+    duplicate-line rate."""
+    drop_ds = line_dedup_drop_ds(ds, column, id_column,
+                                 sep=sep).materialize()
+    source = drop_source_of(drop_ds, broadcast_limit=broadcast_limit,
+                            store_dir=store_dir)
+    if source is None:
+        return ds
     return ds.map_batches(
         line_rebuild_fn(source, column, id_column, sep),
         batch_format="pyarrow")

@@ -3,7 +3,8 @@
 The reference serializes filter state as flat byte dumps
 (``c/lib/block.c:20-53``); the engine extends that into a *job* contract the
 north rule requires: "resumable from checkpoint with per-partition lineage +
-metrics".
+metrics". The module checkpoints one job, the sketch build
+(``CheckpointedBuild``).
 
 Design (SURVEY.md §4.2 "checkpoint/resume"):
 
@@ -12,9 +13,9 @@ Design (SURVEY.md §4.2 "checkpoint/resume"):
   a pure function of the input listing, so a resumed run sees the same split.
 - Each partition is processed by one Ray task (stateless — a pure function of
   its fragment list, so Ray retries and job resumes are both safe): read the
-  row groups -> optional transform chain -> per-key partial sketches -> write
-  ONE parquet checkpoint file ``partials/part-{pid:05d}.parquet`` atomically
-  (tmp + rename) carrying payload AND lineage:
+  row groups -> per-key partial sketches -> write ONE parquet checkpoint
+  file ``partials/part-{pid:05d}.parquet`` atomically (tmp + rename)
+  carrying payload AND lineage:
   ``partition_id, key, kind, params(json), seed, payload, rows_processed,
   input_fragments(json), wall_ms, engine_version``.
 - **Resume = list the checkpoint dir, skip completed partition ids.** Only
@@ -38,7 +39,6 @@ import os
 import time
 import uuid
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -76,6 +76,9 @@ def plan_partitions(paths: list[str], target_rows: int = 1 << 20) -> list[Partit
     <= target_rows (the normal ~128 MB layout) so splits land on row-group
     boundaries; sub-row-group splitting exists for pathological inputs and
     small test files."""
+    if target_rows < 1:
+        # a zero or negative budget never advances the row cursor
+        raise ValueError(f"target_rows must be >= 1, got {target_rows}")
     parts: list[Partition] = []
     pid = 0
     for path in sorted(paths):
@@ -110,23 +113,39 @@ def _atomic_write_table(table: pa.Table, dest: str) -> None:
     os.replace(tmp, dest)  # atomic on POSIX: a crash never leaves a partial
 
 
-class _PartitionWorker:
-    """Shared per-partition scaffolding for checkpointed jobs: skip-if-done
-    race guard, fragment read + slice, transform hook, lineage/meta
-    columns, atomic write, per-partition summary rows. Subclasses implement
-    ``_partial_columns(t) -> (data_columns, rows_processed)`` — the
-    job-specific checkpoint payload (equal-length column dict + the
-    rows_processed column, both sized to the partial's row count)."""
+class _PartitionBuilder:
+    """Per-partition sketch build: each ``(partition_id, path, fragments)``
+    row -> read + slice the row groups -> per-key partial sketches -> one
+    checkpoint file with the lineage/meta columns, written atomically.
+    Returns one summary row per partition built.
 
-    def __init__(self, run_dir: str,
-                 transform: Callable[[pa.Table], pa.Table] | None,
-                 read_columns: list[str] | None):
+    Pure function of the partition spec (deterministic salt-free build), so
+    both Ray task retries and whole-job resumes produce identical bytes for
+    order-invariant sketches (BlockBloom/TaffyBlock/HLL/CMS/KLL)."""
+
+    def __init__(self, run_dir: str, kind: str, params: dict, column: str,
+                 key: str | None, seed: int, read_columns: list[str] | None):
         self.run_dir = run_dir
-        self.transform = transform
+        self.kind, self.params = kind, params
+        self.column, self.key, self.seed = column, key, seed
         self.read_columns = read_columns
 
-    def _partial_columns(self, t: pa.Table):
-        raise NotImplementedError
+    def _partials(self, t: pa.Table):
+        """(keys, payloads, rows per key) of one partition's rows."""
+        from ..stages import sketch_build as sb
+
+        if self.key is None:
+            p = sb._PartialBuilder(self.kind, self.params, self.column,
+                                   self.seed)(t).to_pydict()
+            return pa.array(p["key"]), p["payload_s"], p["rows"]
+        # the one key split (sketch_build.split_by_key): null-key rows
+        # are excluded, keys keep the key column's type
+        spec = [(None, self.kind, self.params, self.column)]
+        split = sb.split_by_key(t, self.key, *sb._spec_inputs(spec),
+                                seed=self.seed)
+        payloads, _ = sb._key_payloads(split, self.kind, self.params,
+                                       self.column, self.seed, raw_ok=False)
+        return split[0], payloads, np.diff(split[1])
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out_rows = []
@@ -139,154 +158,113 @@ class _PartitionWorker:
             t0 = time.perf_counter()
             f = pq.ParquetFile(row["path"])
             frags = [tuple(fr) for fr in row["fragments"]]
-            pieces = []
-            for rg, start, length in frags:
-                rg_table = f.read_row_group(rg, columns=self.read_columns)
-                pieces.append(rg_table.slice(start, length))
-            t = pa.concat_tables(pieces)
-            if self.transform is not None:
-                t = self.transform(t)
-            data, rows_processed = self._partial_columns(t)
+            t = pa.concat_tables([
+                f.read_row_group(rg, columns=self.read_columns)
+                .slice(start, length) for rg, start, length in frags])
+            keys, payloads, counts = self._partials(t)
             wall_ms = (time.perf_counter() - t0) * 1e3
             lineage = json.dumps({"path": row["path"],
                                   "fragments": [list(fr) for fr in frags]})
-            n = len(rows_processed)
+            n = len(keys)
 
             def const_str(v: str):
-                # partition-constant strings as dictionary arrays: O(1)
-                # payload however many data rows the partial has (band
-                # partials are rows x bands), and parquet stores the
-                # dictionary once
+                # partition-constant strings as dictionary arrays: parquet
+                # stores the dictionary once however many keys the
+                # partial has
                 return pa.DictionaryArray.from_arrays(
                     pa.array(np.zeros(n, dtype=np.int32)),
                     pa.array([v], type=pa.string()))
 
             ck = pa.table({
                 "partition_id": pa.array(np.full(n, pid), type=pa.int64()),
-                **data,
-                "rows_processed": pa.array(rows_processed, type=pa.int64()),
+                "key": keys,
+                "kind": pa.array([self.kind] * n),
+                "params": pa.array([json.dumps(self.params)] * n),
+                "seed": pa.array([self.seed] * n, type=pa.int64()),
+                "payload": pa.array(payloads, type=pa.large_binary()),
+                "rows_processed": pa.array(counts, type=pa.int64()),
                 "input_fragments": const_str(lineage),
                 "wall_ms": pa.array(np.full(n, wall_ms),
                                     type=pa.float64()),
                 "engine_version": const_str(ENGINE_VERSION),
             })
             _atomic_write_table(ck, dest)
-            out_rows.append({"partition_id": pid, "rows": t.num_rows,
-                             "wall_ms": wall_ms})
+            out_rows.append((pid, t.num_rows, wall_ms))
+        pids, rows, walls = zip(*out_rows) if out_rows else ((), (), ())
         return pa.table({
-            "partition_id": pa.array([r["partition_id"] for r in out_rows],
-                                     type=pa.int64()),
-            "rows": pa.array([r["rows"] for r in out_rows], type=pa.int64()),
-            "wall_ms": pa.array([r["wall_ms"] for r in out_rows],
-                                type=pa.float64()),
+            "partition_id": pa.array(pids, type=pa.int64()),
+            "rows": pa.array(rows, type=pa.int64()),
+            "wall_ms": pa.array(walls, type=pa.float64()),
         })
 
 
-class _PartitionBuilder(_PartitionWorker):
-    """Per-partition sketch build: fragment list -> one checkpoint file.
+class CheckpointedBuild:
+    """A resumable distributed sketch-build job over parquet inputs.
 
-    Pure function of the partition spec (deterministic salt-free build), so
-    both Ray task retries and whole-job resumes produce identical bytes for
-    order-invariant sketches (BlockBloom/TaffyBlock/HLL/CMS/KLL)."""
+    >>> job = CheckpointedBuild(run_dir, paths, kind="block",
+    ...                         params={"bytes_": 4096}, column="url",
+    ...                         key="lang")
+    >>> job.run()              # builds missing partitions, returns merged
+    >>> job.status()           # {"total": ..., "done": ..., "pending": [...]}
 
-    def __init__(self, run_dir: str, kind: str, params: dict, column: str,
-                 key: str | None, seed: int,
-                 transform: Callable[[pa.Table], pa.Table] | None,
-                 read_columns: list[str] | None):
-        super().__init__(run_dir, transform, read_columns)
-        self.kind, self.params = kind, params
+    ``run()`` after a crash (or a deliberate ``max_partitions`` cut) skips
+    finished partitions — the kill-and-resume test asserts byte-identity with
+    a clean single-shot build. The manifest pins the build's config and
+    partition plan; a resume with either changed is rejected.
+
+    **Single-writer-per-run_dir contract**: at most one CheckpointedBuild
+    instance may be live per ``run_dir`` at a time. ``__init__`` sweeps
+    orphan ``.tmp-*`` files from the partials dir (crash debris from a
+    previous PROCESS), which would delete a concurrent instance's in-flight
+    atomic write. Resume = sequential re-instantiation, never concurrent
+    sharing; run concurrent builds in distinct run_dirs.
+
+    **Shared-filesystem contract**: ``run_dir`` must be visible to the
+    driver AND every Ray worker node (NFS / fuse-mounted object store on a
+    multi-node cluster) — workers write partials there and the driver
+    lists them for status/merge. A node-local path on a multi-node cluster
+    silently strands partials on remote disks.
+    """
+
+    def __init__(self, run_dir: str, input_paths: list[str], *, kind: str,
+                 params: dict | None = None, column: str,
+                 key: str | None = None, seed: int = DEFAULT_SEED,
+                 target_rows: int = 1 << 20,
+                 read_columns: list[str] | None = None):
+        self.kind, self.params = kind, dict(params or {})
         self.column, self.key, self.seed = column, key, seed
-
-    def _partial_columns(self, t: pa.Table):
-        from ..stages import sketch_build as sb
-
-        if self.key is None:
-            p = sb._PartialBuilder(self.kind, self.params, self.column,
-                                   self.seed)(t).to_pydict()
-            keys, payloads, counts = pa.array(p["key"]), p["payload_s"], \
-                p["rows"]
-        else:
-            # the one key split (sketch_build.split_by_key): null-key rows
-            # are excluded, keys keep the key column's type
-            spec = [(None, self.kind, self.params, self.column)]
-            split = sb.split_by_key(t, self.key, *sb._spec_inputs(spec),
-                                    seed=self.seed)
-            keys, counts = split[0], np.diff(split[1])
-            payloads, _ = sb._key_payloads(split, self.kind, self.params,
-                                           self.column, self.seed,
-                                           raw_ok=False)
-        n = len(keys)
-        return ({
-            "key": keys,
-            "kind": pa.array([self.kind] * n),
-            "params": pa.array([json.dumps(self.params)] * n),
-            "seed": pa.array([self.seed] * n, type=pa.int64()),
-            "payload": pa.array(payloads, type=pa.large_binary()),
-        }, counts)
-
-
-class _CheckpointedJob:
-    """Shared scaffolding for resumable per-partition jobs: deterministic
-    partition plan, immutable manifest (config + plan verified on resume),
-    orphan-tmp sweep, done/pending accounting, and the build loop that runs
-    only the missing partitions. Subclasses provide `_config()` (the
-    manifest-checked identity of the job) and `_make_builder()` (the
-    stateless per-partition map_batches callable)."""
-
-    def __init__(self, run_dir: str, input_paths: list[str],
-                 target_rows: int = 1 << 20):
+        self.read_columns = read_columns
         self.run_dir = run_dir
-        os.makedirs(os.path.join(run_dir, PARTIALS_DIR), exist_ok=True)
-        self._sweep_tmps()
+        d = os.path.join(run_dir, PARTIALS_DIR)
+        os.makedirs(d, exist_ok=True)
+        for name in os.listdir(d):
+            if ".tmp-" in name:  # abandoned atomic-write attempt
+                os.unlink(os.path.join(d, name))
         self.partitions = plan_partitions(input_paths, target_rows)
         self._write_manifest()
 
-    def _config(self) -> dict:
-        raise NotImplementedError
-
-    def _make_builder(self):
-        raise NotImplementedError
+    def _make_builder(self) -> _PartitionBuilder:
+        return _PartitionBuilder(self.run_dir, self.kind, self.params,
+                                 self.column, self.key, self.seed,
+                                 self.read_columns)
 
     def _partial_files(self) -> list[str]:
         d = os.path.join(self.run_dir, PARTIALS_DIR)
         return sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
 
-    def _metrics(self, columns: list[str],
-                 first_row_only: bool = False) -> "pd.DataFrame":  # noqa: F821
-        """Concatenate the requested meta columns across partial files;
-        `first_row_only` collapses partials whose meta columns are
-        partition-constant (data rows carry the same values)."""
-        import pandas as pd
-
-        d = os.path.join(self.run_dir, PARTIALS_DIR)
-        frames = []
-        for f in self._partial_files():
-            t = pq.read_table(os.path.join(d, f), columns=columns) \
-                .to_pandas()
-            frames.append(t.iloc[:1] if first_row_only else t)
-        if not frames:
-            return pd.DataFrame()
-        return pd.concat(frames, ignore_index=True)
-
-    def _sweep_tmps(self) -> None:
-        d = os.path.join(self.run_dir, PARTIALS_DIR)
-        for name in os.listdir(d):
-            if ".tmp-" in name:  # abandoned atomic-write attempt
-                os.unlink(os.path.join(d, name))
-
     def _write_manifest(self) -> None:
         path = os.path.join(self.run_dir, MANIFEST)
-        mine = self._config()
+        mine = {"kind": self.kind, "params": self.params,
+                "column": self.column, "key": self.key, "seed": self.seed}
         if os.path.exists(path):
             # resume: the manifest is immutable for the run — verify this
             # job's config matches it, otherwise partials from run 1 would
             # silently merge into a differently-parameterized job
             with open(path) as f:
                 old = json.load(f)
-            # full two-sided comparison: a job with FEWER config keys must
-            # not adopt partials written under a richer config (e.g. a
-            # transform-tagged clean checkpoint resumed by a plain dedup) —
-            # every manifest key except the bookkeeping fields is config
+            # full two-sided comparison: every manifest key except the
+            # bookkeeping fields is config, so a manifest with keys this
+            # build does not know never adopts its partials
             theirs = {k: v for k, v in old.items()
                       if k not in ("engine_version", "partitions")}
             if mine != theirs:
@@ -347,59 +325,11 @@ class _CheckpointedJob:
         items = [{"partition_id": p.partition_id, "path": p.path,
                   "fragments": [list(fr) for fr in p.fragments]}
                  for p in pending]
-        builder = self._make_builder()
         (ray.data.from_items(items, override_num_blocks=len(items))
-         .map_batches(builder, batch_format="pyarrow", batch_size=1)
+         .map_batches(self._make_builder(), batch_format="pyarrow",
+                      batch_size=1)
          .materialize())
         return len(pending)
-
-
-class CheckpointedBuild(_CheckpointedJob):
-    """A resumable distributed sketch-build job over parquet inputs.
-
-    >>> job = CheckpointedBuild(run_dir, paths, kind="block",
-    ...                         params={"bytes_": 4096}, column="url",
-    ...                         key="lang")
-    >>> job.run()              # builds missing partitions, returns merged
-    >>> job.status()           # {"total": ..., "done": ..., "pending": [...]}
-
-    ``run()`` after a crash (or a deliberate ``max_partitions`` cut) skips
-    finished partitions — the kill-and-resume test asserts byte-identity with
-    a clean single-shot build.
-
-    **Single-writer-per-run_dir contract**: at most one CheckpointedBuild
-    instance may be live per ``run_dir`` at a time. ``__init__`` sweeps
-    orphan ``.tmp-*`` files from the partials dir (crash debris from a
-    previous PROCESS), which would delete a concurrent instance's in-flight
-    atomic write. Resume = sequential re-instantiation, never concurrent
-    sharing; run concurrent builds in distinct run_dirs.
-
-    **Shared-filesystem contract**: ``run_dir`` must be visible to the
-    driver AND every Ray worker node (NFS / fuse-mounted object store on a
-    multi-node cluster) — workers write partials there and the driver
-    lists them for status/merge. A node-local path on a multi-node cluster
-    silently strands partials on remote disks.
-    """
-
-    def __init__(self, run_dir: str, input_paths: list[str], *, kind: str,
-                 params: dict | None = None, column: str,
-                 key: str | None = None, seed: int = DEFAULT_SEED,
-                 target_rows: int = 1 << 20,
-                 transform: Callable[[pa.Table], pa.Table] | None = None,
-                 read_columns: list[str] | None = None):
-        self.kind, self.params = kind, dict(params or {})
-        self.column, self.key, self.seed = column, key, seed
-        self.transform, self.read_columns = transform, read_columns
-        super().__init__(run_dir, input_paths, target_rows)
-
-    def _config(self) -> dict:
-        return {"kind": self.kind, "params": self.params,
-                "column": self.column, "key": self.key, "seed": self.seed}
-
-    def _make_builder(self):
-        return _PartitionBuilder(self.run_dir, self.kind, self.params,
-                                 self.column, self.key, self.seed,
-                                 self.transform, self.read_columns)
 
     def merge(self):
         """Idempotent final merge, a pure function of the checkpoint dir:
@@ -413,7 +343,7 @@ class CheckpointedBuild(_CheckpointedJob):
         pending = self.status()["pending"]
         if pending:
             # merging a partial scan would silently return under-counted
-            # sketches — same guard as CheckpointedDedup.multi_hashes
+            # sketches
             raise RuntimeError(
                 f"build incomplete: {len(pending)} partition(s) pending — "
                 "call run() to finish before merging")
@@ -449,282 +379,13 @@ class CheckpointedBuild(_CheckpointedJob):
         """Per-partition lineage + timing table straight from the checkpoint
         files, one row per (partition, key) (the job's observability
         surface)."""
-        return self._metrics(["partition_id", "key", "rows_processed",
-                              "wall_ms", "input_fragments",
-                              "engine_version"])
+        import pandas as pd
 
-
-class _DedupPartitionHasher(_PartitionWorker):
-    """Per-partition worker for CheckpointedDedup: fragment list -> one
-    hash-histogram checkpoint file ``(content_hash, n_members)`` over the
-    partition's rows. Pure function of the partition spec (seed-free 64-bit
-    content hash, sketch/hashing.py:hash_arrow_array), so task retries and
-    job resumes write identical bytes."""
-
-    def __init__(self, run_dir: str, column: str,
-                 transform: Callable[[pa.Table], pa.Table] | None,
-                 read_columns: list[str] | None):
-        super().__init__(run_dir, transform, read_columns)
-        self.column = column
-
-    def _partial_columns(self, t: pa.Table):
-        from ..sketch.hashing import hash_arrow_array
-
-        h = hash_arrow_array(t[self.column]).view(np.int64)
-        uniq, counts = np.unique(h, return_counts=True)
-        # constant lineage/meta columns RLE/dict-encode to ~nothing in
-        # parquet; the partial is ~16 B x distinct-hashes-per-partition
-        return ({
-            "content_hash": pa.array(uniq, type=pa.int64()),
-            "n_members": pa.array(counts, type=pa.int64()),
-        }, np.full(len(uniq), t.num_rows))
-
-
-class CheckpointedDedup(_CheckpointedJob):
-    """A resumable exact-dedup job over parquet inputs (north rule:
-    "resumable from checkpoint with per-partition lineage + metrics"
-    applied to the training-data family's most expensive scan).
-
-    Phase 1 — the checkpointed part — is the full-corpus content-hash scan:
-    each partition writes a ``(content_hash, n_members)`` histogram partial
-    (O(distinct hashes in the partition) x 16 B; the html/text payloads are
-    hashed in place and never persisted). A killed job resumes by listing
-    the partials dir and rebuilding only missing partitions.
-
-    Phase 2 — ``multi_hashes()`` — is an idempotent pure function of the
-    checkpoint dir: read_parquet(partials) -> groupby(content_hash) ->
-    Sum(n_members) -> the hashes with global count > 1. Driver memory is
-    O(#duplicated hash groups), same bound as stages/dedup.py:exact_dedup.
-
-    Phase 3 — ``drop_ids(ds)`` / ``dedup(ds)`` — reuses
-    stages/dedup.py:exact_dedup_drop_ids with the precomputed multi-hash
-    set: the streaming bloom-prune + exact payload confirm touches ONLY
-    duplicate-group rows (collision-proof min-id-per-(hash, payload)), so
-    re-running it after a resume is cheap — the expensive scan is what the
-    checkpoint protects.
-
-    Single-writer-per-run_dir and shared-filesystem contracts are inherited
-    from CheckpointedBuild (see its docstring).
-    """
-
-    def __init__(self, run_dir: str, input_paths: list[str], *, column: str,
-                 id_column: str, target_rows: int = 1 << 20,
-                 transform: Callable[[pa.Table], pa.Table] | None = None,
-                 read_columns: list[str] | None = None,
-                 config_extra: dict | None = None,
-                 keep_score: str | None = None):
-        self.column, self.id_column = column, id_column
-        self.transform = transform
-        self.read_columns = read_columns if read_columns is not None \
-            else [column]
-        # survivor policy (None = min id, else max-score member). The
-        # phase-1/2 hash-histogram artifacts are policy-independent, but
-        # the manifest still pins the policy so a resume can't silently
-        # change which rows the confirm pass keeps.
-        self.keep_score = keep_score
-        # transforms aren't content-hashable — callers whose transform
-        # varies by options pass their identity here so a resume with
-        # different options is REJECTED instead of mixing partial hashes
-        # computed under different transforms
-        self.config_extra = dict(config_extra or {})
-        super().__init__(run_dir, input_paths, target_rows)
-
-    def _config(self) -> dict:
-        cfg = {"kind": "exact_dedup", "column": self.column,
-               "key": self.id_column, **self.config_extra}
-        if self.keep_score:  # absent for min-id: old manifests stay valid
-            cfg["keep_score"] = self.keep_score
-        return cfg
-
-    def _make_builder(self):
-        return _DedupPartitionHasher(self.run_dir, self.column,
-                                     self.transform, self.read_columns)
-
-    def multi_hashes(self) -> np.ndarray:
-        """Sorted int64 content hashes whose global member count exceeds 1 —
-        a distributed groupby over the (tiny) checkpoint rows; only the
-        duplicated groups ever reach the driver."""
-        import ray.data
-        from ray.data.aggregate import Sum
-
-        pending = self.status()["pending"]
-        if pending:
-            # an incomplete scan would silently UNDER-deduplicate (a text
-            # split across a scanned and an unscanned partition counts 1)
-            raise RuntimeError(
-                f"dedup scan incomplete: {len(pending)} partition(s) "
-                "pending — call run() to finish before querying results")
-        if not self._partial_files():  # zero-row input: nothing duplicated
-            return np.empty(0, dtype=np.int64)
-        ds = ray.data.read_parquet(
-            os.path.join(self.run_dir, PARTIALS_DIR),
-            columns=["content_hash", "n_members"],
-            file_extensions=["parquet"])
-        multi = ds.groupby("content_hash") \
-            .aggregate(Sum("n_members", alias_name="n")) \
-            .filter(expr="n > 1").select_columns(["content_hash"]) \
-            .to_pandas()
-        if not len(multi) or "content_hash" not in multi.columns:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(multi["content_hash"].to_numpy().astype(np.int64))
-
-    def run(self, max_partitions: int | None = None) -> np.ndarray | None:
-        """Build missing partials; returns the duplicated-hash set, or None
-        if interrupted (`max_partitions` test hook) — resume later."""
-        self.build_partials(max_partitions)
-        if self.status()["pending"]:
-            return None
-        return self.multi_hashes()
-
-    def drop_ids(self, ds) -> np.ndarray:
-        """Sorted ids of the rows dedup removes (the min-id-per-payload
-        survivor, or the max-`keep_score` member), confirmed exactly
-        against `ds` using the checkpointed duplicate-hash set."""
-        from ..stages.dedup import exact_dedup_drop_ids
-
-        return exact_dedup_drop_ids(ds, self.column, self.id_column,
-                                    multi_hashes=self.multi_hashes(),
-                                    keep_score=self.keep_score)
-
-    def dedup(self, ds):
-        """The deduplicated Dataset: one streaming filter pass against the
-        broadcast drop-id set."""
-        import ray
-
-        from ..stages.dedup import drop_id_filter
-
-        drop = self.drop_ids(ds)
-        if not len(drop):
-            return ds
-        return ds.map_batches(drop_id_filter(ray.put(drop), self.id_column),
-                              batch_format="pyarrow")
-
-    def metrics(self) -> "pd.DataFrame":  # noqa: F821
-        """Per-partition lineage + timing straight from the checkpoint files
-        (one row per partition; the hash histogram is aggregated away)."""
-        return self._metrics(["partition_id", "rows_processed", "wall_ms",
-                              "input_fragments", "engine_version"],
-                             first_row_only=True)
-
-
-class _BandPartitionWorker(_PartitionWorker):
-    """Per-partition worker for CheckpointedBands: fragment list -> one
-    checkpoint file of (band_key, id) LSH bucket rows (n_rows x bands).
-    Pure function of the partition spec — the minhash permutations are
-    seeded constants — so retries and resumes write identical bytes."""
-
-    def __init__(self, run_dir: str, column: str, id_column: str, k: int,
-                 num_perm: int, bands: int,
-                 transform: Callable[[pa.Table], pa.Table] | None,
-                 read_columns: list[str] | None):
-        super().__init__(run_dir, transform, read_columns)
-        self.column, self.id_column = column, id_column
-        self.k, self.num_perm, self.bands = k, num_perm, bands
-
-    #: signature kernel chunk: bounds the flat shingle-hash and per-perm
-    #: temporaries to ~512 docs regardless of partition size (the same
-    #: batch bound the streaming sig_stage uses)
-    CHUNK = 512
-
-    def _partial_columns(self, t: pa.Table):
-        from ..functions.shingles import lsh_band_keys, minhash_signatures
-
-        col = t[self.id_column]
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) \
-            else col
-        ids = col.to_numpy(zero_copy_only=False).astype(np.int64)
-        key_chunks = []
-        for s in range(0, t.num_rows, self.CHUNK):
-            sig = minhash_signatures(t[self.column].slice(s, self.CHUNK),
-                                     k=self.k, num_perm=self.num_perm)
-            key_chunks.append(
-                lsh_band_keys(sig, bands=self.bands).ravel()
-                .view(np.int64))
-        keys = np.concatenate(key_chunks) if key_chunks \
-            else np.empty(0, dtype=np.int64)
-        return ({
-            "band_key": pa.array(keys, type=pa.int64()),
-            self.id_column: pa.array(np.repeat(ids, self.bands),
-                                     type=pa.int64()),
-        }, np.full(t.num_rows * self.bands, t.num_rows))
-
-
-class CheckpointedBands(_CheckpointedJob):
-    """A resumable MinHash+LSH banding scan — the dominant compute of the
-    near-dup pipeline (the num_perm-pass signature kernel over every
-    document) checkpointed per partition. The pair scan + exact-Jaccard
-    verify then run FROM THE CHECKPOINT (the partials ARE the bucket
-    table) plus one tiny candidate-text gather from the source — a
-    resubmitted job never re-signatures finished partitions.
-
-    >>> job = CheckpointedBands(run_dir, paths, column="text",
-    ...                         id_column="doc_id")
-    >>> buckets = job.run()          # None if interrupted; resume later
-    >>> pairs = minhash_pairs_from_buckets(buckets, source_ds,
-    ...                                    "text", "doc_id")
-
-    Single-writer and shared-filesystem contracts as CheckpointedBuild.
-    """
-
-    def __init__(self, run_dir: str, input_paths: list[str], *,
-                 column: str, id_column: str, k: int = 5,
-                 num_perm: int = 128, bands: int = 16,
-                 target_rows: int = 1 << 16,
-                 transform: Callable[[pa.Table], pa.Table] | None = None,
-                 read_columns: list[str] | None = None,
-                 config_extra: dict | None = None):
-        # NB: target_rows defaults 16x smaller than the other jobs — band
-        # partials are rows x bands x 16 B, so 65k docs ≈ 16 MB partials
-        if id_column == "band_key":
-            raise ValueError("id_column may not be named 'band_key'")
-        self.column, self.id_column = column, id_column
-        self.k, self.num_perm, self.bands = k, num_perm, bands
-        self.transform = transform
-        self.read_columns = read_columns if read_columns is not None \
-            else [column, id_column]
-        self.config_extra = dict(config_extra or {})
-        super().__init__(run_dir, input_paths, target_rows)
-
-    def _config(self) -> dict:
-        return {"kind": "minhash_bands", "column": self.column,
-                "key": self.id_column, "k": self.k,
-                "num_perm": self.num_perm, "bands": self.bands,
-                **self.config_extra}
-
-    def _make_builder(self):
-        return _BandPartitionWorker(self.run_dir, self.column,
-                                    self.id_column, self.k, self.num_perm,
-                                    self.bands, self.transform,
-                                    self.read_columns)
-
-    def buckets(self):
-        """The (band_key, <id_column>) bucket Dataset straight from the
-        checkpoint files — guards against reading an incomplete scan."""
-        import ray.data
-
-        pending = self.status()["pending"]
-        if pending:
-            raise RuntimeError(
-                f"band scan incomplete: {len(pending)} partition(s) "
-                "pending — call run() to finish before pairing")
-        if not self._partial_files():
-            return ray.data.from_arrow(pa.table({
-                "band_key": pa.array([], type=pa.int64()),
-                self.id_column: pa.array([], type=pa.int64())}))
-        return ray.data.read_parquet(
-            os.path.join(self.run_dir, PARTIALS_DIR),
-            columns=["band_key", self.id_column],
-            file_extensions=["parquet"])
-
-    def run(self, max_partitions: int | None = None):
-        """Build missing partials; returns the bucket Dataset, or None if
-        interrupted (`max_partitions` test hook) — resume later."""
-        self.build_partials(max_partitions)
-        if self.status()["pending"]:
-            return None
-        return self.buckets()
-
-    def metrics(self) -> "pd.DataFrame":  # noqa: F821
-        return self._metrics(["partition_id", "rows_processed", "wall_ms",
-                              "input_fragments", "engine_version"],
-                             first_row_only=True)
+        d = os.path.join(self.run_dir, PARTIALS_DIR)
+        frames = [pq.read_table(os.path.join(d, f), columns=[
+            "partition_id", "key", "rows_processed", "wall_ms",
+            "input_fragments", "engine_version"]).to_pandas()
+            for f in self._partial_files()]
+        if not frames:
+            return pd.DataFrame()
+        return pd.concat(frames, ignore_index=True)

@@ -8,7 +8,6 @@ import json
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -30,6 +29,9 @@ def test_plan_partitions_deterministic(events_parquet):
     assert a == b
     assert sum(p.rows for p in a) == pq.read_metadata(events_parquet[0]).num_rows
     assert [p.partition_id for p in a] == list(range(len(a)))
+    for bad in (0, -1):  # a budget below one row never advances the cursor
+        with pytest.raises(ValueError, match="target_rows"):
+            plan_partitions(events_parquet, target_rows=bad)
 
 
 def test_build_merge_and_metrics(tmp_path, events_parquet, ray_session):
@@ -173,102 +175,9 @@ def test_merge_paths_agree(tmp_path, events_parquet, ray_session,
         assert exchanged[k].to_bytes() == one_task[k].to_bytes()
 
 
-def test_checkpointed_dedup_kill_resume_matches_exact(tmp_path, ray_session):
-    """CheckpointedDedup interrupted + resumed drops EXACTLY the rows the
-    single-shot stages/dedup.py:exact_dedup drops (duplicates planted by
-    unioning a doc_id-shifted copy), and the partials carry per-partition
-    lineage."""
-    import ray.data
-
-    from libfilter_ray.stages.dedup import exact_dedup, exact_dedup_drop_ids
-    from libfilter_ray.state.checkpoint import CheckpointedDedup
-
-    base = pq.read_table(f"{SF}/documents.parquet",
-                         columns=["doc_id", "text"])
-    shifted = base.set_column(
-        base.schema.get_field_index("doc_id"), "doc_id",
-        pa.array(np.asarray(base["doc_id"], dtype=np.int64) + 100000,
-                 type=pa.int64()))
-    duped = pa.concat_tables([base, shifted])
-    paths = [str(tmp_path / "documents_duped.parquet")]
-    pq.write_table(duped, paths[0], row_group_size=256)
-    ds = ray.data.read_parquet(paths, columns=["doc_id", "text"])
-    ref_drop = exact_dedup_drop_ids(ds, "text", "doc_id")
-    assert len(ref_drop) > 0  # sf0.01 documents plants duplicates
-
-    kw = dict(column="text", id_column="doc_id", target_rows=256)
-    job = CheckpointedDedup(str(tmp_path / "r"), paths, **kw)
-    assert len(job.partitions) >= 3
-    assert job.run(max_partitions=2) is None  # "killed" mid-scan
-    assert job.status()["done"] == 2
-
-    job2 = CheckpointedDedup(str(tmp_path / "r"), paths, **kw)  # resume
-    assert job2.status()["done"] == 2  # picked up the checkpoint
-    multi = job2.run()
-    assert multi is not None and len(multi) > 0
-    np.testing.assert_array_equal(job2.drop_ids(ds), ref_drop)
-
-    # the deduped dataset == exact_dedup's output, row for row
-    a = sorted(job2.dedup(ds).select_columns(["doc_id"]).to_pandas()["doc_id"])
-    b = sorted(exact_dedup(ds, "text", "doc_id")
-               .select_columns(["doc_id"]).to_pandas()["doc_id"])
-    assert a == b
-
-    m = job2.metrics()
-    assert len(m) == len(job2.partitions)  # one lineage row per partition
-    assert {"partition_id", "rows_processed", "wall_ms",
-            "input_fragments"} <= set(m.columns)
-    frag = json.loads(m["input_fragments"].iloc[0])
-    assert frag["path"].endswith("documents_duped.parquet")
-
-
-def test_checkpointed_dedup_partitioning_invariance(tmp_path, ray_session):
-    """The duplicated-hash set and drop ids are pure functions of the data,
-    not the partition plan: wildly different target_rows (1 partition vs
-    many sub-row-group partitions) yield identical results."""
-    import ray.data
-
-    from libfilter_ray.state.checkpoint import CheckpointedDedup
-
-    paths = [f"{SF}/documents.parquet"]
-    ds = ray.data.read_parquet(paths, columns=["doc_id", "text"])
-    results = []
-    for i, target in enumerate((1 << 20, 257, 64)):
-        job = CheckpointedDedup(str(tmp_path / f"r{i}"), paths,
-                                column="text", id_column="doc_id",
-                                target_rows=target)
-        multi = job.run()
-        results.append((len(job.partitions), multi, job.drop_ids(ds)))
-    n_parts = [r[0] for r in results]
-    assert n_parts[0] == 1 and n_parts[1] < n_parts[2]  # plans truly differ
-    for _, multi, drops in results[1:]:
-        np.testing.assert_array_equal(multi, results[0][1])
-        np.testing.assert_array_equal(drops, results[0][2])
-
-
-def test_checkpointed_dedup_incomplete_scan_guard(tmp_path, ray_session):
-    """Querying dedup results from a partially-scanned checkpoint raises
-    instead of silently under-deduplicating (review regression)."""
-    import ray.data
-
-    from libfilter_ray.state.checkpoint import CheckpointedDedup
-
-    paths = [f"{SF}/documents.parquet"]
-    job = CheckpointedDedup(str(tmp_path / "r"), paths, column="text",
-                            id_column="doc_id", target_rows=128)
-    assert job.run(max_partitions=1) is None  # interrupted
-    ds = ray.data.read_parquet(paths)
-    with pytest.raises(RuntimeError, match="scan incomplete"):
-        job.multi_hashes()
-    with pytest.raises(RuntimeError, match="scan incomplete"):
-        job.dedup(ds)
-
-
 def test_checkpointed_build_incomplete_merge_guard(tmp_path, ray_session):
     """merge() on a partially-built checkpoint raises instead of silently
     returning under-counted sketches (review regression)."""
-    from libfilter_ray.state.checkpoint import CheckpointedBuild
-
     paths = [f"{SF}/documents.parquet"]
     job = CheckpointedBuild(str(tmp_path / "r"), paths, kind="block",
                             params={"bytes_": 1024}, column="text",
@@ -280,22 +189,11 @@ def test_checkpointed_build_incomplete_merge_guard(tmp_path, ray_session):
 
 def test_empty_input_table(tmp_path, ray_session):
     """A zero-row input plans zero partitions and must still complete: build
-    returns an empty (never-updated) sketch, dedup returns no duplicates —
-    not a crash on the empty partials dir."""
-    import ray.data
-
-    from libfilter_ray.state.checkpoint import (CheckpointedBuild,
-                                                CheckpointedDedup)
-
+    returns an empty (never-updated) sketch — not a crash on the empty
+    partials dir."""
     path = str(tmp_path / "documents.parquet")
     pq.write_table(pa.table({"doc_id": pa.array([], type=pa.int64()),
                              "text": pa.array([], type=pa.string())}), path)
-    dd = CheckpointedDedup(str(tmp_path / "ck"), [path],
-                           column="text", id_column="doc_id")
-    assert len(dd.run()) == 0
-    ds = ray.data.read_parquet(path)
-    assert dd.dedup(ds).count() == 0
-
     b = CheckpointedBuild(str(tmp_path / "ck2"), [path], kind="block",
                           params={"bytes_": 1024}, column="text")
     sk = b.run()[""]
@@ -304,60 +202,6 @@ def test_empty_input_table(tmp_path, ray_session):
     g = CheckpointedBuild(str(tmp_path / "ck3"), [path], kind="hll",
                           params={"p": 10}, column="text", key="doc_id")
     assert g.run() == {}  # no keys exist in an empty corpus
-
-
-def test_checkpointed_bands_kill_resume_same_pairs(tmp_path, ray_session):
-    """CheckpointedBands interrupted + resumed yields EXACTLY the pairs the
-    single-shot minhash pipeline finds (planted clone duplicates), and an
-    incomplete scan refuses to pair."""
-    import ray.data
-
-    from libfilter_ray.stages.dedup import (minhash_near_dup_pairs,
-                                            minhash_pairs_from_buckets)
-    from libfilter_ray.state.checkpoint import CheckpointedBands
-
-    base = pq.read_table(f"{SF}/documents.parquet",
-                         columns=["doc_id", "text"]).slice(0, 200)
-    shifted = base.set_column(
-        base.schema.get_field_index("doc_id"), "doc_id",
-        pa.array(np.asarray(base["doc_id"], dtype=np.int64) + 100000,
-                 type=pa.int64()))
-    paths = [str(tmp_path / "docs.parquet")]
-    pq.write_table(pa.concat_tables([base, shifted]), paths[0],
-                   row_group_size=128)
-    ds = ray.data.read_parquet(paths)
-    ref = minhash_near_dup_pairs(ds, "text", "doc_id", threshold=0.9)
-    assert len(ref) >= 200  # every planted clone pair confirmed
-
-    job = CheckpointedBands(str(tmp_path / "r"), paths, column="text",
-                            id_column="doc_id", target_rows=128)
-    assert len(job.partitions) >= 3
-    assert job.run(max_partitions=1) is None  # killed mid-scan
-    with pytest.raises(RuntimeError, match="band scan incomplete"):
-        job.buckets()
-
-    job2 = CheckpointedBands(str(tmp_path / "r"), paths, column="text",
-                             id_column="doc_id", target_rows=128)
-    assert job2.status()["done"] == 1  # resumed from checkpoint
-    got = minhash_pairs_from_buckets(job2.run(), ds, "text", "doc_id",
-                                     threshold=0.9)
-    pd.testing.assert_frame_equal(got, ref)
-
-    with pytest.raises(ValueError, match="config mismatch"):
-        CheckpointedBands(str(tmp_path / "r"), paths, column="text",
-                          id_column="doc_id", num_perm=64,
-                          target_rows=128)
-
-
-def test_checkpointed_dedup_config_mismatch_rejected(tmp_path, ray_session):
-    from libfilter_ray.state.checkpoint import CheckpointedDedup
-
-    paths = [f"{SF}/documents.parquet"]
-    CheckpointedDedup(str(tmp_path / "r"), paths, column="text",
-                      id_column="doc_id", target_rows=1024)
-    with pytest.raises(ValueError, match="config mismatch"):
-        CheckpointedDedup(str(tmp_path / "r"), paths, column="title",
-                          id_column="doc_id", target_rows=1024)
 
 
 def test_checkpointed_build_int_keys(tmp_path, ray_session):

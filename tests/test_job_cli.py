@@ -85,39 +85,6 @@ def test_build_checkpointed_resumes_and_matches(tmp_path, ray_session):
     assert p1 == run_config(spec, SF_DIR_01)["payload"].iloc[0]
 
 
-def test_dedup_subcommand_matches_exact_dedup(tmp_path, ray_session):
-    """`job dedup` over a table with planted duplicates keeps exactly the
-    rows stages/dedup.py:exact_dedup keeps, via the checkpointed scan."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    base = pq.read_table(f"{SF_DIR_01}/documents.parquet",
-                         columns=["doc_id", "text", "lang"])
-    shifted = base.set_column(
-        base.schema.get_field_index("doc_id"), "doc_id",
-        pa.array(np.asarray(base["doc_id"], dtype=np.int64) + 100000,
-                 type=pa.int64()))
-    inp = tmp_path / "in"
-    inp.mkdir()
-    pq.write_table(pa.concat_tables([base, shifted]),
-                   str(inp / "documents.parquet"), row_group_size=512)
-    out = tmp_path / "deduped"
-    assert main(["dedup", "--input", str(inp), "--table", "documents",
-                 "--column", "text", "--id-column", "doc_id",
-                 "--checkpoint-dir", str(tmp_path / "ck"),
-                 "--target-rows", "512", "--output", str(out)]) == 0
-    got = sorted(pq.read_table(str(out), columns=["doc_id"])
-                 .to_pandas()["doc_id"])
-    from libfilter_ray.stages.dedup import exact_dedup
-
-    ds = ray.data.read_parquet(str(inp / "documents.parquet"))
-    ref = sorted(exact_dedup(ds, "text", "doc_id")
-                 .select_columns(["doc_id"]).to_pandas()["doc_id"])
-    assert got == ref
-    assert len(got) < 2 * base.num_rows  # duplicates actually dropped
-
-
 def test_probe_roundtrip_ungrouped(tmp_path, ray_session):
     """build -> persist -> probe across separate main() invocations: every
     inserted member is found (no false negatives through the file hand-off)."""
@@ -170,8 +137,8 @@ def test_probe_grouped_counts(tmp_path, ray_session):
 
 
 def test_sharded_table_dir_inputs(tmp_path, ray_session):
-    """`{input}/{table}/` shard directories work for checkpointed build and
-    dedup: same merged payload as the single-file layout, partitions span
+    """`{input}/{table}/` shard directories work for the checkpointed build:
+    same merged payload as the single-file layout, partitions span
     shards deterministically."""
     import pyarrow as pa
 
@@ -207,9 +174,10 @@ def test_sharded_table_dir_inputs(tmp_path, ray_session):
     assert pq.read_table(out2).to_pandas()["payload"].iloc[0] \
         == ref["payload"].iloc[0]
 
+    nope = tmp_path / "nope.json"
+    nope.write_text(json.dumps({**spec, "table": "nope"}))
     with pytest.raises(SystemExit, match="not found under"):
-        main(["dedup", "--input", str(tmp_path / "in"), "--table", "nope",
-              "--column", "user_id", "--id-column", "event_id",
+        main(["build", "--config", str(nope), "--input", str(tmp_path / "in"),
               "--checkpoint-dir", str(tmp_path / "ck2")])
 
 
@@ -293,6 +261,11 @@ def test_clean_subcommand_composes_all_stages(tmp_path, ray_session):
     assert 3 in got or got.keys() == ref.keys()
     # docs 2 and 3 both collapse to distinct texts; doc 3 ("") may remain
     assert got[4] == "standalone doc"
+    # a non-empty output dir (a killed write attempt) is refused
+    with pytest.raises(SystemExit, match="not empty"):
+        main(["clean", "--input", str(inp), "--table", "documents",
+              "--column", "text", "--id-column", "doc_id",
+              "--output", str(out)])
 
 
 def test_pack_subcommand_assignments(tmp_path, ray_session):
@@ -499,88 +472,6 @@ def test_profile_edge_cases(tmp_path, ray_session):
     p2 = pq.read_table(str(out2)).to_pandas()
     assert "__all__" not in p2.columns
     assert p2["rows"].iloc[0] == 2
-
-
-def test_clean_checkpointed_matches_streaming(tmp_path, ray_session):
-    """`clean --checkpoint-dir` == streaming clean row-for-row; a resubmit
-    resumes (both scans report all partitions done) and still matches; a
-    resume with different stage flags is rejected."""
-    import numpy as np
-    import pyarrow as pa
-
-    base = pq.read_table(f"{SF_DIR_01}/documents.parquet",
-                         columns=["doc_id", "text"])
-    footer = pa.array(["SHARED FOOTER mail x@y.example.com"] *
-                      base.num_rows)
-    import pyarrow.compute as pc
-    with_footer = base.set_column(
-        base.schema.get_field_index("text"), "text",
-        pc.binary_join_element_wise(base["text"], footer, "\n"))
-    shifted = with_footer.set_column(
-        with_footer.schema.get_field_index("doc_id"), "doc_id",
-        pa.array(np.asarray(with_footer["doc_id"], dtype=np.int64)
-                 + 100000, type=pa.int64()))
-    inp = tmp_path / "in"
-    inp.mkdir()
-    duped = pa.concat_tables([with_footer, shifted])
-    duped = duped.append_column(
-        "alt_id", pa.array(np.arange(duped.num_rows, dtype=np.int64)
-                           + 5_000_000, type=pa.int64()))
-    pq.write_table(duped, str(inp / "documents.parquet"),
-                   row_group_size=256)
-
-    common = ["clean", "--input", str(inp), "--table", "documents",
-              "--column", "text", "--id-column", "doc_id"]
-    stream_out = tmp_path / "stream"
-    assert main(common + ["--output", str(stream_out)]) == 0
-    ck = str(tmp_path / "ck")
-    ck_out1, ck_out2 = tmp_path / "ck1", tmp_path / "ck2"
-    assert main(common + ["--checkpoint-dir", ck, "--target-rows", "256",
-                          "--output", str(ck_out1)]) == 0
-    assert main(common + ["--checkpoint-dir", ck, "--target-rows", "256",
-                          "--output", str(ck_out2)]) == 0  # pure resume
-
-    def load(p):
-        return pq.read_table(str(p), columns=["doc_id", "text"]) \
-            .to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-    a, b, c = load(stream_out), load(ck_out1), load(ck_out2)
-    assert a.equals(b) and b.equals(c)
-    assert "[EMAIL]" in " ".join(a["text"].head(3))  # scrub ran
-    assert len(a) < 2 * base.num_rows                # doc dups dropped
-
-    # simulate a mid-scan kill: destroy one line partial + both drop
-    # caches; resubmit must rebuild just that partition and still match
-    import glob
-    import os
-
-    import shutil
-
-    partials = sorted(glob.glob(f"{ck}/lines/partials/*.parquet"))
-    assert len(partials) >= 2
-    os.unlink(partials[0])
-    # the drop caches are DropIdStore dirs now (resumable on shared
-    # storage); a kill between store writes leaves them present-or-absent
-    shutil.rmtree(f"{ck}/lines/dropstore")
-    shutil.rmtree(f"{ck}/docs/dropstore")
-    ck_out3 = tmp_path / "ck3"
-    assert main(common + ["--checkpoint-dir", ck, "--target-rows", "256",
-                          "--output", str(ck_out3)]) == 0
-    assert a.equals(load(ck_out3))
-
-    # flag/identity mismatches on resume are rejected, not silently mixed
-    with pytest.raises(ValueError, match="config mismatch"):
-        main(common + ["--checkpoint-dir", ck, "--target-rows", "256",
-                       "--no-scrub"])
-    with pytest.raises(ValueError, match="config mismatch"):
-        main(["clean", "--input", str(inp), "--table", "documents",
-              "--column", "text", "--id-column", "alt_id",
-              "--checkpoint-dir", ck, "--target-rows", "256"])
-
-    # a non-empty output dir from a killed write attempt is refused
-    with pytest.raises(SystemExit, match="not empty"):
-        main(common + ["--checkpoint-dir", ck, "--target-rows", "256",
-                       "--output", str(ck_out1)])
 
 
 def test_build_checkpoint_rejects_multi_sketch(tmp_path, ray_session):
@@ -1596,61 +1487,6 @@ def test_overlap_subcommand_planted(tmp_path, ray_session):
     with pytest.raises(SystemExit):
         main(["overlap", "--input", str(a_dir), "--table", "t",
               "--column", "v"])
-
-
-def test_dedup_keep_best_subcommand(tmp_path, ray_session):
-    """`job dedup --keep-best score` keeps each duplicate set's max-score
-    member (ties min id), matching exact_dedup(keep_score=...), and the
-    survivor policy is pinned in the checkpoint manifest (a resume with a
-    different --keep-best is rejected, never silently mixed)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    base = pq.read_table(f"{SF_DIR_01}/documents.parquet",
-                         columns=["doc_id", "text", "lang"])
-    shifted = base.set_column(
-        base.schema.get_field_index("doc_id"), "doc_id",
-        pa.array(np.asarray(base["doc_id"], dtype=np.int64) + 100000,
-                 type=pa.int64()))
-    both = pa.concat_tables([base, shifted])
-    # score disagrees within every clone pair (Knuth-hash of the id), so
-    # keep-best genuinely picks ~half the clones over the min-id rows
-    ids = np.asarray(both["doc_id"], dtype=np.int64).astype(np.uint64)
-    h = ids * np.uint64(0x9E3779B97F4A7C15)
-    h ^= h >> np.uint64(31)           # mix so score(id+100000) != score(id)
-    score = (h % np.uint64(1000)).astype(np.float64)
-    both = both.append_column("score", pa.array(score, type=pa.float64()))
-    inp = tmp_path / "in"
-    inp.mkdir()
-    pq.write_table(both, str(inp / "documents.parquet"),
-                   row_group_size=512)
-    out = tmp_path / "deduped"
-    assert main(["dedup", "--input", str(inp), "--table", "documents",
-                 "--column", "text", "--id-column", "doc_id",
-                 "--keep-best", "score",
-                 "--checkpoint-dir", str(tmp_path / "ck"),
-                 "--target-rows", "512", "--output", str(out)]) == 0
-    got = sorted(pq.read_table(str(out), columns=["doc_id"])
-                 .to_pandas()["doc_id"])
-    from libfilter_ray.stages.dedup import exact_dedup
-
-    ds = ray.data.read_parquet(str(inp / "documents.parquet"))
-    ref = sorted(exact_dedup(ds, "text", "doc_id", keep_score="score")
-                 .select_columns(["doc_id"]).to_pandas()["doc_id"])
-    assert got == ref
-    assert len(got) < 2 * base.num_rows       # duplicates actually dropped
-    min_id = sorted(exact_dedup(ds, "text", "doc_id")
-                    .select_columns(["doc_id"]).to_pandas()["doc_id"])
-    assert got != min_id                      # the policy changed survivors
-
-    # resume with a different survivor policy must be rejected
-    with pytest.raises(ValueError, match="config mismatch"):
-        main(["dedup", "--input", str(inp), "--table", "documents",
-              "--column", "text", "--id-column", "doc_id",
-              "--checkpoint-dir", str(tmp_path / "ck"),
-              "--target-rows", "512",
-              "--output", str(tmp_path / "d2")])
 
 
 def test_outliers_subcommand_matches_stage(tmp_path, ray_session):
