@@ -42,14 +42,14 @@ SEED32 = np.array(
 def _masks(hashes: np.ndarray) -> np.ndarray:
     """(n, 8) u32 mask matrix for a batch of u64 hashes (block.h:107-125)."""
     lo = hashes.astype(U32)  # truncating cast == (uint32)hash
-    with np.errstate(over="ignore"):
-        prod = lo[:, None] * SEED32[None, :]     # u32 wraparound multiply
+    # u32 wraparound multiply: numpy wraps integer ARRAY ops silently (only
+    # scalar ops warn), so no errstate guard is needed on this hot path
+    prod = lo[:, None] * SEED32[None, :]
     return (U32(1) << (prod >> U32(32 - 5))).astype(U32)
 
 
 def _bucket_index(hashes: np.ndarray, num_buckets: int) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return ((hashes >> U64(32)) * U64(num_buckets)) >> U64(32)
+    return ((hashes >> U64(32)) * U64(num_buckets)) >> U64(32)
 
 
 class BlockBloom:

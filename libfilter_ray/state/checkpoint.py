@@ -11,16 +11,21 @@ Design (SURVEY.md §4.2 "checkpoint/resume"):
 - The input is split into deterministic **partitions** = contiguous runs of
   parquet row-groups (row-count balanced, file order). Partition identity is
   a pure function of the input listing, so a resumed run sees the same split.
-- Each partition is processed by one Ray task (stateless — a pure function of
-  its fragment list, so Ray retries and job resumes are both safe): read the
-  row groups -> per-key partial sketches -> write ONE parquet checkpoint
-  file ``partials/part-{pid:05d}.parquet`` atomically (tmp + rename)
-  carrying payload AND lineage:
+- Each partition is processed by one plain Ray task (stateless — a pure
+  function of its fragment list, so Ray retries and job resumes are both
+  safe): read the row groups -> per-key partial sketches -> write ONE
+  parquet checkpoint file ``partials/part-{pid:05d}.parquet`` atomically
+  (tmp + rename) carrying payload AND lineage:
   ``partition_id, key, kind, params(json), seed, payload, rows_processed,
   input_fragments(json), wall_ms, engine_version``.
+  The tasks share one builder from the object store, at most twice the
+  cluster's CPU count run or wait at a time, and a task lost to a worker or
+  node failure is retried without limit.
 - **Resume = list the checkpoint dir, skip completed partition ids.** Only
   missing partitions are rebuilt; the final merge re-runs idempotently from
-  the checkpoint files alone (a pure function of the directory).
+  the checkpoint files alone (a pure function of the directory). Only a
+  planned partition's own ``part-{pid:05d}.parquet`` counts: any other file
+  in the dir is ignored by progress, merge and metrics alike.
 - The final merge runs the engine's one keyed merge over the (tiny)
   checkpoint files (``stages/sketch_build.merge_keyed``): ONE remote task
   reads and folds a small partial set, a key-hash sharded exchange merges
@@ -113,11 +118,22 @@ def _atomic_write_table(table: pa.Table, dest: str) -> None:
     os.replace(tmp, dest)  # atomic on POSIX: a crash never leaves a partial
 
 
+def _partial_name(pid: int) -> str:
+    """The one checkpoint file name of partition `pid` in ``partials/``."""
+    return f"part-{pid:05d}.parquet"
+
+
 class _PartitionBuilder:
-    """Per-partition sketch build: each ``(partition_id, path, fragments)``
-    row -> read + slice the row groups -> per-key partial sketches -> one
-    checkpoint file with the lineage/meta columns, written atomically.
-    Returns one summary row per partition built.
+    """Per-partition sketch build: ``build(partition)`` reads and slices the
+    partition's row groups -> per-key partial sketches -> one checkpoint
+    file with the lineage/meta columns, written atomically. It skips a
+    partition whose file already exists.
+
+    ``CheckpointedBuild.build_partials`` puts one builder in the object
+    store and runs ``build`` as one Ray task per pending partition. Called
+    directly over a ``(partition_id, path, fragments)`` table, the builder
+    builds each row in the same process and returns one summary row per
+    partition built.
 
     Pure function of the partition spec (deterministic salt-free build), so
     both Ray task retries and whole-job resumes produce identical bytes for
@@ -147,50 +163,55 @@ class _PartitionBuilder:
                                        self.column, self.seed, raw_ok=False)
         return split[0], payloads, np.diff(split[1])
 
+    def build(self, p: Partition) -> tuple[int, int, float] | None:
+        """Build partition `p`'s checkpoint file; returns ``(partition_id,
+        rows, wall_ms)``, or None if the file already exists."""
+        pid = p.partition_id
+        dest = os.path.join(self.run_dir, PARTIALS_DIR, _partial_name(pid))
+        if os.path.exists(dest):  # resumed + raced: already done
+            return None
+        t0 = time.perf_counter()
+        f = pq.ParquetFile(p.path)
+        t = pa.concat_tables([
+            f.read_row_group(rg, columns=self.read_columns)
+            .slice(start, length) for rg, start, length in p.fragments])
+        keys, payloads, counts = self._partials(t)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        lineage = json.dumps({"path": p.path,
+                              "fragments": [list(fr) for fr in p.fragments]})
+        n = len(keys)
+
+        def const_str(v: str):
+            # partition-constant strings as dictionary arrays: parquet
+            # stores the dictionary once however many keys the partial has
+            return pa.DictionaryArray.from_arrays(
+                pa.array(np.zeros(n, dtype=np.int32)),
+                pa.array([v], type=pa.string()))
+
+        ck = pa.table({
+            "partition_id": pa.array(np.full(n, pid), type=pa.int64()),
+            "key": keys,
+            "kind": pa.array([self.kind] * n),
+            "params": pa.array([json.dumps(self.params)] * n),
+            "seed": pa.array([self.seed] * n, type=pa.int64()),
+            "payload": pa.array(payloads, type=pa.large_binary()),
+            "rows_processed": pa.array(counts, type=pa.int64()),
+            "input_fragments": const_str(lineage),
+            "wall_ms": pa.array(np.full(n, wall_ms), type=pa.float64()),
+            "engine_version": const_str(ENGINE_VERSION),
+        })
+        _atomic_write_table(ck, dest)
+        return pid, t.num_rows, wall_ms
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out_rows = []
+        built = []
         for row in batch.to_pylist():
-            pid = int(row["partition_id"])
-            dest = os.path.join(self.run_dir, PARTIALS_DIR,
-                                f"part-{pid:05d}.parquet")
-            if os.path.exists(dest):  # resumed + raced: already done
-                continue
-            t0 = time.perf_counter()
-            f = pq.ParquetFile(row["path"])
-            frags = [tuple(fr) for fr in row["fragments"]]
-            t = pa.concat_tables([
-                f.read_row_group(rg, columns=self.read_columns)
-                .slice(start, length) for rg, start, length in frags])
-            keys, payloads, counts = self._partials(t)
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            lineage = json.dumps({"path": row["path"],
-                                  "fragments": [list(fr) for fr in frags]})
-            n = len(keys)
-
-            def const_str(v: str):
-                # partition-constant strings as dictionary arrays: parquet
-                # stores the dictionary once however many keys the
-                # partial has
-                return pa.DictionaryArray.from_arrays(
-                    pa.array(np.zeros(n, dtype=np.int32)),
-                    pa.array([v], type=pa.string()))
-
-            ck = pa.table({
-                "partition_id": pa.array(np.full(n, pid), type=pa.int64()),
-                "key": keys,
-                "kind": pa.array([self.kind] * n),
-                "params": pa.array([json.dumps(self.params)] * n),
-                "seed": pa.array([self.seed] * n, type=pa.int64()),
-                "payload": pa.array(payloads, type=pa.large_binary()),
-                "rows_processed": pa.array(counts, type=pa.int64()),
-                "input_fragments": const_str(lineage),
-                "wall_ms": pa.array(np.full(n, wall_ms),
-                                    type=pa.float64()),
-                "engine_version": const_str(ENGINE_VERSION),
-            })
-            _atomic_write_table(ck, dest)
-            out_rows.append((pid, t.num_rows, wall_ms))
-        pids, rows, walls = zip(*out_rows) if out_rows else ((), (), ())
+            frags = tuple(tuple(fr) for fr in row["fragments"])
+            out = self.build(Partition(int(row["partition_id"]), row["path"],
+                                       frags, sum(fr[2] for fr in frags)))
+            if out is not None:
+                built.append(out)
+        pids, rows, walls = zip(*built) if built else ((), (), ())
         return pa.table({
             "partition_id": pa.array(pids, type=pa.int64()),
             "rows": pa.array(rows, type=pa.int64()),
@@ -248,10 +269,6 @@ class CheckpointedBuild:
                                  self.column, self.key, self.seed,
                                  self.read_columns)
 
-    def _partial_files(self) -> list[str]:
-        d = os.path.join(self.run_dir, PARTIALS_DIR)
-        return sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
-
     def _write_manifest(self) -> None:
         path = os.path.join(self.run_dir, MANIFEST)
         mine = {"kind": self.kind, "params": self.params,
@@ -293,14 +310,20 @@ class CheckpointedBuild:
         os.replace(tmp, path)
 
     # -- progress ----------------------------------------------------------
-    def done_ids(self) -> set[int]:
+    def _done_files(self) -> dict[int, str]:
+        """{partition_id: checkpoint file path} of the planned partitions
+        whose file exists, in partition order. The one listing behind
+        `done_ids`, `status`, `merge` and `metrics`: any other name in the
+        partials dir (a backup copy, a ``.tmp-*`` orphan, an id outside the
+        plan) is ignored, so it can neither count as done nor be merged."""
         d = os.path.join(self.run_dir, PARTIALS_DIR)
-        out = set()
-        for name in os.listdir(d):
-            if name.startswith("part-") and name.endswith(".parquet"):
-                # {pid:05d} is a MINIMUM width — parse up to the extension
-                out.add(int(name[5:-len(".parquet")]))
-        return out
+        present = set(os.listdir(d))
+        return {p.partition_id: os.path.join(d, _partial_name(p.partition_id))
+                for p in self.partitions
+                if _partial_name(p.partition_id) in present}
+
+    def done_ids(self) -> set[int]:
+        return set(self._done_files())
 
     def status(self) -> dict:
         done = self.done_ids()
@@ -313,8 +336,19 @@ class CheckpointedBuild:
     def build_partials(self, max_partitions: int | None = None) -> int:
         """Build (only) the missing partitions; returns how many were built.
         `max_partitions` deliberately stops early — the test hook for
-        simulating a killed job."""
-        import ray.data
+        simulating a killed job.
+
+        One Ray task per pending partition runs `_PartitionBuilder.build`
+        on its `Partition`, against one builder put in the object store.
+        At most twice the cluster's CPU count of tasks are in flight, so
+        thousands of partitions never flood the scheduler while every CPU
+        still has a next task queued. A task lost to a system failure
+        (worker or node death) is retried without limit, as Ray Data does;
+        the builder is a pure function of its partition, so a retry writes
+        the same bytes. An exception raised by the builder is not retried:
+        it propagates from here once every task already started has
+        finished, so no task of this call outlives it."""
+        import ray
 
         done = self.done_ids()
         pending = [p for p in self.partitions if p.partition_id not in done]
@@ -322,13 +356,20 @@ class CheckpointedBuild:
             pending = pending[:max_partitions]
         if not pending:
             return 0
-        items = [{"partition_id": p.partition_id, "path": p.path,
-                  "fragments": [list(fr) for fr in p.fragments]}
-                 for p in pending]
-        (ray.data.from_items(items, override_num_blocks=len(items))
-         .map_batches(self._make_builder(), batch_format="pyarrow",
-                      batch_size=1)
-         .materialize())
+        task = ray.remote(max_retries=-1)(_PartitionBuilder.build)
+        builder = ray.put(self._make_builder())
+        bound = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
+        running = []
+        try:
+            for p in pending:
+                if len(running) >= bound:
+                    ready, running = ray.wait(running, num_returns=1)
+                    ray.get(ready)  # raises the builder's exception
+                running.append(task.remote(builder, p))
+            ray.get(running)
+        finally:
+            if running:  # let every started task finish before returning
+                ray.wait(running, num_returns=len(running), fetch_local=False)
         return len(pending)
 
     def merge(self):
@@ -340,26 +381,22 @@ class CheckpointedBuild:
         ungrouped)."""
         from ..stages.sketch_build import PartialFiles, merge_keyed
 
-        pending = self.status()["pending"]
-        if pending:
+        done = self._done_files()
+        if len(done) < len(self.partitions):
             # merging a partial scan would silently return under-counted
             # sketches
             raise RuntimeError(
-                f"build incomplete: {len(pending)} partition(s) pending — "
-                "call run() to finish before merging")
+                f"build incomplete: {len(self.partitions) - len(done)} "
+                "partition(s) pending — call run() to finish before merging")
         cls = registry.get(self.kind)
-        if not self._partial_files():
+        if not self.partitions:
             # zero-row input planned zero partitions: an empty (never
             # updated) sketch, same as a sequential build over no rows
             if self.key is None:
                 return {"": registry.make(self.kind, **self.params)}
             return {}
-        # _partial_files() lists *.parquet only: orphan part-*.parquet.tmp-*
-        # files from a crash inside _atomic_write_table would otherwise be
-        # ingested too, double-counting partitions on resume
-        d = os.path.join(self.run_dir, PARTIALS_DIR)
         files = PartialFiles(
-            [os.path.join(d, f) for f in self._partial_files()],
+            list(done.values()),
             {"key": "key", "payload": "payload_s", "rows_processed": "rows"})
         out = merge_keyed(files, "key",
                           [("s", self.kind, self.params, self.column)],
@@ -381,11 +418,10 @@ class CheckpointedBuild:
         surface)."""
         import pandas as pd
 
-        d = os.path.join(self.run_dir, PARTIALS_DIR)
-        frames = [pq.read_table(os.path.join(d, f), columns=[
+        frames = [pq.read_table(f, columns=[
             "partition_id", "key", "rows_processed", "wall_ms",
             "input_fragments", "engine_version"]).to_pandas()
-            for f in self._partial_files()]
+            for f in self._done_files().values()]
         if not frames:
             return pd.DataFrame()
         return pd.concat(frames, ignore_index=True)

@@ -10,12 +10,14 @@ byte-level conformance against the compiled C reference
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from libfilter_ray.sketch import sizing
-from libfilter_ray.sketch.block_bloom import BlockBloom
+from libfilter_ray.sketch.block_bloom import (SEED32, BlockBloom,
+                                              _bucket_index, _masks)
 
 from conftest import rand_u64
 
@@ -130,6 +132,26 @@ def test_equal_stay_equal(rng):
     b.add_hashes(keys[::-1].copy())  # different order, same set
     assert a == b
     assert a.clone() == a
+
+
+@pytest.mark.parametrize("n", [1, 18, 100_000])
+def test_kernels_wrap_without_warnings(rng, n):
+    """The u32 lane multiply wraps with no errstate guard: numpy never warns
+    on integer ARRAY overflow. With warnings raised as errors, the masks and
+    bucket indices equal a reference computed in u64, where the products
+    cannot overflow, and reduced mod 2^32."""
+    h = rand_u64(rng, n)
+    nb = 12345
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        masks, idx = _masks(h), _bucket_index(h, nb)
+        found = BlockBloom(nb * 32).add_hashes(h).find_hashes(h)
+    prod = ((h & 0xFFFFFFFF)[:, None] * SEED32.astype(np.uint64)[None, :]
+            & 0xFFFFFFFF)
+    assert np.array_equal(masks,
+                          (np.uint64(1) << (prod >> 27)).astype(np.uint32))
+    assert idx.tolist() == [((int(x) >> 32) * nb) >> 32 for x in h]
+    assert found.all()
 
 
 def test_merge_order_invariance(rng):

@@ -248,3 +248,132 @@ def test_all_null_keys_merge_empty(tmp_path, ray_session, monkeypatch):
     assert len(os.listdir(tmp_path / "run" / PARTIALS_DIR)) == 3
     monkeypatch.setattr(sketch_build, "ONE_TASK_BYTES", 0)
     assert job.merge() == {}
+
+
+def test_stray_partial_names_ignored(tmp_path, events_parquet, ray_session):
+    """Only a planned partition's own ``part-<id>.parquet`` counts: a backup
+    copy, an id outside the plan, a non-numeric or non-canonical name in
+    the partials dir neither counts as done nor reaches merge() or
+    metrics()."""
+    import shutil
+
+    kw = dict(kind="cms", params={"width": 1024, "depth": 4},
+              column="user_id", key="event_type", target_rows=1250)
+    job = CheckpointedBuild(str(tmp_path / "r"), events_parquet, **kw)
+    ref = job.run()
+    assert len(job.partitions) == 8
+    d = tmp_path / "r" / PARTIALS_DIR
+    for stray in ("backup-of-part-0.parquet", "part-old.parquet",
+                  "part-0.parquet", "part-99999.parquet"):
+        shutil.copy(d / "part-00000.parquet", d / stray)
+
+    job = CheckpointedBuild(str(tmp_path / "r"), events_parquet, **kw)
+    assert job.status() == {"total": 8, "done": 8, "pending": []}
+    out = job.merge()
+    assert set(out) == set(ref)
+    for k in ref:
+        assert out[k].to_bytes() == ref[k].to_bytes()
+    m = job.metrics()
+    assert m["rows_processed"].sum() == 10_000
+    assert sorted(m["partition_id"].unique()) == list(range(8))
+
+
+def test_killed_worker_is_retried(tmp_path, events_parquet, ray_session,
+                                  monkeypatch):
+    """A worker process that dies mid-partition (after leaving a temp file
+    behind) is a system failure: Ray retries the partition's task, and the
+    merge equals a single-shot build byte for byte."""
+    from libfilter_ray.state import checkpoint
+
+    kw = dict(kind="block", params={"bytes_": 4096}, column="user_id",
+              key="event_type", target_rows=2048)
+    ref = CheckpointedBuild(str(tmp_path / "clean"), events_parquet,
+                            **kw).run()
+    marker = str(tmp_path / "killed-once")
+    build = checkpoint._PartitionBuilder.build
+
+    def dies_on_first_attempt(self, p):
+        if p.partition_id == 1 and not os.path.exists(marker):
+            open(marker, "w").close()
+            with open(os.path.join(self.run_dir, PARTIALS_DIR,
+                                   "part-00001.parquet.tmp-killed"),
+                      "wb") as f:
+                f.write(b"half a file")
+            os._exit(1)
+        return build(self, p)
+
+    monkeypatch.setattr(checkpoint._PartitionBuilder, "build",
+                        dies_on_first_attempt)
+    job = CheckpointedBuild(str(tmp_path / "r"), events_parquet, **kw)
+    assert job.build_partials() == len(job.partitions)
+    assert os.path.exists(marker)  # the first attempt did die
+    out = job.merge()
+    assert set(out) == set(ref)
+    for k in ref:
+        assert out[k].to_bytes() == ref[k].to_bytes()
+
+
+def test_more_partitions_than_in_flight_bound(tmp_path, events_parquet,
+                                              ray_session, monkeypatch):
+    """~50 pending partitions, several times the in-flight bound, stop and
+    resume to single-shot bytes, and no ray.wait ever watches more than the
+    bound (twice the cluster's CPUs)."""
+    import ray
+
+    kw = dict(kind="hll", params={"p": 10}, column="user_id",
+              key="event_type", target_rows=200)
+    ref = CheckpointedBuild(str(tmp_path / "c"), events_parquet, **kw).run()
+    watched = []
+    wait = ray.wait
+
+    def counting_wait(refs, **kwargs):
+        watched.append(len(refs))
+        return wait(refs, **kwargs)
+
+    monkeypatch.setattr(ray, "wait", counting_wait)
+    job = CheckpointedBuild(str(tmp_path / "r"), events_parquet, **kw)
+    assert len(job.partitions) == 50
+    assert job.run(max_partitions=23) is None
+    out = CheckpointedBuild(str(tmp_path / "r"), events_parquet, **kw).run()
+    assert set(out) == set(ref)
+    for k in ref:
+        assert out[k].to_bytes() == ref[k].to_bytes()
+    bound = 2 * int(ray.cluster_resources()["CPU"])
+    assert watched and max(watched) <= bound < 27
+
+
+def test_builder_exception_propagates(tmp_path, ray_session):
+    """An input file truncated after planning makes its partitions' builder
+    raise: build_partials raises it, the other file's partitions finish,
+    and no checkpoint file exists for a failed partition. After the input
+    is restored, run() completes and equals a single-shot build."""
+    paths = []
+    for i in range(2):
+        path = str(tmp_path / f"in-{i}.parquet")
+        pq.write_table(pa.table({
+            "k": [f"k{j % 5}" for j in range(600)],
+            "v": [f"f{i}-v{j}" for j in range(600)]}), path,
+            row_group_size=200)
+        paths.append(path)
+    kw = dict(kind="block", params={"bytes_": 2048}, column="v", key="k",
+              target_rows=200)
+    ref = CheckpointedBuild(str(tmp_path / "c"), paths, **kw).run()
+
+    job = CheckpointedBuild(str(tmp_path / "r"), paths, **kw)
+    broken = [p.partition_id for p in job.partitions if p.path == paths[1]]
+    assert broken == [3, 4, 5]
+    intact = open(paths[1], "rb").read()
+    with open(paths[1], "r+b") as f:
+        f.truncate(len(intact) // 2)
+    with pytest.raises(pa.ArrowInvalid):
+        job.build_partials()
+    assert job.done_ids() == {0, 1, 2}
+    assert not [f for f in os.listdir(tmp_path / "r" / PARTIALS_DIR)
+                if f.startswith(("part-00003", "part-00004", "part-00005"))]
+
+    with open(paths[1], "wb") as f:
+        f.write(intact)
+    out = CheckpointedBuild(str(tmp_path / "r"), paths, **kw).run()
+    assert set(out) == set(ref)
+    for k in ref:
+        assert out[k].to_bytes() == ref[k].to_bytes()
