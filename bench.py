@@ -273,23 +273,6 @@ def kernel_throughput(n: int = 10_000_000) -> dict:
     t0 = time.perf_counter()
     tcf.find_hashes(probes)
     out["tcf_find"] = round(len(probes) / (time.perf_counter() - t0) / 1e6, 1)
-    # cuckoo baseline rows — the comparison the reference's own bench
-    # shims exist for (bench.cpp:79-118; doc/doc.tex:60-76 SBBF vs
-    # cuckoo). Insert bulk-places in two vectorized sweeps; only the
-    # kick-chain tail walks Python, so fewer keys still suffice.
-    from libfilter_ray.sketch.cuckoo import CuckooFilter
-
-    cf = CuckooFilter(ndv=250_000)
-    ins = keys[:200_000]
-    t0 = time.perf_counter()
-    cf.add_hashes(ins)
-    out["cuckoo_insert"] = round(len(ins) / (time.perf_counter() - t0)
-                                 / 1e6, 2)
-    cf.find_hashes(probes)  # warm
-    t0 = time.perf_counter()
-    cf.find_hashes(probes)
-    out["cuckoo_find"] = round(len(probes) / (time.perf_counter() - t0)
-                               / 1e6, 1)
     return out
 
 
@@ -349,7 +332,6 @@ def run_growth(ndv: int = 10_000_000, factor: float = 1.05,
 
     from libfilter_ray.sketch import sizing
     from libfilter_ray.sketch.block_bloom import BlockBloom
-    from libfilter_ray.sketch.cuckoo import CuckooFilter
     from libfilter_ray.sketch.taffy_block import TaffyBlock
     from libfilter_ray.sketch.taffy_cuckoo import TaffyCuckoo
 
@@ -370,7 +352,6 @@ def run_growth(ndv: int = 10_000_000, factor: float = 1.05,
         # sequential reference order (taffy_cuckoo.py:add_hashes_bulk)
         ("TaffyCuckooBulk", TaffyCuckoo(bytes_=1024), ndv,
          "add_hashes_bulk"),
-        ("Cuckoo", CuckooFilter(ndv=ndv), ndv, "add_hashes"),
     ]
     if tcf_cap < ndv:
         print(f"note: sequential TaffyCuckoo leg capped at {tcf_cap} keys "

@@ -52,9 +52,6 @@ Subcommands:
   (heavy domains/urls/tokens): per-block Misra-Gries summaries, bounded
   candidate collect, broadcast exact recount — exact counts for every
   item with frequency >= ``--phi``, no full-vocabulary shuffle.
-- ``overlap`` KMV set-overlap report between two table columns: distinct
-  / union / intersection / jaccard / containment estimates in one
-  streaming pass per side — the pre-flight for exact decontamination.
 - ``shuffle`` deterministic global shuffle into hash-range training
   shards (splitmix64 order — reproducible permutation, resumable
   per-shard files, positional-digest report).
@@ -1221,48 +1218,6 @@ def _cmd_topk(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_overlap(args: argparse.Namespace) -> int:
-    """Sketch-based set-overlap report between two table columns (KMV
-    bottom-k + theta set operations, sketch/kmv.py): distinct estimates
-    per side, union / intersection / jaccard / containment — the cheap
-    pre-flight for exact decontamination ("how much of the benchmark is
-    in the training corpus?"). One streaming pass per side, k hashes of
-    total state, no shuffle; both sides hash with the engine DEFAULT_SEED
-    so equal values collide by construction."""
-    import ray.data
-
-    from .sketch.kmv import set_ops
-    from .stages.sketch_build import build_sketch
-
-    paths_a = _table_paths(args.input, args.table)
-    paths_b = _table_paths(args.input_b or args.input,
-                           args.table_b or args.table)
-    col_a = args.column
-    col_b = args.column_b or args.column
-    if (paths_a, col_a) == (paths_b, col_b):
-        raise SystemExit("overlap of a column with itself — pass "
-                         "--input-b/--table-b/--column-b for the B side")
-    _check_columns(paths_a, [col_a])
-    _check_columns(paths_b, [col_b])
-    a = build_sketch(ray.data.read_parquet(paths_a, columns=[col_a]),
-                     col_a, "kmv", {"k": args.k})
-    b = build_sketch(ray.data.read_parquet(paths_b, columns=[col_b]),
-                     col_b, "kmv", {"k": args.k})
-    o = set_ops(a, b)
-    out = pd.DataFrame([{
-        "distinct_a_est": round(a.estimate(), 1),
-        "distinct_b_est": round(b.estimate(), 1),
-        "union_est": round(o["union_est"], 1),
-        "inter_est": round(o["inter_est"], 1),
-        "jaccard": round(o["jaccard"], 6),
-        "containment_a": round(o["containment_a"], 6),
-        "containment_b": round(o["containment_b"], 6),
-        "exact": not (a.is_full or b.is_full),
-    }])
-    _write_result(out, args.output)
-    return 0
-
-
 def _cmd_ann(args: argparse.Namespace) -> int:
     """Similarity search over an embedding table: exact brute-force
     cosine top-k, or the IVF / PQ approximate scale paths (stages/ann.py).
@@ -1844,24 +1799,6 @@ def make_parser() -> argparse.ArgumentParser:
                          "hitters, threshold applied within each key")
     tk.add_argument("--output", default=None)
     tk.set_defaults(fn=_cmd_topk)
-
-    ov = sub.add_parser("overlap",
-                        help="KMV set-overlap report between two table "
-                             "columns (union/intersection/jaccard/"
-                             "containment estimates)")
-    ov.add_argument("--input", required=True)
-    ov.add_argument("--table", required=True)
-    ov.add_argument("--column", required=True)
-    ov.add_argument("--input-b", default=None,
-                    help="B-side testdata dir (default: same as --input)")
-    ov.add_argument("--table-b", default=None,
-                    help="B-side table (default: same as --table)")
-    ov.add_argument("--column-b", default=None,
-                    help="B-side column (default: same as --column)")
-    ov.add_argument("--k", type=int, default=4096,
-                    help="bottom-k size; std error ~ 1/sqrt(k)")
-    ov.add_argument("--output", default=None)
-    ov.set_defaults(fn=_cmd_overlap)
 
     an = sub.add_parser("ann", help="similarity search over embeddings")
     an.add_argument("--input", required=True)

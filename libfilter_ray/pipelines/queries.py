@@ -1014,48 +1014,6 @@ def q_minimal_taffy_per_lang(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("lang").reset_index(drop=True)
 
 
-def q_vector_quotient_per_lang(sf_dir: str) -> pd.DataFrame:
-    """Per-lang taffy vector-quotient filter (SURVEY §2.1 op 26) —
-    single-writer build per group via groupby(lang).map_groups (the filter
-    has no union, like the minimal taffy cuckoo). Reports membership
-    completeness (asserted — no false negatives across growth) + measured
-    fpp + size."""
-    from ..sketch.hashing import hash_arrow_array
-    from ..sketch.vector_quotient import TaffyVectorQuotient
-    from ..sources.webpages import read_webpages
-
-    pages = read_webpages(sf_dir, include_html=False) \
-        .select_columns(["url", "lang"])
-    probes = hash_arrow_array(pa.array(
-        [f"https://absent.example.net/{i}" for i in range(1 << 13)]))
-
-    def build_group(df: pd.DataFrame) -> pd.DataFrame:
-        h = hash_arrow_array(pa.array(df["url"]))
-        f = TaffyVectorQuotient()
-        f.update(h)
-        return pd.DataFrame({
-            "lang": [df["lang"].iloc[0]],
-            "n_urls": [len(df)],
-            "members_found": [int(f.find_hashes(h).sum())],
-            "filter_bytes": [f.size_in_bytes()],
-            "fpp_measured": [round(float(f.find_hashes(probes).mean()), 5)],
-        })
-
-    out = pages.groupby("lang").map_groups(
-        build_group, batch_format="pandas").to_pandas()
-    assert (out["members_found"] == out["n_urls"]).all()
-    return out.sort_values("lang").reset_index(drop=True)
-
-
-def q_vector_quotient_membership(sf_dir: str) -> pd.DataFrame:
-    """Oracled deterministic columns of the vector-quotient build."""
-    out = q_vector_quotient_per_lang(sf_dir)
-    res = out[["lang", "n_urls", "members_found"]].copy()
-    res["n_urls"] = res["n_urls"].astype("int64")
-    res["members_found"] = res["members_found"].astype("int64")
-    return res.sort_values("lang").reset_index(drop=True)
-
-
 def q_json_props_stats(sf_dir: str) -> pd.DataFrame:
     """Vectorized JSON extraction from the events `props` column (polars
     str.json_path_match inside map_batches — no per-row Python), aggregated
@@ -2335,59 +2293,6 @@ def q_minimal_taffy_membership(sf_dir: str) -> pd.DataFrame:
 
 
 SQL_MINIMAL_TAFFY_MEMBERSHIP = SQL_STATIC_XOR_MEMBERSHIP
-
-
-def q_cuckoo_membership(sf_dir: str) -> pd.DataFrame:
-    """Per-lang standard cuckoo filter (Fan et al. 2014 — the reference's
-    bench-baseline sketch, cpp/extras/benchmarks/bench.cpp:79-118) built
-    with groupby(lang).map_groups (not union-mergeable, so each group's
-    hashes feed one build task, like the static-xor build) and probed for
-    every member plus 2^17 planted misses. Cuckoo filters have no false
-    negatives — update()'s set semantics skip only keys the filter
-    already answers present — so members_found == n_urls
-    deterministically; fpp_ok pins the measured planted-miss rate under
-    2x the fingerprint bound 2b/(2^f - 1) (hashing is seeded, so the
-    measurement is deterministic, just not SQL-computable)."""
-    from ..sketch.cuckoo import SLOTS_PER_BUCKET, CuckooFilter
-    from ..sketch.hashing import hash_arrow_array
-    from ..sources.webpages import read_webpages
-
-    pages = read_webpages(sf_dir, include_html=False) \
-        .select_columns(["url", "lang"])
-    probes_ref = ray.put(hash_arrow_array(pa.array(
-        [f"https://absent.example.net/{i}" for i in range(1 << 17)])))
-
-    def build_group(df: pd.DataFrame) -> pd.DataFrame:
-        probes = ray.get(probes_ref)
-        h = hash_arrow_array(pa.array(df["url"]))
-        # 2x ndv headroom: the paper's 95% load bound is asymptotic —
-        # tiny per-lang groups (tens of keys -> 64-slot tables) hit
-        # kick-chain overflow variance at high load
-        f = CuckooFilter(ndv=max(2 * len(df), 256), fp_bits=12)
-        f.update(h)
-        fpp = float(f.find_hashes(probes).mean())
-        bound = 2 * SLOTS_PER_BUCKET / ((1 << 12) - 1)
-        return pd.DataFrame({
-            "lang": [df["lang"].iloc[0]],
-            "n_urls": [np.int64(len(df))],
-            "members_found": [np.int64(f.find_hashes(h).sum())],
-            "fpp_ok": [bool(fpp <= 2 * bound)],
-        })
-
-    out = pages.groupby("lang").map_groups(
-        build_group, batch_format="pandas").to_pandas()
-    assert (out["members_found"] == out["n_urls"]).all()
-    assert out["fpp_ok"].all()
-    out["n_urls"] = out["n_urls"].astype("int64")
-    out["members_found"] = out["members_found"].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
-
-
-SQL_CUCKOO_MEMBERSHIP = """
-SELECT lang, count(*)::BIGINT AS n_urls, count(*)::BIGINT AS members_found,
-       TRUE AS fpp_ok
-FROM documents GROUP BY lang ORDER BY lang
-"""
 
 
 def q_incremental_growable(sf_dir: str) -> pd.DataFrame:
@@ -5165,13 +5070,10 @@ GROUP BY d.lang ORDER BY d.lang
 """)
 
 
-# -- KMV bottom-k sketch + exact heavy hitters (round-4 additions) ---------
+# -- exact heavy hitters (round-4 additions) -------------------------------
 
-# splitmix64 additive constants for the KMV hash seed (the engine-wide
-# DEFAULT_SEED) and the planted zipf item stream (stages/heavy.py),
-# replayed in SQL with _sql_mulmod64 above.
-_KMV_K = 64
-_SM_ADD_KMV = (0x5EEDBADBEE52B055 * 0x9E3779B97F4A7C15 + 1) % _M64
+# splitmix64 additive constant for the planted zipf item stream
+# (stages/heavy.py), replayed in SQL with _sql_mulmod64 above.
 _SM_ADD_ZIPF = (0x21BF * 0x9E3779B97F4A7C15 + 1) % _M64
 
 
@@ -5192,143 +5094,6 @@ def _sql_splitmix_chain(prefix: str, src: str, in_expr: str,
                                        0x94D049BB133111EB)} AS z
               FROM {prefix}1),
 {prefix}3 AS (SELECT {c}xor(z, z >> 31) AS h FROM {prefix}2)"""
-
-
-def q_kmv_distinct_by_type(sf_dir: str) -> pd.DataFrame:
-    """KMV bottom-k distinct sketch per event type — the DETERMINISTIC
-    companion of the HLL row (sketch/kmv.py): state is exactly the k=64
-    smallest distinct splitmix64(user_id) hashes, so the kept-set digest
-    and the Beyer (k-1)/U_(k) estimate are exact functions of the input
-    set and the oracle replays them bit-for-bit with SQL window
-    functions (splitmix64 is a bijection on u64, so DISTINCT user_id ==
-    DISTINCT hash). Built with the keyed grouped merge
-    (stages/sketch_build.py:build_grouped_multi) — partials only ever
-    hold <= k hashes, raw-mode ships plain hash lists for tiny blocks."""
-    from ..sketch.kmv import KMV
-    from ..stages.sketch_build import build_grouped_multi
-
-    ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
-    built = build_grouped_multi(ds, "event_type", [
-        ("kmv", "kmv", {"k": _KMV_K}, "user_id")])
-    rows = []
-    for _, r in built.iterrows():
-        sk = KMV.from_bytes(r["payload_kmv"])
-        rows.append({"event_type": r["event_type"],
-                     "n_kept": len(sk.kept),
-                     "kept_digest": sk.digest(),
-                     "est_distinct": round(sk.estimate(), 6)})
-    out = pd.DataFrame(rows).sort_values("event_type").reset_index(drop=True)
-    out["n_kept"] = out["n_kept"].astype("int64")
-    out["kept_digest"] = out["kept_digest"].astype("int64")
-    return out
-
-
-_SQL_KMV_KEPT = (
-    "du AS (SELECT DISTINCT event_type, user_id FROM events),"
-    + _sql_splitmix_chain("kh", "du", "user_id", _SM_ADD_KMV,
-                          carry="event_type")
-    + f""",
-kr AS (
-  SELECT event_type, h,
-         ROW_NUMBER() OVER (PARTITION BY event_type ORDER BY h) AS rn,
-         COUNT(*) OVER (PARTITION BY event_type) AS nd
-  FROM kh3
-),
-kept AS (SELECT event_type, h, nd FROM kr WHERE rn <= {_KMV_K}),
-meta AS (
-  SELECT event_type, max(h) AS kth, count(*) AS nk, max(nd) AS nd
-  FROM kept GROUP BY event_type
-)""")
-
-SQL_KMV_DISTINCT = f"""
-WITH {_SQL_KMV_KEPT}
-SELECT m.event_type,
-       CAST(m.nk AS BIGINT) AS n_kept,
-       CAST(s.dig % 9223372036854775808 AS BIGINT) AS kept_digest,
-       round(CASE WHEN m.nd < {_KMV_K} THEN CAST(m.nk AS DOUBLE)
-                  ELSE {_KMV_K - 1} * 18446744073709551616.0
-                       / CAST(m.kth AS DOUBLE) END, 6) AS est_distinct
-FROM meta m JOIN (
-  SELECT event_type, sum(CAST(h AS HUGEINT)) AS dig FROM kept GROUP BY 1
-) s USING (event_type)
-ORDER BY m.event_type
-"""
-
-
-def q_kmv_set_ops_types(sf_dir: str) -> pd.DataFrame:
-    """Theta-sketch set operations over the per-type KMV sketches: for
-    every unordered pair of event types, restrict both kept sets below
-    the common threshold theta = min of the two retention thresholds
-    (each restricted set is an exact rate-theta/2^64 uniform sample of
-    its user set), then scale intersection/union counts by 2^64/theta —
-    distributed set-overlap estimation without ever shuffling the raw
-    keys. Deterministic end to end (sketch/kmv.py:set_ops), oracled by
-    replaying the bottom-k sets and the theta restriction in SQL."""
-    from ..sketch.kmv import KMV, set_ops
-    from ..stages.sketch_build import build_grouped_multi
-
-    ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
-    built = build_grouped_multi(ds, "event_type", [
-        ("kmv", "kmv", {"k": _KMV_K}, "user_id")])
-    sks = {r["event_type"]: KMV.from_bytes(r["payload_kmv"])
-           for _, r in built.iterrows()}
-    types = sorted(sks)
-    rows = []
-    for i, a in enumerate(types):
-        for b in types[i + 1:]:
-            o = set_ops(sks[a], sks[b])
-            rows.append({"type_a": a, "type_b": b,
-                         "n_common": o["n_common"],
-                         "n_union_kept": o["n_union_kept"],
-                         "inter_est": round(o["inter_est"], 6),
-                         "union_est": round(o["union_est"], 6),
-                         "jaccard": round(o["jaccard"], 6)})
-    out = pd.DataFrame(rows)
-    out["n_common"] = out["n_common"].astype("int64")
-    out["n_union_kept"] = out["n_union_kept"].astype("int64")
-    return out.sort_values(["type_a", "type_b"]).reset_index(drop=True)
-
-
-SQL_KMV_SET_OPS = f"""
-WITH {_SQL_KMV_KEPT},
-pairs AS (
-  SELECT a.event_type AS type_a, b.event_type AS type_b,
-         LEAST(CASE WHEN a.nd >= {_KMV_K} THEN CAST(a.kth AS HUGEINT) + 1
-                    ELSE {1 << 64} END,
-               CASE WHEN b.nd >= {_KMV_K} THEN CAST(b.kth AS HUGEINT) + 1
-                    ELSE {1 << 64} END) AS theta
-  FROM meta a JOIN meta b ON a.event_type < b.event_type
-),
-uh AS (
-  SELECT p.type_a, p.type_b, p.theta, k.h,
-         max(CASE WHEN k.event_type = p.type_a THEN 1 ELSE 0 END) AS in_a,
-         max(CASE WHEN k.event_type = p.type_b THEN 1 ELSE 0 END) AS in_b
-  FROM pairs p JOIN kept k
-    ON k.event_type IN (p.type_a, p.type_b)
-   AND CAST(k.h AS HUGEINT) < p.theta
-  GROUP BY p.type_a, p.type_b, p.theta, k.h
-),
-agg AS (
-  SELECT type_a, type_b, theta,
-         CAST(sum(in_a * in_b) AS BIGINT) AS n_common,
-         count(*)::BIGINT AS n_union_kept
-  FROM uh GROUP BY type_a, type_b, theta
-)
-SELECT p.type_a, p.type_b,
-       COALESCE(a.n_common, 0) AS n_common,
-       COALESCE(a.n_union_kept, 0) AS n_union_kept,
-       round(CAST(COALESCE(a.n_common, 0) AS DOUBLE)
-             * (18446744073709551616.0 / CAST(p.theta AS DOUBLE)), 6)
-         AS inter_est,
-       round(CAST(COALESCE(a.n_union_kept, 0) AS DOUBLE)
-             * (18446744073709551616.0 / CAST(p.theta AS DOUBLE)), 6)
-         AS union_est,
-       round(CASE WHEN COALESCE(a.n_union_kept, 0) > 0
-                  THEN CAST(a.n_common AS DOUBLE) / a.n_union_kept
-                  ELSE 0.0 END, 6) AS jaccard
-FROM pairs p LEFT JOIN agg a USING (type_a, type_b)
-ORDER BY p.type_a, p.type_b
-"""
 
 
 def q_heavy_hitter_items(sf_dir: str) -> pd.DataFrame:
@@ -5916,46 +5681,6 @@ FROM l ORDER BY doc_id, dst
 """
 
 
-def q_fd_embedding_sketch(sf_dir: str) -> pd.DataFrame:
-    """Frequent-Directions matrix sketch of the embedding column
-    (sketch/frequent_directions.py): streaming mergeable low-rank
-    covariance summary — per-block partials tree-merge via the
-    standard build_sketch path, driver sees ell x dim floats. No SQL
-    oracle (matrix spectral norms aren't SQL); instead the query
-    SELF-CHECKS the published bound ||A^T A - B^T B||_2 <= ||A||_F^2 /
-    ell against the exactly-computed covariance (embeddings is the
-    small table; the exact check gates off above 2^20 rows and reports
-    -1). count/fnorm2/bound are exact and deterministic; the spectral
-    error depends on block merge order, so only bound_ok is asserted
-    stable."""
-    import pyarrow.compute as pc
-
-    from ..stages.sketch_build import build_sketch
-
-    ds = _read(sf_dir, "embeddings", columns=["embedding"])
-    dim = len(ds.take(1)[0]["embedding"])
-    ell = 16
-    sk = build_sketch(ds, "embedding", "fd", {"dim": dim, "ell": ell})
-    n = sk.count
-    if n <= 1 << 20:
-        flat = np.concatenate([
-            np.asarray(t.column("embedding").combine_chunks()
-                       .flatten(), dtype=np.float64)
-            for t in ds.iter_batches(batch_format="pyarrow")])
-        A = flat.reshape(n, dim)
-        B = sk.sketch_matrix()
-        err = float(np.linalg.norm(A.T @ A - B.T @ B, 2))
-    else:
-        err = -1.0
-    return pd.DataFrame([{
-        "n_vectors": np.int64(n), "dim": np.int64(dim),
-        "ell": np.int64(ell),
-        "fnorm2": round(sk.fnorm2, 2),
-        "err_bound": round(sk.cov_error_bound(), 2),
-        "bound_ok": bool(err < 0 or err <= sk.cov_error_bound()),
-    }])
-
-
 # Ordering policy: the correctness driver grades the FIRST 50 entries of this
 # dict, so SQL-oracled queries come first (rotating so every oracled query
 # eventually lands in the graded window) and the no-oracle entries (sketch
@@ -5976,7 +5701,6 @@ def q_fd_embedding_sketch(sf_dir: str) -> pd.DataFrame:
 # 50 keys has an oracle.
 QUERIES: dict[str, Callable[[str], Any]] = {
     # -- (a) new this round, never graded --
-    "cuckoo_membership": q_cuckoo_membership,
     "link_pagerank_redistribute": q_link_pagerank_redistribute,
     # -- (b) oracled but never driver-graded (judge-verified only) --
     "link_extraction_edges": q_link_extraction_edges,
@@ -6025,15 +5749,15 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     "minimal_taffy_membership": q_minimal_taffy_membership,
     "quality_filter_counts": q_quality_filter_counts,
     "partitioned_sink_roundtrip": q_partitioned_sink_roundtrip,
-    # -- slots 47-50, filled by sliding (driver-green in earlier rounds) --
+    # -- slots 46-50, filled by sliding (driver-green in earlier rounds) --
     "ngram_jaccard_dedup": q_ngram_jaccard_dedup,
     "bloom_antijoin": q_bloom_antijoin,
     "training_prep_pipeline": q_training_prep_pipeline,
     "bloom_per_lang_source": q_bloom_per_lang_source,
+    "incremental_growable": q_incremental_growable,
     # ---- slot 50 boundary ----
     # -- rotation: the rest of the r4 window (driver-confirmed 50/50 in
     # CORRECTNESS_r04.json) sits below slot 50 this round --
-    "incremental_growable": q_incremental_growable,
     "tcf_per_domain": q_tcf_per_domain,
     "line_dedup_stats": q_line_dedup_stats,
     "doc_repetition_stats": q_doc_repetition_stats,
@@ -6062,8 +5786,6 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     "jsonl_roundtrip": q_jsonl_roundtrip,
     "bpe_merges": q_bpe_merges,
     "bpe_token_stats": q_bpe_token_stats,
-    "kmv_distinct_by_type": q_kmv_distinct_by_type,
-    "kmv_set_ops_types": q_kmv_set_ops_types,
     "heavy_hitter_items": q_heavy_hitter_items,
     "grouped_heavy_hitter_items": q_grouped_heavy_hitter_items,
     "shuffle_shard_report": q_shuffle_shard_report,
@@ -6077,12 +5799,10 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     "doc_chunks": q_doc_chunks,
     # -- remaining oracled queries (driver-green in earlier rounds;
     # family coverage stays in-window: sliding via events_hourly,
-    # punct/stopword via text_stats, vq via the membership block,
-    # stratified via the split/percentile pair, near_dup via
-    # ngram_jaccard_dedup) --
+    # punct/stopword via text_stats, stratified via the
+    # split/percentile pair, near_dup via ngram_jaccard_dedup) --
     "events_sliding_windows": q_events_sliding_windows,
     "punct_stopword_stats": q_punct_stopword_stats,
-    "vector_quotient_membership": q_vector_quotient_membership,
     "stratified_sample_counts": q_stratified_sample_counts,
     "ngram_jaccard_near_dup": q_ngram_jaccard_near_dup,
     # -- no SQL oracle (sketch payloads / probabilistic / throughput) --
@@ -6098,11 +5818,9 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     "hibp_filter_report": q_hibp_filter_report,
     "sketch_build_throughput": q_sketch_build_throughput,
     "minimal_taffy_per_lang": q_minimal_taffy_per_lang,
-    "vector_quotient_per_lang": q_vector_quotient_per_lang,
     "doc_fingerprints": q_doc_fingerprints,
     "ann_topk_pq": q_ann_topk_pq,
     "duplicate_passage_stats": q_duplicate_passage_stats,
-    "fd_embedding_sketch": q_fd_embedding_sketch,
 }
 
 ORACLES: dict[str, str] = {
@@ -6132,7 +5850,6 @@ ORACLES: dict[str, str] = {
     "events_asof_orders": SQL_EVENTS_ASOF,
     "value_band_range_join": SQL_VALUE_BAND_RANGE_JOIN,
     "punct_stopword_stats": SQL_PUNCT_STOPWORD,
-    "vector_quotient_membership": SQL_STATIC_XOR_MEMBERSHIP,
     "quality_filter_counts": SQL_QUALITY_FILTER,
     "stratified_sample_counts": SQL_STRATIFIED_SAMPLE,
     "partitioned_sink_roundtrip": SQL_SINK_ROUNDTRIP,
@@ -6186,8 +5903,6 @@ ORACLES: dict[str, str] = {
     "jsonl_roundtrip": SQL_JSONL_ROUNDTRIP,
     "bpe_merges": SQL_BPE_MERGES,
     "bpe_token_stats": SQL_BPE_TOKEN_STATS,
-    "kmv_distinct_by_type": SQL_KMV_DISTINCT,
-    "kmv_set_ops_types": SQL_KMV_SET_OPS,
     "heavy_hitter_items": SQL_HEAVY_HITTERS,
     "grouped_heavy_hitter_items": SQL_GROUPED_HEAVY,
     "shuffle_shard_report": SQL_SHUFFLE_SHARDS,
@@ -6201,6 +5916,5 @@ ORACLES: dict[str, str] = {
     "doc_chunks": SQL_DOC_CHUNKS,
     "link_extraction_edges": SQL_LINK_EXTRACTION,
     "docs_source_pivot": SQL_DOCS_SOURCE_PIVOT,
-    "cuckoo_membership": SQL_CUCKOO_MEMBERSHIP,
     "link_pagerank_redistribute": SQL_LINK_PAGERANK_REDISTRIBUTE,
 }

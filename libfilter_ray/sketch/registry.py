@@ -77,7 +77,3 @@ def _ensure_builtins() -> None:
     from . import kll  # noqa: F401
     from . import xor_static  # noqa: F401
     from . import minimal_taffy_cuckoo  # noqa: F401
-    from . import vector_quotient  # noqa: F401
-    from . import cuckoo  # noqa: F401
-    from . import kmv  # noqa: F401
-    from . import frequent_directions  # noqa: F401

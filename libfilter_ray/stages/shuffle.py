@@ -54,7 +54,7 @@ _M63 = np.uint64(1) << np.uint64(63)
 def ordered_digest(h_sorted: np.ndarray) -> int:
     """Positional digest of an ordered u64 sequence:
     sum((1-based rank) * h) mod 2^64, reported mod 2^63 (the house
-    BIGINT-safe digest convention, cf. SQL_KMV_DISTINCT)."""
+    BIGINT-safe digest convention, cf. SQL_SHUFFLE_SHARDS)."""
     rn = np.arange(1, len(h_sorted) + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         return int((rn * h_sorted).sum(dtype=np.uint64) % _M63)

@@ -71,18 +71,6 @@ def _updates_from(batch_col, sketch, seed: int, pre_hashed: bool = False):
     see `_column_hashes` for pre_hashed)."""
     if pre_hashed or _column_input(sketch) == "hashes":
         sketch.update(_column_hashes(batch_col, seed, pre_hashed))
-    elif _column_input(sketch) == "vectors":
-        # list<float> column -> (n, dim) float64 matrix (null rows out);
-        # flatten() respects offsets so sliced/filtered arrays are safe
-        col = _combined(batch_col).drop_null()
-        if len(col):
-            widths = np.diff(np.asarray(col.offsets, dtype=np.int64))
-            if widths.min() != widths.max():
-                raise ValueError(
-                    "vector sketch: ragged list column (rows of "
-                    f"width {widths.min()}..{widths.max()})")
-            flat = np.asarray(col.flatten(), dtype=np.float64)
-            sketch.update(flat.reshape(len(col), int(widths[0])))
     else:
         vals = batch_col.to_numpy(zero_copy_only=False).astype(np.float64)
         sketch.update(vals[~np.isnan(vals)])
@@ -202,7 +190,7 @@ def split_by_key(table: pa.Table, key: str, hashed=(), valued=(),
 def _spec_inputs(specs):
     """(hashed, valued): the columns split_by_key hashes for the specs'
     hash-consuming sketches and the columns whose values it takes for the
-    others (t-digest/KLL must see raw values, fd raw vectors)."""
+    others (t-digest/KLL must see raw values)."""
     hashed, valued = set(), set()
     for (_name, kind, params, column) in specs:
         hashes = _column_input(registry.make(kind, **params)) == "hashes"
@@ -254,7 +242,7 @@ def _block_salt(batch: pa.Table, column: str, key: str) -> int:
     """Deterministic per-block salt in [0, NUM_SALTS) (a pure function of
     block content, so retry-safe): a hash of the block's first `column`
     value — of its first key value when the column is not hashable
-    (vectors) — and row count."""
+    (float values) — and row count."""
     if not batch.num_rows:
         return 0
     try:
@@ -326,6 +314,10 @@ def build_grouped_multi(ds, key: str, specs, *, seed: int = DEFAULT_SEED):
     import pandas as pd
 
     specs = list(specs)
+    names = [name for (name, *_r) in specs]
+    dups = sorted({n for n in names if names.count(n) > 1})
+    if dups:  # specs sharing a name would share one payload column
+        raise ValueError(f"duplicate sketch spec names: {dups}")
     partials = ds.map_batches(
         _MultiGroupedPartialBuilder(specs, key, seed),
         batch_format="pyarrow")

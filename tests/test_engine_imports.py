@@ -64,6 +64,22 @@ def libfilter_imports(path: Path, name: str | None = None) -> set[str]:
     return out
 
 
+#: The sketch kinds the engine registers: libfilter's block, taffy and xor
+#: filters, HLL, count-min, t-digest and KLL.
+KINDS = ["block", "cms", "hll", "kll", "minimal_taffy_cuckoo", "static_xor",
+         "taffy_block", "taffy_cuckoo", "tdigest"]
+
+
+def test_registry_holds_engine_kinds_only():
+    """Every registered kind is one of the engine's, and each consumes
+    hashes or plain values (no other build input path exists)."""
+    from libfilter_ray.sketch import registry
+
+    assert registry.kinds() == KINDS
+    inputs = {k: getattr(registry.get(k), "input", "hashes") for k in KINDS}
+    assert set(inputs.values()) <= {"hashes", "values"}, inputs
+
+
 def test_engine_modules_import_only_engine_modules():
     assert all(module_path(m) for m in ENGINE)
     strays = {m: sorted(libfilter_imports(module_path(m), m) - ENGINE)

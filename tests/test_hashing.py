@@ -128,14 +128,13 @@ def test_hash_buffer_chunked_matches_single_pass(monkeypatch, rng):
 def test_sql_splitmix_chain_bit_exact(rng):
     """The shared SQL CTE chain (queries._sql_splitmix_chain) reproduces
     sketch/hashing.py:splitmix64 bit-for-bit for random inputs and the
-    seeds every oracle uses — the foundation the kmv, heavy-hitter,
-    shuffle and keep-best oracles stand on."""
+    seeds every oracle uses — the foundation the heavy-hitter, shuffle
+    and keep-best oracles stand on."""
     import duckdb
 
-    from libfilter_ray.pipelines.queries import (_M64, _SM_ADD_KMV,
-                                                 _SM_ADD_ZIPF,
+    from libfilter_ray.pipelines.queries import (_SM_ADD_ZIPF,
                                                  _sql_splitmix_chain)
-    from libfilter_ray.sketch.hashing import splitmix64
+    from libfilter_ray.sketch.hashing import DEFAULT_SEED, splitmix64
 
     xs = np.concatenate([
         rng.integers(0, 2**63, 500, dtype=np.uint64),
@@ -144,7 +143,8 @@ def test_sql_splitmix_chain_bit_exact(rng):
     con = duckdb.connect()
     con.register("tin", __import__("pandas").DataFrame(
         {"x": xs.astype(np.int64)}))  # int64 view, like parquet ids
-    for add_const, seed in ((_SM_ADD_KMV, 0x5EEDBADBEE52B055),
+    sm_add_default = (DEFAULT_SEED * 0x9E3779B97F4A7C15 + 1) % 2**64
+    for add_const, seed in ((sm_add_default, DEFAULT_SEED),
                             (_SM_ADD_ZIPF, 0x21BF)):
         sql = ("WITH " + _sql_splitmix_chain("c", "tin", "x", add_const)
                + " SELECT h FROM c3")

@@ -1449,46 +1449,6 @@ def test_topk_guarantee_gate(ray_session):
               "--column", "user_id", "--phi", "bogus"])
 
 
-def test_overlap_subcommand_planted(tmp_path, ray_session):
-    """Planted overlap: exact regime recovers truth exactly; estimate
-    regime lands within 5 std errors."""
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq_
-
-    a_dir = tmp_path / "a"
-    b_dir = tmp_path / "b"
-    a_dir.mkdir(), b_dir.mkdir()
-    pq_.write_table(pa.table({"v": list(range(0, 4000))}),
-                    a_dir / "t.parquet")
-    pq_.write_table(pa.table({"v": list(range(2000, 7000))}),
-                    b_dir / "t.parquet")
-    out = tmp_path / "o.parquet"
-    assert main(["overlap", "--input", str(a_dir), "--table", "t",
-                 "--column", "v", "--input-b", str(b_dir),
-                 "--k", "16384", "--output", str(out)]) == 0
-    r = pd.read_parquet(out).iloc[0]
-    assert bool(r["exact"])
-    assert r["distinct_a_est"] == 4000 and r["distinct_b_est"] == 5000
-    assert r["union_est"] == 7000 and r["inter_est"] == 2000
-    assert abs(r["jaccard"] - 2000 / 7000) < 1e-6
-    assert abs(r["containment_a"] - 0.5) < 1e-6
-
-    out2 = tmp_path / "o2.parquet"
-    assert main(["overlap", "--input", str(a_dir), "--table", "t",
-                 "--column", "v", "--input-b", str(b_dir),
-                 "--k", "512", "--output", str(out2)]) == 0
-    r2 = pd.read_parquet(out2).iloc[0]
-    assert not bool(r2["exact"])
-    se = 5 / (512 - 2) ** 0.5
-    assert abs(r2["union_est"] - 7000) / 7000 < se
-    assert abs(r2["jaccard"] - 2 / 7) < se
-
-    with pytest.raises(SystemExit):
-        main(["overlap", "--input", str(a_dir), "--table", "t",
-              "--column", "v"])
-
-
 def test_outliers_subcommand_matches_stage(tmp_path, ray_session):
     """`job outliers` reproduces stages/robust.py:mad_outlier_stats over
     the events table (exact per-key median/MAD/outlier counts)."""

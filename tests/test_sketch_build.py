@@ -386,6 +386,55 @@ def test_grouped_build_empty_input_returns_typed_empty_frame(ray_session):
     assert str(probed["n"].dtype) == str(probed["found"].dtype) == "int64"
 
 
+def test_grouped_build_rejects_duplicate_spec_names():
+    """Two specs with one name would share one payload column, and the
+    merge would silently keep only one of the two sketches: the build
+    refuses them before touching the Dataset."""
+
+    class NoDataset:
+        def map_batches(self, *a, **kw):
+            raise AssertionError("duplicate names must fail before any work")
+
+    specs = [("x", "block", {"bytes_": 256}, "url"),
+             ("y", "hll", {"p": 7}, "url"),
+             ("x", "block", {"bytes_": 512}, "url")]
+    with pytest.raises(ValueError, match=r"\['x'\]"):
+        sb.build_grouped_multi(NoDataset(), "lang", specs)
+
+
+def test_value_spec_first_in_grouped_multi(ray_session, rng):
+    """A KLL spec FIRST in build_grouped_multi: the per-block salt
+    fingerprint cannot hash the float64 column, so it falls back to the
+    block's first key; an HLL spec rides along. Rows per key are exact,
+    the HLL estimate is within 15% and the KLL rank error within its
+    configured bound (3/k, as in tests/test_sketches.py)."""
+    import ray.data
+
+    from libfilter_ray.sketch.hll import HyperLogLog
+    from libfilter_ray.sketch.kll import KLL
+
+    k, n = 32, 6000
+    labels = np.array([f"l{v}" for v in rng.integers(0, 3, n)])
+    vals = rng.normal(100, 30, n)
+    t = pa.table({"label": pa.array(labels), "id": pa.array(np.arange(n)),
+                  "len": pa.array(vals)})
+    with pytest.raises(TypeError):  # the fallback is really taken
+        hash_arrow_array(t["len"].slice(0, 1), seed=7)
+    ds = ray.data.from_arrow([t.slice(i * n // 4, n // 4) for i in range(4)])
+    out = sb.build_grouped_multi(ds, "label", [
+        ("kll", "kll", {"k": k}, "len"), ("ids", "hll", {"p": 10}, "id")])
+    assert out["label"].tolist() == ["l0", "l1", "l2"]
+    for _, row in out.iterrows():
+        mine = vals[labels == row["label"]]
+        assert row["rows"] == len(mine)
+        est = HyperLogLog.from_bytes(row["payload_ids"]).estimate()
+        assert abs(est - len(mine)) <= 0.15 * len(mine)
+        sk = KLL.from_bytes(row["payload_kll"])
+        assert sk.n == len(mine) and len(sk.compactors) > 1
+        for q in (0.01, 0.25, 0.5, 0.75, 0.99):
+            assert abs((mine <= sk.quantile(q)).mean() - q) < 3.0 / k, q
+
+
 _ROWS = st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 3)),
                            st.one_of(st.none(), st.text(max_size=6))),
                  max_size=40)
