@@ -4,6 +4,8 @@ sketch queries against exact answers."""
 
 from __future__ import annotations
 
+import os
+
 import duckdb
 import numpy as np
 import pandas as pd
@@ -29,7 +31,8 @@ def entry_mod(ray_session):
     import sys
 
     spec = importlib.util.spec_from_file_location(
-        "_ray_entry_test", "/root/repo/__ray_entry__.py")
+        "_ray_entry_test",
+        os.path.join(os.path.dirname(__file__), "..", "__ray_entry__.py"))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
