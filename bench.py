@@ -81,11 +81,6 @@ def _warm_workers() -> None:
             [("bloom", "block", {"bytes_": 2 << 20}, "url")], "lang",
             DEFAULT_SEED)
         bld(pages.select(["url", "lang"]))
-        # warm the LSH dedup path too (shingle cumprod + per-perm splitmix
-        # passes were the worst cold-page offenders: 5-10x first-run cost)
-        from libfilter_ray.functions.shingles import (lsh_band_keys,
-                                                      minhash_signatures)
-        lsh_band_keys(minhash_signatures(t["text"], k=5, num_perm=128))
         return {"x": _np.asarray(b["id"])}
 
     ray.data.range(NUM_CPUS * 2, override_num_blocks=NUM_CPUS * 2).map_batches(
@@ -154,15 +149,10 @@ def run_bench() -> dict:
     timed("growable_filters_per_lang", q.q_growable_filters_per_lang)
     timed("text_stats_by_lang", q.q_text_stats_by_lang)
     timed("exact_dedup_docs", q.q_exact_dedup_docs)
-    timed("ann_topk_brute", q.q_ann_topk_brute)
     # high-cardinality grouped build (~2000 domain keys, sort-split partials)
     timed("domain_doc_counts", q.q_domain_doc_counts)
-    # LSH dedup headline (distributed banding + sharded pair scan + verify)
-    timed("minhash_near_dup", q.q_minhash_near_dup)
     # fact-x-fact hash-partitioned equi-join (orders x lineitem)
     timed("order_priority_revenue", q.q_order_priority_revenue)
-    # blocked exact n-gram Jaccard near-dup (SQL-oracled dedup entry)
-    timed("ngram_jaccard_near_dup", q.q_ngram_jaccard_near_dup)
     # composed prep: quality filter -> exact dedup -> per-lang stats
     timed("training_prep_pipeline", q.q_training_prep_pipeline)
     # corpus-level line dedup (exploded-line exact dedup + stats pass)
@@ -175,9 +165,6 @@ def run_bench() -> dict:
     timed("freq_quality_stats", q.q_freq_quality_stats)
     # incremental-crawl snapshot diff (narrow full-outer classify)
     timed("crawl_delta", q.q_crawl_delta)
-    # exact duplicate-passage removal (winnowing anchors -> min-partner
-    # pairing -> byte-exact extend; 1250 planted copies at sf0.1)
-    timed("duplicate_passage_stats", q.q_duplicate_passage_stats)
     # exact order statistics by iterative range refinement (4 streaming
     # passes over events.value, no group materialization)
     timed("exact_value_quantiles", q.q_exact_value_quantiles)

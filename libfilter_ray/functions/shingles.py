@@ -1,15 +1,13 @@
-"""Vectorized byte-shingle hashing, MinHash, SimHash and winnowing
-fingerprints over Arrow string columns.
+"""Vectorized byte-shingle hashing and winnowing fingerprints over Arrow
+string columns.
 
-Engine additions beyond the reference (training-data dedup family); the
+Engine additions beyond the reference (training-data text family); the
 rolling-hash machinery reuses the invertible polynomial prefix-sum trick from
 ``sketch/hashing.py``: with S[k] = sum_{i<k} b[i]·Q^i, the hash of ANY window
 [i, i+k) is (S[i+k] − S[i])·P^(i+k−1) — so every k-gram hash of every row in
 a batch comes out of one cumsum + one elementwise pass, no per-row Python.
 
-Algorithms are the published ones: MinHash (Broder 1997, one-permutation-per-
-seed variant), LSH banding (Leskovec/Rajaraman/Ullman ch.3), SimHash (Charikar
-2002), winnowing (Schleimer/Wilkes/Aiken 2003).
+Winnowing is the published algorithm (Schleimer/Wilkes/Aiken 2003).
 """
 
 from __future__ import annotations
@@ -70,117 +68,6 @@ def shingle_hashes(col: pa.Array | pa.ChunkedArray, k: int = 5,
         h[w_end == w_start] = U64(0)
         return splitmix64(h ^ (w_len.astype(U64) * U64(0x9E3779B97F4A7C15)),
                           seed=seed), row_splits
-
-
-def minhash_signatures(col, k: int = 5, num_perm: int = 128,
-                       seed: int = 0x5419E1E5) -> np.ndarray:
-    """(n_rows, num_perm) uint64 MinHash signature matrix.
-
-    Permutation j is splitmix64 re-mixing with seed j (a distinct 64-bit
-    universal-hash draw per permutation); per-row minima via
-    np.minimum.reduceat — the only loop is over the `num_perm` permutations,
-    each a flat vectorized pass.
-    """
-    flat, splits = shingle_hashes(col, k=k, seed=seed)
-    n = len(splits) - 1
-    sig = np.empty((n, num_perm), dtype=U64)
-    if len(flat) == 0:
-        sig.fill(np.iinfo(np.uint64).max)
-        return sig
-    idx = splits[:-1]
-    for j in range(num_perm):
-        hv = splitmix64(flat, seed=seed + 0x9E37 * (j + 1))
-        sig[:, j] = np.minimum.reduceat(hv, idx)
-    return sig
-
-
-def lsh_band_keys(sig: np.ndarray, bands: int = 16) -> np.ndarray:
-    """(n_rows, bands) uint64 bucket keys: hash of each band's rows.
-
-    Two rows sharing ANY band key are LSH candidates (s-curve threshold
-    ≈ (1/bands)^(1/rows_per_band))."""
-    n, num_perm = sig.shape
-    if bands < 1 or num_perm % bands != 0:
-        # silent truncation would shift the s-curve (trailing permutations
-        # ignored), and bands > num_perm would hash EVERY row to the same
-        # constant key per band — one corpus-wide bucket
-        raise ValueError(
-            f"bands must divide num_perm ({num_perm}), got bands={bands}")
-    rpb = num_perm // bands
-    keys = np.empty((n, bands), dtype=U64)
-    with np.errstate(over="ignore"):
-        for b in range(bands):
-            acc = np.full(n, U64(0xCBF29CE484222325), dtype=U64)
-            for j in range(b * rpb, (b + 1) * rpb):
-                acc = (acc ^ sig[:, j]) * POLY_P
-            keys[:, b] = splitmix64(acc, seed=b + 1)
-    return keys
-
-
-def jaccard_pairwise(col_a, col_b, k: int = 5) -> np.ndarray:
-    """Exact k-shingle Jaccard similarity of aligned row pairs.
-
-    Fully vectorized across the whole batch: one lexsort per side
-    dedupes shingles within each pair's row, then one merged lexsort
-    counts cross-side (row, hash) duplicates — each shared shingle
-    appears exactly twice — so intersection sizes come out of a single
-    bincount. No per-pair Python (the old loop was the verify stage's
-    dominant cost on heavily-duplicated corpora)."""
-    ha, sa = shingle_hashes(col_a, k=k)
-    hb, sb = shingle_hashes(col_b, k=k)
-    n = len(sa) - 1
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-
-    def uniq_per_row(h, s):
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(s))
-        order = np.lexsort((h, rows))
-        r, v = rows[order], h[order]
-        keep = np.r_[True, (r[1:] != r[:-1]) | (v[1:] != v[:-1])]
-        return r[keep], v[keep]
-
-    ra, va = uniq_per_row(ha, sa)
-    rb, vb = uniq_per_row(hb, sb)
-    size_a = np.bincount(ra, minlength=n)
-    size_b = np.bincount(rb, minlength=n)
-    rows = np.concatenate([ra, rb])
-    vals = np.concatenate([va, vb])
-    order = np.lexsort((vals, rows))
-    r, v = rows[order], vals[order]
-    dup = (r[1:] == r[:-1]) & (v[1:] == v[:-1])
-    inter = np.bincount(r[1:][dup], minlength=n)
-    union = size_a + size_b - inter
-    return np.where(union > 0,
-                    inter / np.maximum(union, 1).astype(np.float64), 1.0)
-
-
-def simhash64(col, k: int = 5, seed: int = 0x51A4A54) -> np.ndarray:
-    """64-bit SimHash per row: sign of per-bit sums of shingle hashes.
-
-    Vectorized: unpack all shingle hashes to a (total, 64) bit matrix
-    (np.unpackbits on the little-endian byte view), ±1 weight, per-row
-    np.add.reduceat, then repack the sign bits.
-    """
-    flat, splits = shingle_hashes(col, k=k, seed=seed)
-    n = len(splits) - 1
-    if len(flat) == 0:
-        return np.zeros(n, dtype=U64)
-    # keep the unpacked bit matrix uint8 (64 B/shingle, not 256) and let
-    # reduceat accumulate straight into int64 — the int32 astype was 4x
-    # the temp memory and the stage's dominant cost at corpus scale
-    bits = np.unpackbits(flat.view(np.uint8).reshape(-1, 8),
-                         axis=1, bitorder="little")
-    sums = np.add.reduceat(bits, splits[:-1], axis=0, dtype=np.int64)
-    counts = np.diff(splits)[:, None]
-    sign = (2 * sums > counts).astype(np.uint8)  # bit j set iff majority-1
-    return np.packbits(sign, axis=1, bitorder="little") \
-        .copy().view(U64).ravel()
-
-
-def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized popcount of XOR for u64 arrays."""
-    x = (np.asarray(a, dtype=U64) ^ np.asarray(b, dtype=U64))
-    return np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
 
 
 def winnow_fingerprints(col, k: int = 8, window: int = 4,

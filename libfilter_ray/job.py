@@ -33,9 +33,6 @@ Subcommands:
   previous ``build`` job (broadcast once via ``ray.put``; grouped builds
   probe per key). Build and probe compose across separate job
   submissions — the filter parquet is the hand-off artifact.
-- ``neardup`` confirmed near-duplicate pairs over a text or embedding
-  column (minhash / simhash / embedding LSH, distributed banding +
-  sharded pair scan + exact verification), written as pair parquet.
 - ``clean``   the composed corpus-cleaning job: PII scrub (email/URL/IP
   masking) -> corpus-level line dedup (boilerplate removal) -> exact
   document dedup, each stage optional, streaming to cleaned parquet.
@@ -285,51 +282,6 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_neardup(args: argparse.Namespace) -> int:
-    import ray.data
-
-    from .stages import dedup as dd
-
-    paths = _table_paths(args.input, args.table)
-    _check_columns(paths, [args.column, args.id_column])
-    ds = ray.data.read_parquet(paths, columns=[args.id_column, args.column])
-    if args.method == "minhash":
-        if args.output:
-            # crawl-scale path: the confirmed-pair Dataset streams to the
-            # parquet sink — nothing O(pairs) ever lands on the driver
-            pairs_ds = dd.minhash_near_dup_pairs_ds(
-                ds, args.column, args.id_column, k=args.shingle_k,
-                threshold=args.threshold)
-            _write_result(pairs_ds, args.output)
-            print(f"confirmed pairs streamed to {args.output}",
-                  file=sys.stderr)
-            return 0
-        else:
-            pairs = dd.minhash_near_dup_pairs(
-                ds, args.column, args.id_column, k=args.shingle_k,
-                threshold=args.threshold)
-    elif args.method == "simhash":
-        pairs = dd.simhash_near_dup_pairs(
-            ds, args.column, args.id_column, k=args.shingle_k,
-            max_hamming=args.max_hamming)
-    elif args.method == "ngram":
-        # deterministic blocked exact n-gram Jaccard (the SQL-oracleable
-        # complement of minhash — same verify tail, no hash permutations)
-        pairs = dd.ngram_jaccard_pairs(
-            ds, args.column, args.id_column, k=args.shingle_k,
-            threshold=args.threshold)
-    else:
-        if args.dim is None:
-            raise SystemExit("--dim is required for method=embedding "
-                             "(the fixed embedding width)")
-        pairs = dd.embedding_near_dup_pairs(
-            ds, args.column, args.id_column, dim=args.dim,
-            threshold=args.threshold)
-    print(f"{len(pairs)} confirmed pairs", file=sys.stderr)
-    _write_result(pairs, args.output)
-    return 0
-
-
 def _scrub_fn(column: str):
     from .functions.textstats import scrub_text
 
@@ -425,7 +377,7 @@ def _curate_manifest_guard(ck: str, args: argparse.Namespace) -> None:
     a mismatch must refuse rather than silently mix configurations."""
     ident = {k: getattr(args, k) for k in (
         "table", "column", "id_column", "url_column", "ts_column",
-        "lang_column", "no_url_dedup", "passage_dedup", "domain_cap",
+        "lang_column", "no_url_dedup", "domain_cap",
         "benchmark", "benchmark_column", "shingle_k",
         "contamination_threshold", "min_commonness", "token_budget",
         "mix", "lm_threshold", "lm_min_count", "blocklist",
@@ -440,6 +392,11 @@ def _curate_manifest_guard(ck: str, args: argparse.Namespace) -> None:
         prev.setdefault("blocklist", None)  # ... predating --blocklist
         prev.setdefault("blocklist_digest", None)
         prev.setdefault("split", None)
+        # manifests predating the passage-dedup cut: 0 (stage off) is
+        # adopted; a nonzero value stays and mismatches below, since
+        # its cached artifacts were computed after passage removal
+        if prev.get("passage_dedup") == 0:
+            prev.pop("passage_dedup")
         if prev != ident:
             diff = sorted(set(prev.items()) ^ set(ident.items()))
             raise SystemExit(
@@ -469,23 +426,22 @@ def _cached_array(path: str, compute, column: str = "v"):
 
 def _cmd_curate(args: argparse.Namespace) -> int:
     """Composed crawl-to-corpus curation over a web-page-shaped table:
-    keep-newest capture per url -> duplicate-passage removal ->
-    per-domain cap -> benchmark decontamination -> self-trained
+    keep-newest capture per url -> per-domain cap -> benchmark
+    decontamination -> self-trained
     frequency quality filter -> per-lang token budget -> optional
     off-ramp (--split hive partitions, or --shuffle-out deterministic
     global shuffle into training shards). Every stage is
     optional; each is the streaming form of its stages/crawl.py /
-    stages/corpus.py / stages/passages.py / stages/shuffle.py operator
-    (bounded broadcast/DropIdStore/SpanStore carriers throughout).
+    stages/corpus.py / stages/shuffle.py operator (bounded
+    broadcast/DropIdStore carriers throughout).
 
     With --checkpoint-dir every expensive full-corpus artifact persists
     on shared storage and a resubmitted run re-attaches instead of
     recomputing: the url-dedup drop set and domain-cap keep set as
-    range-partitioned DropIdStores, the passage spans as a SpanStore,
-    the benchmark shingle set and the frequency vocabulary as parquet
-    arrays, the budget keep set as a parquet + boundary json. A
-    curate.json manifest pins the flag identity (two-sided check, same
-    contract as the clean job)."""
+    range-partitioned DropIdStores, the benchmark shingle set and the
+    frequency vocabulary as parquet arrays, the budget keep set as a
+    parquet + boundary json. A curate.json manifest pins the flag
+    identity (two-sided check, same contract as the clean job)."""
     import ray
     import ray.data
 
@@ -512,8 +468,6 @@ def _cmd_curate(args: argparse.Namespace) -> int:
     stages = [s for s, on in (
         (f"blocklist({args.blocklist})", bool(args.blocklist)),
         ("url-dedup-latest", not args.no_url_dedup),
-        (f"passage-dedup(>={args.passage_dedup})",
-         bool(args.passage_dedup)),
         (f"domain-cap({args.domain_cap})", bool(args.domain_cap)),
         ("decontaminate", bool(args.benchmark)),
         (f"freq-quality(<{args.min_commonness})",
@@ -567,10 +521,6 @@ def _cmd_curate(args: argparse.Namespace) -> int:
             mixture_budgets(mix, args.token_budget)
         except ValueError as e:
             raise SystemExit(str(e))
-    if args.passage_dedup and args.passage_dedup < 31:
-        raise SystemExit(  # validate BEFORE any stage runs
-            "--passage-dedup must be >= 31 (the winnowing detection "
-            f"bound w + k - 1), got {args.passage_dedup}")
     ck = args.checkpoint_dir
     mode = "checkpointed" if ck else "streaming"
     print(f"stages ({mode}): " + " -> ".join(stages), file=sys.stderr)
@@ -628,56 +578,6 @@ def _cmd_curate(args: argparse.Namespace) -> int:
             ds = url_dedup_latest(ds, url_col=args.url_column,
                                   ts_col=args.ts_column,
                                   id_col=args.id_column)
-    if args.passage_dedup:
-        if ck:
-            import numpy as np
-
-            from .stages.passages import (SPAN_BROADCAST_LIMIT,
-                                          SPAN_MANIFEST, SpanStore,
-                                          duplicate_passage_spans,
-                                          remove_passages_fn)
-
-            span_in = ds
-            store_dir = os.path.join(ck, "passage_spans")
-
-            def load_or_build_spans():
-                if os.path.exists(os.path.join(store_dir, SPAN_MANIFEST)):
-                    store = SpanStore(store_dir)
-                else:
-                    import shutil
-
-                    if os.path.isdir(store_dir):
-                        shutil.rmtree(store_dir)  # unfinished write
-                    spans_ds = duplicate_passage_spans(
-                        span_in, args.column, args.id_column,
-                        min_len=args.passage_dedup).materialize()
-                    store = SpanStore.write(spans_ds, store_dir)
-                if store.n_spans == 0:
-                    return None, 0
-                if store.n_spans <= SPAN_BROADCAST_LIMIT:
-                    parts = [pq.read_table(f).to_pandas()
-                             for f in store.files]
-                    spans = pd.concat(parts).sort_values(
-                        ["doc", "start"]).reset_index(drop=True)
-                    return ray.put(spans), store.n_spans
-                return store, store.n_spans  # bounded: stream from store
-
-            source = _noted(
-                "passage-dedup",
-                os.path.join("passage_spans", SPAN_MANIFEST),
-                load_or_build_spans)
-            if source is not None:
-                ds = ds.map_batches(
-                    remove_passages_fn(source, args.column,
-                                       args.id_column),
-                    batch_format="pyarrow")
-        else:
-            from .stages.passages import remove_duplicate_passages
-
-            # the library entry auto-switches broadcast vs SpanStore
-            ds = remove_duplicate_passages(
-                ds, args.column, args.id_column,
-                min_len=args.passage_dedup)
     if args.domain_cap:
         from .stages.crawl import (domain_cap, domain_of,
                                    keep_id_filter, per_key_cap_keep_ds)
@@ -1218,55 +1118,6 @@ def _cmd_topk(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ann(args: argparse.Namespace) -> int:
-    """Similarity search over an embedding table: exact brute-force
-    cosine top-k, or the IVF / PQ approximate scale paths (stages/ann.py).
-    Query vectors are rows of the same table picked by --query-ids
-    (predicate pushed into the Arrow scan — the corpus never loads for
-    the query fetch)."""
-    import numpy as np
-    import pyarrow.compute as _pc
-    import ray.data
-
-    from .stages.ann import brute_topk, ivf_topk, pq_topk
-
-    paths = _table_paths(args.input, args.table)
-    _check_columns(paths, [args.id_column, args.column])
-    qids = [int(x) for x in args.query_ids.split(",")]
-    if len(set(qids)) != len(qids):
-        dupes = sorted({x for x in qids if qids.count(x) > 1})
-        raise SystemExit(f"duplicate --query-ids: {dupes}")
-    qt = ray.data.read_parquet(
-        paths, columns=[args.id_column, args.column],
-        filter=_pc.field(args.id_column).isin(qids)).to_pandas()
-    have = set(qt[args.id_column]) if len(qt) else set()
-    missing = sorted(set(qids) - have)
-    if missing:
-        raise SystemExit(f"query ids not in table: {missing}")
-    if len(qt) != len(qids):  # same id on several table rows
-        raise SystemExit(
-            f"--id-column {args.id_column!r} is not unique for the "
-            f"requested ids ({len(qt)} rows for {len(qids)} ids)")
-    qt = qt.set_index(args.id_column).loc[qids]
-    Q = np.stack(qt[args.column].to_numpy())
-    ds = ray.data.read_parquet(paths,
-                               columns=[args.id_column, args.column])
-    kw = dict(column=args.column, id_column=args.id_column, k=args.k)
-    if args.method == "brute":
-        out = brute_topk(ds, Q, **kw)
-    elif args.method == "ivf":
-        out = ivf_topk(ds, Q, num_centroids=args.num_centroids,
-                       nprobe=args.nprobe, train=args.train, **kw)
-    else:
-        out = pq_topk(ds, Q, m=args.pq_m, rerank=args.rerank, **kw)
-    # positional query index -> the caller's vec ids
-    out = out.copy()
-    out["query_id"] = np.asarray(qids, dtype=np.int64)[
-        out["query_id"].to_numpy()]
-    _write_result(out, args.output)
-    return 0
-
-
 def _cmd_bpe(args: argparse.Namespace) -> int:
     """Learn BPE tokenizer merges over a text column (stages/bpe.py):
     the word table stays distributed; stdout (or --output) is the
@@ -1612,27 +1463,6 @@ def make_parser() -> argparse.ArgumentParser:
     pr.add_argument("--output", default=None)
     pr.set_defaults(fn=_cmd_probe)
 
-    nd = sub.add_parser("neardup", help="confirmed near-duplicate pairs")
-    nd.add_argument("--method",
-                    choices=["minhash", "simhash", "embedding", "ngram"],
-                    default="minhash")
-    nd.add_argument("--input", required=True)
-    nd.add_argument("--table", required=True)
-    nd.add_argument("--column", required=True,
-                    help="text column (minhash/simhash) or list<float> "
-                         "embedding column")
-    nd.add_argument("--id-column", required=True)
-    nd.add_argument("--threshold", type=float, default=0.7,
-                    help="min Jaccard (minhash) / cosine (embedding)")
-    nd.add_argument("--max-hamming", type=int, default=3,
-                    help="simhash: max 64-bit Hamming distance")
-    nd.add_argument("--shingle-k", type=int, default=5,
-                    help="word-shingle size for text methods")
-    nd.add_argument("--dim", type=int, default=None,
-                    help="embedding width (method=embedding)")
-    nd.add_argument("--output", default=None, help="pair parquet path")
-    nd.set_defaults(fn=_cmd_neardup)
-
     cl = sub.add_parser("clean", help="composed corpus cleaning job")
     cl.add_argument("--input", required=True)
     cl.add_argument("--table", required=True)
@@ -1663,10 +1493,6 @@ def make_parser() -> argparse.ArgumentParser:
                     help="text file of blocked domains (one per line, "
                          "# comments): drop docs whose url host equals "
                          "or is a subdomain of an entry (UT1 semantics)")
-    cu.add_argument("--passage-dedup", type=int, default=0,
-                    help="remove exact cross-document substrings of at "
-                         "least this many bytes, keeping the first "
-                         "occurrence (0 = off; min 31)")
     cu.add_argument("--domain-cap", type=int, default=0,
                     help="max docs per domain (0 = off)")
     cu.add_argument("--benchmark", default=None,
@@ -1799,27 +1625,6 @@ def make_parser() -> argparse.ArgumentParser:
                          "hitters, threshold applied within each key")
     tk.add_argument("--output", default=None)
     tk.set_defaults(fn=_cmd_topk)
-
-    an = sub.add_parser("ann", help="similarity search over embeddings")
-    an.add_argument("--input", required=True)
-    an.add_argument("--table", default="embeddings")
-    an.add_argument("--column", default="embedding")
-    an.add_argument("--id-column", default="vec_id")
-    an.add_argument("--query-ids", required=True,
-                    help="comma-separated vec ids used as query vectors")
-    an.add_argument("--method", choices=["brute", "ivf", "pq"],
-                    default="brute")
-    an.add_argument("--k", type=int, default=10)
-    an.add_argument("--num-centroids", type=int, default=16)
-    an.add_argument("--nprobe", type=int, default=4)
-    an.add_argument("--train", choices=["sample", "distributed"],
-                    default="sample", help="IVF centroid training path")
-    an.add_argument("--pq-m", type=int, default=8,
-                    help="PQ subquantizer count")
-    an.add_argument("--rerank", type=int, default=4,
-                    help="PQ exact-rerank candidate multiplier")
-    an.add_argument("--output", default=None)
-    an.set_defaults(fn=_cmd_ann)
 
     iw = sub.add_parser("import-warc",
                         help="WARC archives -> partitioned parquet table")

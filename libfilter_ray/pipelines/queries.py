@@ -1147,7 +1147,7 @@ ORDER BY f.filter
 
 
 # ---------------------------------------------------------------------------
-# Training-data operators (dedup / ANN / text analysis)
+# Training-data operators (dedup / text analysis)
 # ---------------------------------------------------------------------------
 
 def q_text_stats_by_lang(sf_dir: str) -> pd.DataFrame:
@@ -1562,7 +1562,7 @@ SQL_PII_SCRUB_STATS = _sql_pii_scrub()
 
 
 def q_label_centroids(sf_dir: str) -> pd.DataFrame:
-    """Per-label embedding centroid (class prototypes / IVF seeding): the
+    """Per-label embedding centroid (class prototypes): the
     vector-aggregation pattern — each batch collapses to one partial
     (label, dim) sum matrix, so the shuffle moves labels x dim rows per
     batch, never per vector. Exactness across engines: floats are
@@ -1722,307 +1722,6 @@ SELECT lang,
        SUM(GREATEST(0, 256 - fill))::BIGINT AS wasted_tokens
 FROM bins GROUP BY lang ORDER BY lang
 """
-
-
-def q_ann_topk_brute(sf_dir: str) -> pd.DataFrame:
-    """Exact distributed cosine top-5: queries = the 3 lowest-vec_id
-    embeddings, broadcast once; per-block partial top-k then exact merge.
-    float64 kernel for bit-parity with the double-precision SQL oracle."""
-    import pyarrow.parquet as pq
-
-    from ..stages.ann import brute_topk
-
-    emb = _read(sf_dir, "embeddings")
-    # queries = 3 LOWEST vec_ids (sorted explicitly — the oracle's ORDER BY
-    # must not depend on the file's physical row order)
-    qtab = pq.read_table(f"{sf_dir}/embeddings.parquet") \
-        .sort_by("vec_id").slice(0, 3)
-    Q = np.stack([np.asarray(v) for v in qtab["embedding"].to_pylist()])
-    qids = np.asarray(qtab["vec_id"]).astype(np.int64)
-    out = brute_topk(emb, Q, k=5, dtype=np.float64)
-    out["query_id"] = qids[out["query_id"].to_numpy()]
-    out = out.drop(columns=["cosine"])  # float tie-breaks live in `rank`
-    out["rank"] = out["rank"].astype("int64")
-    return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
-
-
-SQL_ANN_TOPK = """
-WITH q AS (SELECT vec_id AS qid, embedding AS qe FROM embeddings
-           ORDER BY vec_id LIMIT 3)
-SELECT qid AS query_id, vec_id AS neighbor_id, rnk::BIGINT AS rank
-FROM (
-  SELECT q.qid, e.vec_id,
-         row_number() OVER (
-           PARTITION BY q.qid
-           ORDER BY list_cosine_similarity(q.qe, e.embedding) DESC,
-                    e.vec_id ASC) AS rnk
-  FROM embeddings e CROSS JOIN q)
-WHERE rnk <= 5 ORDER BY query_id, rank
-"""
-
-
-def q_ann_topk_ivf(sf_dir: str) -> pd.DataFrame:
-    """IVF approximate top-k (the ANN scale path) with DISTRIBUTED
-    centroid training: full-corpus streaming Lloyd iterations
-    (stages/ann.py:train_centroids_distributed — shuffle is
-    k x (dim + 2) partials per block), then broadcast centroids +
-    per-batch masked scoring. No SQL oracle (approximate by design); the
-    query itself asserts mean recall >= 0.7 against the exact
-    brute-force top-k on the same probes, so a training or probe-mask
-    regression fails the run rather than drifting silently."""
-    import pyarrow.parquet as pq
-
-    from ..stages.ann import brute_topk, ivf_topk
-
-    emb = _read(sf_dir, "embeddings")
-    qtab = pq.read_table(f"{sf_dir}/embeddings.parquet") \
-        .sort_by("vec_id").slice(0, 3)
-    Q = np.stack([np.asarray(v) for v in qtab["embedding"].to_pylist()])
-    out = ivf_topk(emb, Q, k=5, num_centroids=16, nprobe=8,
-                   train="distributed")
-    exact = brute_topk(_read(sf_dir, "embeddings"), Q, k=5)
-    recalls = [
-        len(set(exact[exact["query_id"] == qi]["neighbor_id"])
-            & set(out[out["query_id"] == qi]["neighbor_id"])) / 5
-        for qi in sorted(out["query_id"].unique())]
-    assert np.mean(recalls) >= 0.7, recalls
-    out["cosine"] = out["cosine"].round(4)
-    return out.reset_index(drop=True)
-
-
-def q_ann_topk_pq(sf_dir: str) -> pd.DataFrame:
-    """Product-quantization approximate top-k with exact rerank (the ANN
-    MEMORY-scale path: the corpus-resident state is m=8 uint8 codes per
-    vector — 32x smaller than the dim-64 float32 embeddings). ADC
-    scoring is per-batch lookup-table gathers, candidates rerank with
-    true cosine on only the gathered vectors. No SQL oracle
-    (approximate); the query asserts mean recall >= 0.8 vs brute force
-    so codebook/ADC regressions fail the run."""
-    import pyarrow.parquet as pq
-
-    from ..stages.ann import brute_topk, pq_topk
-
-    emb = _read(sf_dir, "embeddings")
-    qtab = pq.read_table(f"{sf_dir}/embeddings.parquet") \
-        .sort_by("vec_id").slice(0, 3)
-    Q = np.stack([np.asarray(v) for v in qtab["embedding"].to_pylist()])
-    out = pq_topk(emb, Q, k=5, m=8, ncodes=64, rerank=8)
-    exact = brute_topk(_read(sf_dir, "embeddings"), Q, k=5)
-    recalls = [
-        len(set(exact[exact["query_id"] == qi]["neighbor_id"])
-            & set(out[out["query_id"] == qi]["neighbor_id"])) / 5
-        for qi in sorted(out["query_id"].unique())]
-    assert np.mean(recalls) >= 0.8, recalls
-    out["cosine"] = out["cosine"].round(4)
-    return out.reset_index(drop=True)
-
-
-def q_ann_topk_ivf_exhaustive(sf_dir: str) -> pd.DataFrame:
-    """The IVF path under the driver's SQL gate: with nprobe =
-    num_centroids every inverted list is probed, the centroid mask is
-    all-True, and ivf_topk is EXACTLY brute force (same scores, same
-    deterministic tie-break) — so the approximate operator's machinery
-    (train -> broadcast -> per-batch masked scoring -> partial top-k ->
-    exact merge) is validated end-to-end against SQL_ANN_TOPK. float64
-    kernel for bit-parity with the double-precision oracle."""
-    import pyarrow.parquet as pq
-
-    from ..stages.ann import ivf_topk
-
-    emb = _read(sf_dir, "embeddings")
-    qtab = pq.read_table(f"{sf_dir}/embeddings.parquet") \
-        .sort_by("vec_id").slice(0, 3)
-    Q = np.stack([np.asarray(v) for v in qtab["embedding"].to_pylist()])
-    qids = np.asarray(qtab["vec_id"]).astype(np.int64)
-    out = ivf_topk(emb, Q, k=5, num_centroids=8, nprobe=8,
-                   dtype=np.float64)
-    out["query_id"] = qids[out["query_id"].to_numpy()]
-    out = out.drop(columns=["cosine"])  # float tie-breaks live in `rank`
-    out["rank"] = out["rank"].astype("int64")
-    return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
-
-
-def q_ann_topk_pq_exhaustive(sf_dir: str) -> pd.DataFrame:
-    """The PQ path under the driver's SQL gate: rerank*k >= batch_size
-    makes every row of every block a rerank candidate, so the exact-cosine
-    rerank IS brute force regardless of codebook quality — validating the
-    encode/ADC/gather/rerank machinery end-to-end against SQL_ANN_TOPK
-    (float64 rerank for oracle bit-parity)."""
-    import pyarrow.parquet as pq
-
-    from ..stages.ann import pq_topk
-
-    emb = _read(sf_dir, "embeddings")
-    qtab = pq.read_table(f"{sf_dir}/embeddings.parquet") \
-        .sort_by("vec_id").slice(0, 3)
-    Q = np.stack([np.asarray(v) for v in qtab["embedding"].to_pylist()])
-    qids = np.asarray(qtab["vec_id"]).astype(np.int64)
-    out = pq_topk(emb, Q, k=5, m=8, ncodes=64, rerank=820,
-                  batch_size=4096, rerank_dtype=np.float64)
-    out["query_id"] = qids[out["query_id"].to_numpy()]
-    out = out.drop(columns=["cosine"])
-    out["rank"] = out["rank"].astype("int64")
-    return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
-
-
-def _list_f64(A: np.ndarray) -> pa.ListArray:
-    n, d = A.shape
-    return pa.ListArray.from_arrays(
-        pa.array(np.arange(0, (n + 1) * d, d, dtype=np.int32)),
-        pa.array(np.ascontiguousarray(A, dtype=np.float64).ravel(),
-                 type=pa.float64()))
-
-
-def q_embedding_exact_pairs(sf_dir: str) -> pd.DataFrame:
-    """Distributed EXACT cosine similarity self-join (stages/ann.py:
-    exact_cosine_pairs) — the deterministic, SQL-gated complement of the
-    hyperplane-LSH `embedding_near_dup` row, exactly as
-    ngram_jaccard_near_dup anchors MinHash+LSH. Planting is
-    SQL-expressible: each vector is cloned at vec_id+100000 with +0.2 on
-    its first component (planted-pair cosine 0.980-0.985 on this corpus vs
-    max non-planted 0.567, so threshold 0.8 has a ~0.2 margin on both
-    sides — float-summation-order noise between numpy and DuckDB is
-    irrelevant). Two chunked passes exercise the bounded-broadcast shape;
-    output is integer pairs only."""
-    from ..stages.ann import exact_cosine_pairs
-
-    emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def plant(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t["vec_id"], dtype=np.int64)
-        empty = pa.table({"vec_id": pa.array([], type=pa.int64()),
-                          "embedding": pa.array([], type=pa.list_(
-                              pa.float64()))})
-        if not len(ids):
-            return empty
-        col = t["embedding"]
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        # float64 from the start: SQL casts each float32 element to DOUBLE
-        # before adding 0.2, so the engine must too (exact same values)
-        X = np.asarray(col.values, dtype=np.float64).reshape(len(ids), -1)
-        P = X.copy()
-        P[:, 0] += 0.2
-        return pa.table({
-            "vec_id": pa.array(np.concatenate([ids, ids + 100000])),
-            "embedding": _list_f64(np.vstack([X, P])),
-        })
-
-    dup = emb.map_batches(plant, batch_format="pyarrow")
-    pairs = exact_cosine_pairs(dup, threshold=0.8, num_chunks=2)
-    out = pairs[["id_a", "id_b"]].astype("int64")
-    return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-
-
-SQL_EMBEDDING_EXACT_PAIRS = """
-WITH corpus AS (
-  SELECT vec_id, list_transform(embedding, x -> CAST(x AS DOUBLE)) AS e
-  FROM embeddings
-  UNION ALL
-  SELECT vec_id + 100000,
-         [CAST(embedding[1] AS DOUBLE) + 0.2]
-           || list_transform(embedding[2:], x -> CAST(x AS DOUBLE))
-  FROM embeddings
-)
-SELECT a.vec_id AS id_a, b.vec_id AS id_b
-FROM corpus a JOIN corpus b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(a.e, b.e) >= 0.8
-ORDER BY id_a, id_b
-"""
-
-
-def q_minhash_near_dup(sf_dir: str) -> pd.DataFrame:
-    """MinHash+LSH near-dup detection over documents with planted near
-    duplicates (each doc cloned at +100000 with a token appended). Returns
-    confirmed pairs (exact Jaccard >= 0.6). Approximate recall — bounds
-    asserted in tests, no SQL oracle."""
-    from ..stages.dedup import minhash_near_dup_pairs
-
-    base = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def plant(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        ids = np.asarray(t["doc_id"], dtype=np.int64)
-        near = pa.table({
-            "doc_id": pa.array(ids + 100000, type=pa.int64()),
-            "text": pc.binary_join_element_wise(
-                t["text"].combine_chunks() if isinstance(t["text"], pa.ChunkedArray)
-                else t["text"],
-                pa.array([" appended tail token"] * len(ids)), ""),
-        })
-        return pa.concat_tables([t, near])
-
-    dup = base.map_batches(plant, batch_format="pyarrow")
-    pairs = minhash_near_dup_pairs(dup, "text", "doc_id", threshold=0.6)
-    pairs["jaccard"] = pairs["jaccard"].round(3)
-    pairs["id_a"] = pairs["id_a"].astype("int64")
-    pairs["id_b"] = pairs["id_b"].astype("int64")
-    return pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-
-
-def q_simhash_near_dup(sf_dir: str) -> pd.DataFrame:
-    """SimHash near-dup pairs (Hamming <= 3 via 4x16-bit pigeonhole bands)
-    over documents + planted exact copies. No SQL oracle (bit-level op)."""
-    from ..stages.dedup import simhash_near_dup_pairs
-
-    base = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def plant(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t["doc_id"], dtype=np.int64)
-        clone = pa.table({"doc_id": pa.array(ids + 100000, type=pa.int64()),
-                          "text": t["text"]})
-        return pa.concat_tables([t, clone])
-
-    dup = base.map_batches(plant, batch_format="pyarrow")
-    pairs = simhash_near_dup_pairs(dup, "text", "doc_id", max_hamming=3)
-    pairs["id_a"] = pairs["id_a"].astype("int64")
-    pairs["id_b"] = pairs["id_b"].astype("int64")
-    pairs["hamming"] = pairs["hamming"].astype("int64")
-    return pairs.reset_index(drop=True)
-
-
-def q_embedding_near_dup(sf_dir: str) -> pd.DataFrame:
-    """Embedding-cosine near-dup pairs via random-hyperplane LSH buckets +
-    in-bucket exact verification. The raw synthetic embeddings have no true
-    near-dups, so each vector is re-planted at vec_id+100000 with
-    deterministic tiny noise — every planted pair must be recovered (modulo
-    LSH's probabilistic recall). Noise is a pure per-ROW function of vec_id
-    (splitmix64 counter stream), so the planted corpus is identical under
-    ANY block partitioning / parallelism. No SQL oracle."""
-    from ..sketch.hashing import splitmix64
-    from ..stages.dedup import embedding_near_dup_pairs
-
-    emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def plant(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t["vec_id"], dtype=np.int64)
-        if not len(ids):  # reshape(0, -1) cannot infer the second dim
-            return t.select(["vec_id", "embedding"])
-        col = t["embedding"]
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        X = np.asarray(col.values, dtype=np.float32).reshape(len(ids), -1)
-        # deterministic uniform noise in [-0.004, 0.004): counter-based on
-        # (vec_id, dim) so it does not depend on batch boundaries
-        ctr = (ids[:, None].astype(np.uint64) * np.uint64(X.shape[1])
-               + np.arange(X.shape[1], dtype=np.uint64)[None, :])
-        u = splitmix64(ctr.ravel(), seed=0x4015E)
-        noise = ((u.astype(np.float64) / 2.0**64 - 0.5) * 0.008) \
-            .astype(np.float32).reshape(X.shape)
-        near = pa.table({
-            "vec_id": pa.array(ids + 100000, type=pa.int64()),
-            "embedding": pa.array([[float(x) for x in row]
-                                   for row in X + noise],
-                                  type=pa.list_(pa.float32())),
-        })
-        return pa.concat_tables([t.select(["vec_id", "embedding"])
-                                 .cast(near.schema), near])
-
-    dup = emb.map_batches(plant, batch_format="pyarrow")
-    pairs = embedding_near_dup_pairs(dup, "embedding", "vec_id", dim=64,
-                                     threshold=0.98, num_planes=10)
-    pairs["cosine"] = pairs["cosine"].round(3)
-    pairs["id_a"] = pairs["id_a"].astype("int64")
-    pairs["id_b"] = pairs["id_b"].astype("int64")
-    return pairs.reset_index(drop=True)
 
 
 # splitmix64 in ANSI SQL (DuckDB): z = x + (seed*GAMMA + 1) mod 2^64;
@@ -3210,8 +2909,8 @@ def q_shipping_priority(sf_dir: str) -> pd.DataFrame:
     hash-equi-join the shipdate-filtered lineitems (fact x fact,
     stages/joins.py), revenue aggregates per (orderkey, orderdate), and
     the top-10 resolves with per-block partial top-10 + a bounded
-    driver merge (blocks x 10 rows, the ann.py candidate idiom) instead
-    of a distributed sort of the tiny aggregate."""
+    driver merge (blocks x 10 rows) instead of a distributed sort of
+    the tiny aggregate."""
     import pyarrow.compute as pc
 
     from ..sketch import sizing
@@ -3362,146 +3061,6 @@ JOIN lineitem l ON l.l_suppkey = s.s_suppkey
 JOIN nation n   ON n.n_nationkey = s.s_nationkey
 WHERE s.s_acctbal > 5000
 GROUP BY n.n_name ORDER BY n.n_name
-"""
-
-
-def q_ngram_jaccard_near_dup(sf_dir: str) -> pd.DataFrame:
-    """Blocked exact n-gram Jaccard near-dup over documents — the
-    deterministic dedup entry whose candidate generation AND similarity
-    values oracle against ANSI SQL (the LSH entries are recall-probabilistic
-    so they can't). Blocks = identical first-32-char prefix; similarity =
-    exact distinct-5-gram Jaccard (stages/dedup.py:ngram_jaccard_pairs)."""
-    from ..stages.dedup import ngram_jaccard_pairs
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    pairs = ngram_jaccard_pairs(ds, "text", "doc_id", k=5, prefix=32,
-                                threshold=0.5, min_len=32)
-    out = pd.DataFrame({
-        "id_a": pairs["id_a"].astype("int64"),
-        "id_b": pairs["id_b"].astype("int64"),
-        "jaccard": pairs["jaccard"].astype("float64").round(6),
-    })
-    return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-
-
-SQL_NGRAM_JACCARD = """
-WITH docs AS (
-  SELECT doc_id, text FROM documents WHERE length(text) >= 32
-),
-sh AS (
-  SELECT DISTINCT doc_id, substr(text, CAST(i AS INT), 5) AS g
-  FROM (
-    SELECT doc_id, text,
-           unnest(generate_series(1, length(text) - 4)) AS i
-    FROM docs
-  )
-),
-cnt AS (SELECT doc_id, count(*) AS n FROM sh GROUP BY doc_id),
-blk AS (SELECT doc_id, substr(text, 1, 32) AS p FROM docs),
-pairs AS (
-  SELECT a.doc_id AS id_a, b.doc_id AS id_b
-  FROM blk a JOIN blk b ON a.p = b.p AND a.doc_id < b.doc_id
-),
-inter AS (
-  SELECT p.id_a, p.id_b, count(*) AS ninter
-  FROM pairs p
-  JOIN sh sa ON sa.doc_id = p.id_a
-  JOIN sh sb ON sb.doc_id = p.id_b AND sb.g = sa.g
-  GROUP BY p.id_a, p.id_b
-)
-SELECT i.id_a, i.id_b,
-       round(CAST(i.ninter AS DOUBLE) / (ca.n + cb.n - i.ninter), 6)
-         AS jaccard
-FROM inter i
-JOIN cnt ca ON ca.doc_id = i.id_a
-JOIN cnt cb ON cb.doc_id = i.id_b
-WHERE CAST(i.ninter AS DOUBLE) / (ca.n + cb.n - i.ninter) >= 0.5
-ORDER BY id_a, id_b
-"""
-
-
-def q_ngram_jaccard_dedup(sf_dir: str) -> pd.DataFrame:
-    """Deterministic near-dup DEDUP end-to-end, fully distributed: the
-    exact n-gram Jaccard pair DATASET (never collected) feeds distributed
-    connected components (stages/cluster.py — sharded local union-find
-    contraction + min-label propagation) and the bounded drop carrier;
-    survivors (each cluster's min doc_id) aggregate per lang. The SQL
-    oracle clusters the same confirmed pairs with a recursive-CTE
-    transitive closure — this row is the driver-gated correctness proof
-    for the distributed clustering tail."""
-    from ..stages.dedup import near_dup_dedup, ngram_jaccard_pairs_ds
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-    pairs_ds = ngram_jaccard_pairs_ds(ds, "text", "doc_id", k=5, prefix=32,
-                                      threshold=0.5, min_len=32)
-    kept = near_dup_dedup(ds, pairs_ds, "doc_id")
-
-    def stats(t: pa.Table) -> pa.Table:
-        did = np.asarray(t["doc_id"], dtype=np.int64)
-        return pa.table({"lang": t["lang"],
-                         "n_kept": pa.array(np.ones(len(did), np.int64)),
-                         "sum_kept_ids": pa.array(did)})
-
-    from ray.data.aggregate import Sum
-
-    out = kept.map_batches(stats, batch_format="pyarrow") \
-        .groupby("lang").aggregate(
-            Sum("n_kept", alias_name="n_kept"),
-            Sum("sum_kept_ids", alias_name="sum_kept_ids")) \
-        .to_pandas().sort_values("lang").reset_index(drop=True)
-    out["n_kept"] = out["n_kept"].astype("int64")
-    out["sum_kept_ids"] = out["sum_kept_ids"].astype("int64")
-    return out
-
-
-SQL_NGRAM_JACCARD_DEDUP = """
-WITH RECURSIVE docs AS (
-  SELECT doc_id, text FROM documents WHERE length(text) >= 32
-),
-sh AS (
-  SELECT DISTINCT doc_id, substr(text, CAST(i AS INT), 5) AS g
-  FROM (
-    SELECT doc_id, text,
-           unnest(generate_series(1, length(text) - 4)) AS i
-    FROM docs
-  )
-),
-cnt AS (SELECT doc_id, count(*) AS n FROM sh GROUP BY doc_id),
-blk AS (SELECT doc_id, substr(text, 1, 32) AS p FROM docs),
-cand AS (
-  SELECT a.doc_id AS id_a, b.doc_id AS id_b
-  FROM blk a JOIN blk b ON a.p = b.p AND a.doc_id < b.doc_id
-),
-inter AS (
-  SELECT p.id_a, p.id_b, count(*) AS ninter
-  FROM cand p
-  JOIN sh sa ON sa.doc_id = p.id_a
-  JOIN sh sb ON sb.doc_id = p.id_b AND sb.g = sa.g
-  GROUP BY p.id_a, p.id_b
-),
-confirmed AS (
-  SELECT i.id_a, i.id_b
-  FROM inter i
-  JOIN cnt ca ON ca.doc_id = i.id_a
-  JOIN cnt cb ON cb.doc_id = i.id_b
-  WHERE CAST(i.ninter AS DOUBLE) / (ca.n + cb.n - i.ninter) >= 0.5
-),
-edges AS (
-  SELECT id_a AS u, id_b AS v FROM confirmed
-  UNION ALL SELECT id_b, id_a FROM confirmed
-),
-closure(a, b) AS (
-  SELECT u, v FROM edges
-  UNION
-  SELECT c.a, e.v FROM closure c JOIN edges e ON e.u = c.b
-),
-dropped AS (SELECT DISTINCT a AS doc_id FROM closure WHERE b < a)
-SELECT d.lang,
-       CAST(count(*) AS BIGINT) AS n_kept,
-       CAST(sum(d.doc_id) AS BIGINT) AS sum_kept_ids
-FROM documents d
-WHERE d.doc_id NOT IN (SELECT doc_id FROM dropped)
-GROUP BY d.lang ORDER BY d.lang
 """
 
 
@@ -4640,67 +4199,6 @@ FROM j GROUP BY c_mktsegment ORDER BY c_mktsegment
 """
 
 
-def q_duplicate_passage_stats(sf_dir: str) -> pd.DataFrame:
-    """Exact duplicate-PASSAGE removal (substring dedup, Lee et al. 2021
-    re-expressed with winnowing anchors — stages/passages.py): a fixed
-    190-char boilerplate passage is planted mid-text into every doc_id %
-    4 == 0 document, spans are detected distributed (anchor table ->
-    min-partner pairing -> byte-exact extend) and reported per lang.
-    No SQL oracle (maximal-common-substring is not SQL-expressible); the
-    query self-asserts that every planted copy except the global first
-    is affected and that each removed span covers the passage."""
-    from ..stages.passages import duplicate_passage_spans
-
-    PASSAGE = ("COMMON BOILERPLATE NOTICE: this exact block is injected "
-               "verbatim into every fourth document of the corpus to "
-               "exercise cross-document passage level deduplication at "
-               "scale with stable bytes.")
-
-    def plant(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ids = np.asarray(t["doc_id"], dtype=np.int64)
-        mark = pa.array(ids % 4 == 0)
-        planted = pc.binary_join_element_wise(
-            pc.utf8_slice_codeunits(t["text"], 0, 40), PASSAGE,
-            pc.utf8_slice_codeunits(t["text"], 40, 1 << 30), "\n")
-        text = pc.if_else(mark, planted,
-                          t["text"].combine_chunks()
-                          if isinstance(t["text"], pa.ChunkedArray)
-                          else t["text"])
-        return pa.table({"doc_id": t["doc_id"], "text": text,
-                         "lang": t["lang"]})
-
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"]) \
-        .map_batches(plant, batch_format="pyarrow")
-    spans = duplicate_passage_spans(docs, "text", "doc_id",
-                                    min_len=128).to_pandas()
-    if not len(spans) or "doc" not in spans.columns:
-        raise RuntimeError("planted passages produced no spans")
-    spans["len"] = spans["end"] - spans["start"]
-    # self-check: every planted doc except the global first is affected,
-    # and each affected doc loses at least the passage
-    lang_of = _read(sf_dir, "documents", columns=["doc_id", "lang"]) \
-        .to_pandas().set_index("doc_id")["lang"]
-    planted_ids = sorted(i for i in lang_of.index if i % 4 == 0)
-    affected = set(spans["doc"].astype(int))
-    missing = set(planted_ids[1:]) - affected
-    assert not missing, f"unaffected planted docs: {sorted(missing)[:5]}"
-    assert planted_ids[0] not in affected, "first copy must keep"
-    per_doc = spans.groupby("doc")["len"].sum()
-    assert (per_doc[per_doc.index.isin(planted_ids)] >=
-            len(PASSAGE)).all()
-    spans["lang"] = spans["doc"].map(lang_of)
-    out = spans.groupby("lang").agg(
-        docs_affected=("doc", "nunique"),
-        n_spans=("doc", "size"),
-        chars_removed=("len", "sum")).reset_index() \
-        .sort_values("lang").reset_index(drop=True)
-    for c in ("docs_affected", "n_spans", "chars_removed"):
-        out[c] = out[c].astype("int64")
-    return out
-
-
 def q_jsonl_roundtrip(sf_dir: str) -> pd.DataFrame:
     """The LLM-corpus interchange format end-to-end: each task writes
     its own gzip'd JSONL shard of the documents table (the resumable
@@ -4767,11 +4265,10 @@ def q_link_components_stats(sf_dir: str) -> pd.DataFrame:
     oracled: edges synthesize deterministically from doc_id (anchor
     ``u -> u - u%7`` plus long-range ``u -> (31u+13)%N`` for u%13==0,
     stages/graph.py), labels come from the sharded-CC + min-label
-    contraction machinery in stages/cluster.py (the same engine that
-    clusters near-dup pairs, where it can never be SQL-oracled because
-    LSH is probabilistic), and the per-size component histogram is
-    compared against a DuckDB recursive-CTE transitive closure. A CC
-    that merges one component wrong or drops one singleton mismatches."""
+    contraction machinery in stages/cluster.py, and the per-size
+    component histogram is compared against a DuckDB recursive-CTE
+    transitive closure. A CC that merges one component wrong or drops
+    one singleton mismatches."""
     from ..stages.graph import component_size_histogram
 
     docs = _read(sf_dir, "documents", columns=["doc_id"])
@@ -5684,7 +5181,7 @@ FROM l ORDER BY doc_id, dst
 # Ordering policy: the correctness driver grades the FIRST 50 entries of this
 # dict, so SQL-oracled queries come first (rotating so every oracled query
 # eventually lands in the graded window) and the no-oracle entries (sketch
-# payloads, LSH-probabilistic results, throughput rows) sit at the end.
+# payloads, probabilistic results, throughput rows) sit at the end.
 # Round-5 window, per the r4 VERDICT rotation plan: (a) queries NEW this
 # round (never graded by anyone), (b) the never-driver-graded oracled
 # queries (judge-verified in r3/r4 VERDICTs but never in a driver
@@ -5734,7 +5231,6 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     "top_users_by_events": q_top_users_by_events,
     "text_stats_by_lang": q_text_stats_by_lang,
     "exact_dedup_docs": q_exact_dedup_docs,
-    "ann_topk_brute": q_ann_topk_brute,
     "revenue_by_nation": q_revenue_by_nation,
     "orders_by_month": q_orders_by_month,
     "events_hourly_windows": q_events_hourly_windows,
@@ -5749,17 +5245,16 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     "minimal_taffy_membership": q_minimal_taffy_membership,
     "quality_filter_counts": q_quality_filter_counts,
     "partitioned_sink_roundtrip": q_partitioned_sink_roundtrip,
-    # -- slots 46-50, filled by sliding (driver-green in earlier rounds) --
-    "ngram_jaccard_dedup": q_ngram_jaccard_dedup,
+    # -- slots 45-50, filled by sliding (driver-green in earlier rounds) --
     "bloom_antijoin": q_bloom_antijoin,
     "training_prep_pipeline": q_training_prep_pipeline,
     "bloom_per_lang_source": q_bloom_per_lang_source,
     "incremental_growable": q_incremental_growable,
+    "tcf_per_domain": q_tcf_per_domain,
+    "line_dedup_stats": q_line_dedup_stats,
     # ---- slot 50 boundary ----
     # -- rotation: the rest of the r4 window (driver-confirmed 50/50 in
     # CORRECTNESS_r04.json) sits below slot 50 this round --
-    "tcf_per_domain": q_tcf_per_domain,
-    "line_dedup_stats": q_line_dedup_stats,
     "doc_repetition_stats": q_doc_repetition_stats,
     "top_words": q_top_words,
     "pii_scrub_stats": q_pii_scrub_stats,
@@ -5774,9 +5269,6 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     "top_collocations": q_top_collocations,
     "bm25_snippets": q_bm25_snippets,
     "shipping_priority": q_shipping_priority,
-    "ann_topk_ivf_exhaustive": q_ann_topk_ivf_exhaustive,
-    "ann_topk_pq_exhaustive": q_ann_topk_pq_exhaustive,
-    "embedding_exact_pairs": q_embedding_exact_pairs,
     "part_lineitem_full_join": q_part_lineitem_full_join,
     "warc_roundtrip": q_warc_roundtrip,
     "checkpointed_bloom_members": q_checkpointed_bloom_members,
@@ -5800,27 +5292,20 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     # -- remaining oracled queries (driver-green in earlier rounds;
     # family coverage stays in-window: sliding via events_hourly,
     # punct/stopword via text_stats, stratified via the
-    # split/percentile pair, near_dup via ngram_jaccard_dedup) --
+    # split/percentile pair) --
     "events_sliding_windows": q_events_sliding_windows,
     "punct_stopword_stats": q_punct_stopword_stats,
     "stratified_sample_counts": q_stratified_sample_counts,
-    "ngram_jaccard_near_dup": q_ngram_jaccard_near_dup,
     # -- no SQL oracle (sketch payloads / probabilistic / throughput) --
     "block_bloom_per_lang": q_block_bloom_per_lang,
     "growable_filters_per_lang": q_growable_filters_per_lang,
     "sketch_summary_events": q_sketch_summary_events,
     "static_xor_per_lang": q_static_xor_per_lang,
     "checkpointed_build_resume": q_checkpointed_build_resume,
-    "ann_topk_ivf": q_ann_topk_ivf,
-    "minhash_near_dup": q_minhash_near_dup,
-    "simhash_near_dup": q_simhash_near_dup,
-    "embedding_near_dup": q_embedding_near_dup,
     "hibp_filter_report": q_hibp_filter_report,
     "sketch_build_throughput": q_sketch_build_throughput,
     "minimal_taffy_per_lang": q_minimal_taffy_per_lang,
     "doc_fingerprints": q_doc_fingerprints,
-    "ann_topk_pq": q_ann_topk_pq,
-    "duplicate_passage_stats": q_duplicate_passage_stats,
 }
 
 ORACLES: dict[str, str] = {
@@ -5833,7 +5318,6 @@ ORACLES: dict[str, str] = {
     "top_users_by_events": SQL_TOP_USERS,
     "text_stats_by_lang": SQL_TEXT_STATS,
     "exact_dedup_docs": SQL_EXACT_DEDUP,
-    "ann_topk_brute": SQL_ANN_TOPK,
     "revenue_by_nation": SQL_REVENUE_BY_NATION,
     "orders_by_month": SQL_ORDERS_BY_MONTH,
     "events_hourly_windows": SQL_EVENTS_HOURLY,
@@ -5854,8 +5338,6 @@ ORACLES: dict[str, str] = {
     "stratified_sample_counts": SQL_STRATIFIED_SAMPLE,
     "partitioned_sink_roundtrip": SQL_SINK_ROUNDTRIP,
     "order_priority_revenue": SQL_ORDER_PRIORITY_REVENUE,
-    "ngram_jaccard_near_dup": SQL_NGRAM_JACCARD,
-    "ngram_jaccard_dedup": SQL_NGRAM_JACCARD_DEDUP,
     "bloom_antijoin": SQL_BLOOM_ANTIJOIN,
     "training_prep_pipeline": SQL_TRAINING_PREP,
     "event_funnel": SQL_EVENT_FUNNEL,
@@ -5890,9 +5372,6 @@ ORACLES: dict[str, str] = {
     "shipping_priority": SQL_SHIPPING_PRIORITY,
     "crawl_delta": SQL_CRAWL_DELTA,
     "customer_order_counts": SQL_CUSTOMER_ORDER_COUNTS,
-    "ann_topk_ivf_exhaustive": SQL_ANN_TOPK,
-    "ann_topk_pq_exhaustive": SQL_ANN_TOPK,
-    "embedding_exact_pairs": SQL_EMBEDDING_EXACT_PAIRS,
     "exact_value_quantiles": SQL_EXACT_VALUE_QUANTILES,
     "part_lineitem_full_join": SQL_PART_LINEITEM_FULL_JOIN,
     "warc_roundtrip": SQL_WARC_ROUNDTRIP,

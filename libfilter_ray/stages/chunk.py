@@ -7,8 +7,7 @@ inverted-index build. Chunk text is a SLICE OF THE ORIGINAL string —
 whitespace-split tokens rejoined with ' ' reconstruct the source
 exactly, so chunk boundaries are computed as character offsets
 (vectorized cumulative token lengths) and only the final substring
-extraction is per-chunk Python (bounded by OUTPUT rows — the same
-honest per-row surgery budget as stages/passages.py's byte splices).
+extraction is per-chunk Python (bounded by OUTPUT rows).
 
 Chunk-count rule shared verbatim with the SQL oracle:
 n_chunks = ceil(max(L - window, 0) / stride) + 1 for L tokens — every

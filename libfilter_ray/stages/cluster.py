@@ -1,7 +1,7 @@
-"""Distributed connected components over a pair Dataset — the clustering
-tail of near-duplicate dedup, previously a driver-side union-find over all
-confirmed pairs (the round-2 scale risk: a heavily-duplicated crawl makes
-pairs O(corpus)).
+"""Distributed connected components over a pair Dataset, with nothing
+collected to the driver (a driver-side union-find over all pairs does not
+scale: a large graph makes pairs O(corpus)). stages/graph.py labels the
+link graph with it.
 
 Two stages:
 
@@ -9,10 +9,10 @@ Two stages:
    hash(src) and run a vectorized local label propagation per shard
    (numpy pointer-jumping — no per-edge Python), emitting each node's
    shard-local component min id. Folding those mappings by node yields a
-   contracted graph whose nodes are shard-local minima: near-dup graphs
-   are band-bucket cliques whose pairs share their bucket-min `id_a`, so
-   they co-shard and collapse to a single node here — the contracted
-   graph is typically empty or tiny.
+   contracted graph whose nodes are shard-local minima: edges that share
+   their `id_a` co-shard and collapse to a single node here, so for
+   clique- or star-shaped components the contracted graph is typically
+   empty or tiny.
 2. **Min-label propagation loop** on the contracted graph (only if any
    cross-shard edges remain). Each round: one hash-partitioned equi-join
    pushes labels across edges, one self-join pointer-jumps
@@ -255,16 +255,3 @@ def connected_components(pairs_ds, *, id_a: str = "id_a",
 
     return joined.map_batches(finish, batch_format="pyarrow")
 
-
-def cluster_drop_ds(pairs_ds, **kwargs):
-    """Dataset (drop_id) of every paired node EXCEPT its component's min-id
-    representative — the near-dup survivor rule, fully distributed. Feed it
-    to `dedup.drop_source_of` + `dedup.drop_id_filter`."""
-    labels = connected_components(pairs_ds, **kwargs)
-
-    def non_roots(t: pa.Table) -> pa.Table:
-        node = np.asarray(t["node"], dtype=np.int64)
-        lab = np.asarray(t["label"], dtype=np.int64)
-        return pa.table({"drop_id": pa.array(node[node != lab])})
-
-    return labels.map_batches(non_roots, batch_format="pyarrow")

@@ -12,8 +12,7 @@ those variants is therefore a COMPLETE candidate generator; sharing a
 variant does NOT imply ed <= 1 (e.g. "xy"/"yx" share "x"), so every
 candidate pair is re-verified exactly.
 
-Distributed shape (the engine's standard sharded-banding layout, same as
-stages/dedup.py's n-gram banding):
+Distributed shape (sharded banding):
 
   band    map_batches: per-batch DISTINCT strings emit (variant-hash
           shard, variant hash, string) rows — O(len+1) variants per
@@ -43,8 +42,7 @@ from ..sketch.hashing import hash_arrow_array
 
 #: characters per string above which banding is refused — deletion
 #: variants are O(len) per string, and edit distance 1 on kilobyte
-#: payloads is not a meaningful similarity anyway (use the n-gram or
-#: minhash families for long text).
+#: payloads is not a meaningful similarity anyway.
 MAX_LEN = 256
 
 
@@ -149,8 +147,8 @@ def edit1_pairs(ds, column: str, *, num_shards: int = 64,
             if too_long > MAX_LEN:
                 raise ValueError(
                     f"edit1_pairs: value of {too_long} chars exceeds "
-                    f"MAX_LEN={MAX_LEN} — edit distance 1 on long "
-                    "payloads wants the n-gram/minhash families")
+                    f"MAX_LEN={MAX_LEN} — edit distance 1 is meant for "
+                    "short keys (vocabulary words, typo variants)")
         return _variant_rows(words, seed=seed, num_shards=num_shards)
 
     def pair_shard(df: pd.DataFrame) -> pd.DataFrame:

@@ -39,13 +39,6 @@ FAMILIES = [
                                # so even a collect-free run grows with SF)
     "exact_dedup_docs",        # hash-partitioned exact dedup
     "training_prep_pipeline",  # curate chain: quality -> dedup -> stats
-    "minhash_near_dup_ds",     # LSH banding + sharded pair verify over
-                               # the RAW corpus (planted near/exact dups),
-                               # Dataset form: pairs never hit the driver.
-                               # (q_minhash_near_dup's plant-a-clone-of-
-                               # every-doc harness makes pair count O(n)
-                               # by construction — a correctness fixture,
-                               # not a scale workload)
     "bpe_merges",              # iterative tokenizer training
     "shuffle_shard_report",    # global permutation -> training shards
     "link_pagerank_topk",      # iterative all-to-all link analysis
@@ -86,16 +79,6 @@ def run_child(family: str, sf_dir: str) -> None:
             ds = rd.read_parquet(os.path.join(d, "documents.parquet"),
                                  columns=["doc_id", "n_chars"])
             return [ds.count()]
-    elif family == "minhash_near_dup_ds":
-        def fn(d):
-            import ray.data as rd
-
-            from libfilter_ray.stages.dedup import minhash_near_dup_pairs_ds
-            ds = rd.read_parquet(os.path.join(d, "documents.parquet"),
-                                 columns=["doc_id", "text"])
-            pairs = minhash_near_dup_pairs_ds(ds, "text", "doc_id",
-                                              threshold=0.6)
-            return [pairs.count()]  # pairs stay distributed; driver sees N
     else:
         fn = getattr(q, f"q_{family}")
     t0 = time.perf_counter()

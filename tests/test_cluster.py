@@ -1,8 +1,7 @@
-"""Distributed connected components (stages/cluster.py) vs the driver
-union-find reference, and the Dataset-pairs path of near_dup_dedup."""
+"""Distributed connected components (stages/cluster.py) vs a driver-side
+union-find reference."""
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pytest
 
@@ -17,9 +16,24 @@ def _pairs_ds(pairs: np.ndarray):
     })).repartition(4)
 
 
-def _reference_labels(pairs: np.ndarray) -> dict[int, int]:
-    from libfilter_ray.stages.dedup import _union_find
+def _union_find(pairs: np.ndarray, ids: np.ndarray) -> dict[int, int]:
+    """Reference clustering: id -> min id of its component."""
+    parent: dict[int, int] = {}
 
+    def find(x: int) -> int:
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(int(a)), find(int(b))
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return {int(i): find(int(i)) for i in ids}
+
+
+def _reference_labels(pairs: np.ndarray) -> dict[int, int]:
     ids = np.unique(pairs.ravel())
     return _union_find(pairs, ids)
 
@@ -74,32 +88,6 @@ def test_cc_empty(ray_session):
     got = connected_components(
         _pairs_ds(np.empty((0, 2), dtype=np.int64))).to_pandas()
     assert len(got) == 0
-
-
-def test_near_dup_dedup_dataset_pairs(ray_session, tmp_path):
-    """Dataset-pairs path (distributed CC + bounded drop carrier) keeps
-    exactly the same survivors as the DataFrame union-find path."""
-    from libfilter_ray.stages.dedup import near_dup_dedup
-
-    pairs = np.array([[1, 2], [2, 3], [10, 11], [20, 21], [21, 22]],
-                     dtype=np.int64)
-    docs = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array(np.arange(30), type=pa.int64()),
-        "text": [f"t{i}" for i in range(30)],
-    })).repartition(3)
-    via_df = near_dup_dedup(
-        docs, pd.DataFrame({"id_a": pairs[:, 0], "id_b": pairs[:, 1]}),
-        "doc_id").to_pandas().sort_values("doc_id").reset_index(drop=True)
-    via_ds = near_dup_dedup(docs, _pairs_ds(pairs), "doc_id") \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    via_store = near_dup_dedup(docs, _pairs_ds(pairs), "doc_id",
-                               broadcast_limit=1,
-                               store_dir=str(tmp_path / "nd")) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    assert via_df.equals(via_ds)
-    assert via_df.equals(via_store)
-    dropped = set(range(30)) - set(via_df["doc_id"])
-    assert dropped == {2, 3, 11, 21, 22}
 
 
 def test_no_driver_gather_helpers_remain():

@@ -4,7 +4,8 @@ The engine is the sketch kernels, the sources the flagship reads, the
 build/extract/broadcast stages, the checkpointed build, the flagship
 pipeline and the package plumbing. Every `libfilter_ray` import in those
 modules, function-local ones included, must name another engine module, so
-the engine never depends on a query family (dedup, cluster, joins, ...)."""
+the engine never depends on a query family (dedup, cluster, joins, ...).
+The same import walk also checks that no module of the package is orphaned."""
 
 from __future__ import annotations
 
@@ -85,3 +86,24 @@ def test_engine_modules_import_only_engine_modules():
     strays = {m: sorted(libfilter_imports(module_path(m), m) - ENGINE)
               for m in sorted(ENGINE)}
     assert {m: s for m, s in strays.items() if s} == {}
+
+
+def test_every_module_is_reached():
+    """No orphan module: the import closure of the job CLI, the driver
+    entry point (`__ray_entry__.py`) and the engine covers every module in
+    the package, so a cut cannot leave a module importable but unused."""
+    entry = PKG.parent / "__ray_entry__.py"
+    todo = {"libfilter_ray.job", *ENGINE,
+            *libfilter_imports(entry, "__ray_entry__")}
+    reached: set[str] = set()
+    while todo:
+        m = todo.pop()
+        if m in reached:
+            continue
+        reached.add(m)
+        if "." in m:  # importing a submodule runs its package first
+            todo.add(m.rpartition(".")[0])
+        todo |= libfilter_imports(module_path(m), m)
+    every = {".".join(p.relative_to(PKG.parent).with_suffix("").parts)
+             .removesuffix(".__init__") for p in PKG.rglob("*.py")}
+    assert sorted(every - reached) == []

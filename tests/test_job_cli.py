@@ -181,42 +181,6 @@ def test_sharded_table_dir_inputs(tmp_path, ray_session):
               "--checkpoint-dir", str(tmp_path / "ck2")])
 
 
-def test_neardup_subcommand_finds_planted_clones(tmp_path, ray_session):
-    """`job neardup --method minhash` over a corpus with cloned texts emits
-    each planted (orig, clone) pair with jaccard == 1.0."""
-    import numpy as np
-    import pyarrow as pa
-
-    from conftest import SF_DIR
-
-    base = pq.read_table(f"{SF_DIR}/documents.parquet",
-                         columns=["doc_id", "text"])
-    clones = base.slice(0, 40).set_column(
-        0, "doc_id",
-        pa.array(np.asarray(base["doc_id"])[:40].astype(np.int64) + 100000,
-                 type=pa.int64()))
-    inp = tmp_path / "in"
-    inp.mkdir()
-    pq.write_table(pa.concat_tables([base, clones]),
-                   str(inp / "documents.parquet"))
-    out = tmp_path / "pairs.parquet"
-    assert main(["neardup", "--method", "minhash", "--input", str(inp),
-                 "--table", "documents", "--column", "text",
-                 "--id-column", "doc_id", "--threshold", "0.9",
-                 "--output", str(out)]) == 0
-    pairs = pq.read_table(out).to_pandas()
-    exact = pairs[pairs["jaccard"] >= 1.0]
-    got = set(zip(exact["id_a"], exact["id_b"]))
-    want = {(int(d), int(d) + 100000)
-            for d in np.asarray(base["doc_id"])[:40]}
-    assert want <= got  # every planted clone pair confirmed
-
-    with pytest.raises(SystemExit, match="--dim is required"):
-        main(["neardup", "--method", "embedding", "--input", str(inp),
-              "--table", "documents", "--column", "text",
-              "--id-column", "doc_id"])
-
-
 def test_clean_subcommand_composes_all_stages(tmp_path, ray_session):
     """`job clean` = scrub -> line dedup -> doc dedup, verified against the
     same stages composed directly on the library surface."""
@@ -641,32 +605,6 @@ def test_curate_checkpointed_matches_streaming(tmp_path, ray_session):
                             "--output", str(tmp_path / "x")])
 
 
-def test_neardup_ngram_method(tmp_path, ray_session):
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-
-    base = ("the quick brown fox jumps over the lazy dog again and "
-            "again for good measure padding")
-    rows = [{"doc_id": np.int64(i), "text": base + f" unique tail {i}"}
-            for i in range(6)]
-    rows += [{"doc_id": np.int64(100 + i), "text": rows[i]["text"] + " x"}
-             for i in range(3)]  # near-dups of the first three
-    src = tmp_path / "in"
-    src.mkdir()
-    pa.parquet.write_table(
-        pa.Table.from_pandas(pd.DataFrame(rows), preserve_index=False),
-        src / "docs.parquet")
-    out = tmp_path / "pairs.parquet"
-    assert main(["neardup", "--method", "ngram", "--input", str(src),
-                 "--table", "docs", "--column", "text",
-                 "--id-column", "doc_id", "--threshold", "0.5",
-                 "--output", str(out)]) == 0
-    pairs = pq.read_table(out).to_pandas()
-    got = {(a, b) for a, b in zip(pairs["id_a"], pairs["id_b"])}
-    assert {(0, 100), (1, 101), (2, 102)} <= got
-
-
 def test_curate_metrics_recorded(tmp_path, ray_session):
     import numpy as np
     import pandas as pd
@@ -697,61 +635,29 @@ def test_curate_metrics_recorded(tmp_path, ray_session):
     assert all("sec" in m and "n" in m for m in lines)
 
 
-def test_curate_passage_dedup_stage(tmp_path, ray_session):
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
+def test_curate_manifest_from_passage_dedup_era(tmp_path):
+    """A curate.json written before the passage-dedup stage was removed
+    still pins its flags: `passage_dedup: 0` (stage off) is adopted, a
+    nonzero value is refused — its cached artifacts were computed on
+    passage-stripped text."""
+    from libfilter_ray.job import _curate_manifest_guard, make_parser
 
-    rng = np.random.default_rng(41)
-    boiler = "".join(rng.choice(list("abcdef gh"), size=160))
-    rows = []
-    for i in range(30):
-        body = "".join(rng.choice(list("qrstuv wx"), size=120))
-        text = body + (boiler if i % 3 == 0 else "")
-        rows.append({
-            "url": f"https://d.example.org/p{i}",
-            "warc_ts": pd.Timestamp("2024-03-01"),
-            "text": text, "lang": "en", "row_id": np.int64(i)})
-    src = tmp_path / "in"
-    src.mkdir()
-    pa.parquet.write_table(pa.Table.from_pandas(
-        pd.DataFrame(rows), preserve_index=False), src / "pages.parquet")
+    args = make_parser().parse_args([
+        "curate", "--input", str(tmp_path), "--table", "pages",
+        "--column", "text", "--id-column", "row_id"])
+    args.blocklist_digest = None  # set by the curate job before the guard
     ck = str(tmp_path / "ck")
-    common = ["curate", "--input", str(src), "--table", "pages",
-              "--column", "text", "--id-column", "row_id",
-              "--passage-dedup", "128", "--checkpoint-dir", ck]
-    out1 = tmp_path / "o1"
-    assert main(common + ["--output", str(out1)]) == 0
-    got = pq.read_table(out1).to_pandas().sort_values("row_id")
-    kept_first = got[got["row_id"] == 0]["text"].iloc[0]
-    assert boiler in kept_first                       # first copy keeps
-    for _, r in got[got["row_id"] > 0].iterrows():
-        if r["row_id"] % 3 == 0:
-            assert boiler not in r["text"]            # later copies cut
-    import os
-    assert os.path.exists(f"{ck}/passage_spans/manifest.json")
-    out2 = tmp_path / "o2"
-    assert main(common + ["--output", str(out2)]) == 0  # re-attach
-    lines = [json.loads(ln) for ln in
-             open(f"{ck}/metrics.jsonl").read().splitlines()
-             if json.loads(ln)["stage"] == "passage-dedup"]
-    assert [m["cached"] for m in lines] == [False, True]
+    _curate_manifest_guard(ck, args)  # fresh dir: writes the manifest
+    mpath = tmp_path / "ck" / "curate.json"
+    ident = json.loads(mpath.read_text())
+    assert "passage_dedup" not in ident
 
+    mpath.write_text(json.dumps({**ident, "passage_dedup": 0}))
+    _curate_manifest_guard(ck, args)  # adopted
 
-def test_curate_passage_dedup_bound_validated(tmp_path, ray_session):
-    import pandas as pd
-    import pyarrow as pa
-
-    src = tmp_path / "in"
-    src.mkdir()
-    pa.parquet.write_table(pa.Table.from_pandas(pd.DataFrame({
-        "url": ["https://a/b"], "warc_ts": [pd.Timestamp("2024-01-01")],
-        "text": ["x"], "lang": ["en"], "row_id": [1]}),
-        preserve_index=False), src / "pages.parquet")
-    with pytest.raises(SystemExit):
-        main(["curate", "--input", str(src), "--table", "pages",
-              "--column", "text", "--id-column", "row_id",
-              "--passage-dedup", "16"])
+    mpath.write_text(json.dumps({**ident, "passage_dedup": 40}))
+    with pytest.raises(SystemExit, match="passage_dedup"):
+        _curate_manifest_guard(ck, args)
 
 
 def test_curate_lm_quality_stage(tmp_path, ray_session):
@@ -1034,11 +940,10 @@ def test_curate_shuffle_offramp(tmp_path, ray_session):
 
 
 def test_curate_full_composition_resumes(tmp_path, ray_session):
-    """ALL nine curate stages composed in one checkpointed run —
-    blocklist -> url-dedup -> passage-dedup -> domain-cap ->
-    decontaminate -> freq-quality -> lm-quality -> token-budget(mix) ->
-    split — then a resubmit re-attaches every artifact and produces
-    identical output."""
+    """ALL eight curate stages composed in one checkpointed run —
+    blocklist -> url-dedup -> domain-cap -> decontaminate ->
+    freq-quality -> lm-quality -> token-budget(mix) -> split — then a
+    resubmit re-attaches every artifact and produces identical output."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -1076,8 +981,8 @@ def test_curate_full_composition_resumes(tmp_path, ray_session):
 
     argv = ["curate", "--input", str(src), "--table", "pages",
             "--column", "text", "--id-column", "row_id",
-            "--blocklist", str(blk), "--passage-dedup", "40",
-            "--domain-cap", "40", "--benchmark", str(bench),
+            "--blocklist", str(blk), "--domain-cap", "40",
+            "--benchmark", str(bench),
             "--min-commonness", "5", "--lm-threshold", "2.5",
             "--token-budget", "2500", "--mix", "en=0.6,de=0.4",
             "--split", "train=90,val=5,test=5",
@@ -1136,45 +1041,6 @@ def test_import_warc_subcommand(tmp_path, ray_session):
     assert main(["import-warc", "--warc",
                  str(tmp_path / "*.warc.gz"),
                  "--out", str(out), "--buckets", "4"]) == 0
-
-
-def test_ann_subcommand_matches_brute(tmp_path, ray_session):
-    """ann CLI: query rows fetched by predicate pushdown, brute top-k
-    matches a direct brute_topk call with the same queries; ivf in
-    exhaustive mode (nprobe >= centroids) matches brute exactly."""
-    import numpy as np
-    import pyarrow.parquet as _pq
-    import ray.data
-
-    from libfilter_ray.stages.ann import brute_topk
-
-    out = tmp_path / "ann.parquet"
-    assert main(["ann", "--input", SF_DIR_01, "--query-ids", "3,11",
-                 "--k", "5", "--output", str(out)]) == 0
-    got = _pq.read_table(out).to_pandas() \
-        .sort_values(["query_id", "rank"]).reset_index(drop=True)
-    emb = _pq.read_table(f"{SF_DIR_01}/embeddings.parquet").to_pandas() \
-        .set_index("vec_id")
-    Q = np.stack(emb.loc[[3, 11], "embedding"].to_numpy())
-    ds = ray.data.read_parquet(f"{SF_DIR_01}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
-    want = brute_topk(ds, Q, k=5) \
-        .sort_values(["query_id", "rank"]).reset_index(drop=True)
-    assert list(got["neighbor_id"]) == list(want["neighbor_id"])
-    assert list(got["query_id"]) == [3] * 5 + [11] * 5
-
-    out2 = tmp_path / "ann_ivf.parquet"
-    assert main(["ann", "--input", SF_DIR_01, "--query-ids", "3,11",
-                 "--k", "5", "--method", "ivf", "--num-centroids", "4",
-                 "--nprobe", "4", "--output", str(out2)]) == 0
-    got2 = _pq.read_table(out2).to_pandas() \
-        .sort_values(["query_id", "rank"]).reset_index(drop=True)
-    assert list(got2["neighbor_id"]) == list(got["neighbor_id"])
-
-
-def test_ann_subcommand_missing_query_id(ray_session):
-    with pytest.raises(SystemExit, match="not in table"):
-        main(["ann", "--input", SF_DIR_01, "--query-ids", "999999999"])
 
 
 def test_import_warc_lang_id(tmp_path, ray_session):

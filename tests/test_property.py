@@ -175,59 +175,3 @@ def test_line_dedup_matches_naive_any_corpus(ray_session, docs, nparts):
          for k, v in res.set_index("doc_id")["text"].to_dict().items()}
     assert out == want
 
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(st.text(min_size=0, max_size=80),
-                          st.text(min_size=0, max_size=80)),
-                min_size=1, max_size=40),
-       st.integers(min_value=2, max_value=8))
-def test_jaccard_pairwise_matches_set_reference(pairs, k):
-    """The vectorized lexsort+bincount Jaccard must equal the obvious
-    per-pair set computation (including the short-row whole-string hash
-    semantics) for arbitrary unicode inputs."""
-    from libfilter_ray.functions.shingles import jaccard_pairwise
-
-    col_a = pa.array([a for a, _ in pairs], type=pa.string())
-    col_b = pa.array([b for _, b in pairs], type=pa.string())
-    got = jaccard_pairwise(col_a, col_b, k=k)
-
-    def shingles(s: str) -> set:
-        b = s.encode()
-        if len(b) >= k:
-            return {b[i:i + k] for i in range(len(b) - k + 1)}
-        return {b}  # whole-row shingle for short rows
-
-    for i, (a, b) in enumerate(pairs):
-        A, B = shingles(a), shingles(b)
-        inter = len(A & B)
-        union = len(A | B)
-        want = inter / union if union else 1.0
-        assert abs(got[i] - want) < 1e-12, (i, a, b, got[i], want)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.text(alphabet="abcdefgh", min_size=60, max_size=150),
-       st.text(alphabet="xyzw", min_size=0, max_size=40),
-       st.text(alphabet="pqrs", min_size=0, max_size=40))
-def test_winnow_anchor_alignment_property(passage, pre, post):
-    """For ANY shared substring long enough to contain a full window,
-    interior winnowing anchors align at identical content offsets in
-    both embeddings — the passage-dedup detection guarantee."""
-    from libfilter_ray.stages.passages import winnow_anchor_positions
-
-    k, w = 16, 16
-    t1 = pre + passage + post
-    t2 = post + pre + passage + pre + post  # different surroundings
-    h, row, pos = winnow_anchor_positions(
-        pa.array([t1, t2], type=pa.string()), k=k, w=w)
-    off1 = len(pre.encode())
-    off2 = len((post + pre).encode())
-    plen = len(passage.encode())
-    margin = w + k - 1
-
-    def interior(r, off):
-        return {(int(hh), int(p) - off)
-                for hh, rr, p in zip(h, row, pos)
-                if rr == r and off + margin <= p < off + plen - margin}
-
-    assert interior(0, off1) == interior(1, off2)
