@@ -36,12 +36,10 @@ BANDS: dict[str, tuple[float, float]] = {
     "exact_value_quantiles": (2.0, 4.6),
     "part_lineitem_full_join": (3.5, 7.5),
     "lm_quality_filter": (4.0, 9.5),
-    "bm25_search": (2.0, 5.0),
     "shipping_priority": (4.0, 8.0),
     "keyword_topk": (1.8, 4.5),
     "quality_percentile_cut": (2.2, 5.5),
     "warc_roundtrip": (1.3, 3.5),
-    "link_pagerank_topk": (2.0, 7.0),
 }
 
 
@@ -173,9 +171,6 @@ def run_bench() -> dict:
     # self-trained bigram LM quality filter (distributed model build +
     # broadcast scoring — the real-log-prob CCNet shape)
     timed("lm_quality_filter", q.q_lm_quality_filter)
-    # inverted-index build + BM25 ranked retrieval (bucketed postings,
-    # write-own-partition sink, corpus-free scoring)
-    timed("bm25_search", q.q_bm25_search)
     # TPC-H Q3 shape: semi-join prune -> fact x fact join -> top-10
     timed("shipping_priority", q.q_shipping_priority)
     # tf/df keyword extraction (doc-freq broadcast + per-doc top-3)
@@ -185,10 +180,6 @@ def run_bench() -> dict:
     # gzip'd WARC round-trip: sharded write -> streamed member-per-record
     # read -> extract -> per-lang aggregate
     timed("warc_roundtrip", q.q_warc_roundtrip)
-    # iterative link analysis: 3 integer-exact PageRank rounds, one
-    # scatter + groupby-sum shuffle per round (the all-to-all-per-
-    # iteration workload none of the other entries exercise)
-    timed("link_pagerank_topk", q.q_link_pagerank_topk)
 
     # single-process kernel throughput (comparable to the reference's
     # single-core table in BASELINE.md — SBBF insert/lookup M keys/s)

@@ -11,7 +11,7 @@ Layout:
   sketch/     pure numpy/Python kernels (no Ray imports)
   sources/    table readers + deterministic web-page synthesis
   stages/     Ray Data stages (extract, sketch build, probe, partitioning)
-  functions/  text analysis, dedup, similarity
+  functions/  text statistics, shingle hashing, sequence packing
   pipelines/  end-to-end pipelines + the queries()/oracle_sql() registry
   state/      checkpoint/resume
 """

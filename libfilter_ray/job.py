@@ -891,68 +891,8 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     else:
         # global packing is a single ordered chain: narrow (id, n_tokens)
         # rows only — at 10^12 scale pass --key to shard the chain
-        import pandas as pd
-
         out = pack_group(ds.to_pandas())
     _write_result(out, args.output)
-    return 0
-
-
-def _cmd_index(args: argparse.Namespace) -> int:
-    """Build a token-hash-bucketed inverted index (once) and/or query
-    it. Without --search, builds into --index-dir. With --search, an
-    existing index is attached (built first if absent) and the query
-    runs off the bucket files alone — the corpus is not read."""
-    import numpy as np
-    import ray.data
-
-    from .state.inverted_index import INDEX_MANIFEST, InvertedIndex
-
-    have = os.path.exists(os.path.join(args.index_dir, INDEX_MANIFEST))
-    if have and not args.search:
-        print(f"index already built at {args.index_dir}",
-              file=sys.stderr)
-    if not have:
-        if not (args.input and args.table):
-            raise SystemExit(
-                f"no index at {args.index_dir} — building one needs "
-                "--input and --table")
-        paths = _table_paths(args.input, args.table)
-        _check_columns(paths, [args.column, args.id_column])
-        ds = ray.data.read_parquet(paths,
-                                   columns=[args.column, args.id_column])
-        idx = InvertedIndex.build(
-            ds, args.column, args.id_column, args.index_dir,
-            num_buckets=args.buckets, min_df=args.min_df,
-            max_df=args.max_df)
-        print(f"built: {idx.n_terms} terms over {idx.n_docs} docs in "
-              f"{idx.num_buckets} buckets", file=sys.stderr)
-    else:
-        idx = InvertedIndex(args.index_dir)
-    if args.merge_base:
-        from .state.inverted_index import merge_indexes
-
-        if not args.merged_out:
-            raise SystemExit("--merge-base needs --merged-out")
-        merged = merge_indexes(args.merge_base, args.index_dir,
-                               args.merged_out)
-        print(f"merged: {merged.n_terms} terms over {merged.n_docs} "
-              f"docs -> {args.merged_out}", file=sys.stderr)
-        idx = merged
-    if args.search:
-        import pandas as pd
-
-        terms = args.search.split()
-        if args.mode == "bm25":
-            ids, scores = idx.search_bm25(terms, k=args.k or 10)
-            out = pd.DataFrame({
-                "rank": np.arange(1, len(ids) + 1, dtype=np.int64),
-                "doc_id": ids, "score": np.round(scores, 6)})
-        else:
-            ids = idx.search(terms, mode=args.mode)[:args.k] \
-                if args.k else idx.search(terms, mode=args.mode)
-            out = pd.DataFrame({"doc_id": ids})
-        _write_result(out, args.output)
     return 0
 
 
@@ -1118,34 +1058,6 @@ def _cmd_topk(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bpe(args: argparse.Namespace) -> int:
-    """Learn BPE tokenizer merges over a text column (stages/bpe.py):
-    the word table stays distributed; stdout (or --output) is the
-    learned merge table (merge_rank, left, right, pair_n) — feed it to
-    any BPE segmenter. `--min-count` prunes the typo tail first, the
-    standard corpus-scale practice. `--save-dir` additionally exports
-    the standard two-file tokenizer layout (merges.txt + vocab.json)
-    that round-trips into real BPE loaders (stages/bpe.py:
-    save_bpe_artifacts / load_bpe_artifacts)."""
-    import ray.data
-
-    from .stages.bpe import bpe_alphabet, learn_bpe_merges, \
-        save_bpe_artifacts
-
-    paths = _table_paths(args.input, args.table)
-    _check_columns(paths, [args.column])
-    ds = ray.data.read_parquet(paths, columns=[args.column])
-    out = learn_bpe_merges(ds, k=args.merges, text_col=args.column,
-                           min_count=args.min_count,
-                           num_shards=args.shards)
-    if args.save_dir:
-        alpha = bpe_alphabet(ds, text_col=args.column)
-        mpath, vpath = save_bpe_artifacts(args.save_dir, out, alpha)
-        print(f"artifacts: {mpath} {vpath}", file=sys.stderr)
-    _write_result(out, args.output)
-    return 0
-
-
 def _cmd_outliers(args: argparse.Namespace) -> int:
     """Robust per-key outlier report over a numeric column: exact lower
     median + MAD (order-statistics engine, no group materialized) and
@@ -1195,25 +1107,6 @@ def _cmd_fuzzy(args: argparse.Namespace) -> int:
     out = edit1_pairs(ds, args.column,
                       num_shards=args.num_shards).to_pandas() \
         .sort_values(["w1", "w2"]).reset_index(drop=True)
-    _write_result(out, args.output)
-    return 0
-
-
-def _cmd_links(args: argparse.Namespace) -> int:
-    """Extract every href from an html column into a (src, dst) edge
-    parquet (stages/extract.py:links_stage) — the crawl-to-link-graph
-    bridge: import-warc -> links -> graph pagerank/components."""
-    import ray.data
-
-    from .stages.extract import links_stage
-
-    paths = _table_paths(args.input, args.table)
-    _check_columns(paths, [args.html_column, args.src_column])
-    ds = ray.data.read_parquet(
-        paths, columns=[args.src_column, args.html_column])
-    out = ds.map_batches(links_stage(html_col=args.html_column,
-                                     src_col=args.src_column),
-                         batch_format="pyarrow")
     _write_result(out, args.output)
     return 0
 
@@ -1311,55 +1204,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
         stage = write_warc_shards_stage(args.out)
     manifest = ds.map_batches(stage, batch_format="pyarrow").to_pandas()
     _write_result(manifest, args.output)
-    return 0
-
-
-def _cmd_graph(args: argparse.Namespace) -> int:
-    """Link-graph analysis over a real (src, dst) edge parquet table:
-    `--mode pagerank` runs the exact-integer PageRank (stages/graph.py,
-    join-per-round adjacency) and emits the top-k (node, pr_micro);
-    `--mode components` runs distributed connected components
-    (stages/cluster.py) and emits the component-size histogram. Nodes
-    come from `--nodes`/`--node-col` when given, else from the distinct
-    edge endpoints (one extra shuffle)."""
-    import numpy as np
-    import pyarrow as _pa
-    import ray.data
-
-    from .stages.graph import integer_pagerank_edges
-
-    edges = ray.data.read_parquet(args.edges,
-                                  columns=[args.src_col, args.dst_col])
-    if args.nodes:
-        nodes = ray.data.read_parquet(args.nodes,
-                                      columns=[args.node_col])
-        node_col = args.node_col
-    else:
-        def endpoints(t: _pa.Table) -> _pa.Table:
-            both = np.concatenate([
-                np.asarray(t[args.src_col], dtype=np.int64),
-                np.asarray(t[args.dst_col], dtype=np.int64)])
-            return _pa.table({"node": _pa.array(np.unique(both))})
-
-        nodes = edges.map_batches(endpoints, batch_format="pyarrow") \
-            .groupby("node").count().select_columns(["node"])
-        node_col = "node"
-
-    if args.mode == "pagerank":
-        from .stages.graph import topk_from_ranks
-
-        ranks = integer_pagerank_edges(
-            edges, nodes, iters=args.iters, node_col=node_col,
-            src_col=args.src_col, dst_col=args.dst_col,
-            num_shards=args.shards)
-        out = topk_from_ranks(ranks, args.top, id_name="node")
-    else:
-        from .stages.graph import component_size_histogram_edges
-
-        out = component_size_histogram_edges(
-            edges, nodes, node_col=node_col,
-            src_col=args.src_col, dst_col=args.dst_col)
-    _write_result(out, args.output)
     return 0
 
 
@@ -1550,35 +1394,6 @@ def make_parser() -> argparse.ArgumentParser:
     cu.add_argument("--output", default=None)
     cu.set_defaults(fn=_cmd_curate)
 
-    ix = sub.add_parser("index", help="inverted index build / search")
-    ix.add_argument("--input", help="required to BUILD")
-    ix.add_argument("--table")
-    ix.add_argument("--column", default="text")
-    ix.add_argument("--id-column", default="doc_id")
-    ix.add_argument("--index-dir", required=True,
-                    help="bucketed index directory (built if absent)")
-    ix.add_argument("--buckets", type=int, default=64)
-    ix.add_argument("--min-df", type=int, default=1,
-                    help="drop tokens in fewer docs than this")
-    ix.add_argument("--max-df", type=int, default=None,
-                    help="drop tokens in more docs than this "
-                         "(stopword cut)")
-    ix.add_argument("--merge-base", default=None,
-                    help="existing index to merge this one into "
-                         "(incremental crawl: index only the NEW docs, "
-                         "then per-bucket merge — no full rebuild)")
-    ix.add_argument("--merged-out", default=None,
-                    help="output dir for --merge-base")
-    ix.add_argument("--search", default=None,
-                    help="space-separated query terms")
-    ix.add_argument("--mode", choices=("and", "or", "bm25"),
-                    default="bm25")
-    ix.add_argument("--k", type=int, default=None,
-                    help="result cap (bm25 top-k, default 10; and/or "
-                         "default unlimited)")
-    ix.add_argument("--output", default=None)
-    ix.set_defaults(fn=_cmd_index)
-
     pk = sub.add_parser("pack", help="sequence-packing assignments")
     pk.add_argument("--input", required=True)
     pk.add_argument("--table", required=True)
@@ -1646,27 +1461,6 @@ def make_parser() -> argparse.ArgumentParser:
                     help="keep the wide html column after extraction")
     iw.set_defaults(fn=_cmd_import_warc)
 
-    gr = sub.add_parser("graph",
-                        help="link analysis over a (src, dst) edge table")
-    gr.add_argument("--edges", required=True,
-                    help="edge parquet path/glob")
-    gr.add_argument("--mode", choices=["pagerank", "components"],
-                    default="pagerank")
-    gr.add_argument("--src-col", default="src")
-    gr.add_argument("--dst-col", default="dst")
-    gr.add_argument("--nodes", default=None,
-                    help="node parquet (default: distinct edge endpoints)")
-    gr.add_argument("--node-col", default="node")
-    gr.add_argument("--iters", type=int, default=3,
-                    help="PageRank rounds (exact integer micro-ranks)")
-    gr.add_argument("--top", type=int, default=10,
-                    help="PageRank top-k result size")
-    gr.add_argument("--shards", type=int, default=16,
-                    help="join/shuffle shards per round (scale with "
-                         "cluster size and edge count)")
-    gr.add_argument("--output", default=None)
-    gr.set_defaults(fn=_cmd_graph)
-
     ol = sub.add_parser("outliers",
                         help="robust per-key outlier report "
                              "(exact median + MAD)")
@@ -1701,16 +1495,6 @@ def make_parser() -> argparse.ArgumentParser:
                     dest="num_shards")
     fz.add_argument("--output", default=None)
     fz.set_defaults(fn=_cmd_fuzzy)
-
-    lk = sub.add_parser("links",
-                        help="extract href edges from an html column "
-                             "(crawl -> link-graph bridge)")
-    lk.add_argument("--input", required=True)
-    lk.add_argument("--table", required=True)
-    lk.add_argument("--html-column", default="html", dest="html_column")
-    lk.add_argument("--src-column", default="url", dest="src_column")
-    lk.add_argument("--output", default=None)
-    lk.set_defaults(fn=_cmd_links)
 
     ch = sub.add_parser("chunk",
                         help="sliding-window document chunking "
@@ -1771,22 +1555,6 @@ def make_parser() -> argparse.ArgumentParser:
     ex.add_argument("--output", default=None,
                     help="write the manifest here instead of stdout")
     ex.set_defaults(fn=_cmd_export)
-
-    bp = sub.add_parser("bpe",
-                        help="learn BPE tokenizer merges over a corpus")
-    bp.add_argument("--input", required=True)
-    bp.add_argument("--table", default="documents")
-    bp.add_argument("--column", default="text")
-    bp.add_argument("--merges", type=int, default=100,
-                    help="number of merge rounds to learn")
-    bp.add_argument("--min-count", type=int, default=1,
-                    help="prune words rarer than this before training")
-    bp.add_argument("--shards", type=int, default=16)
-    bp.add_argument("--save-dir", default=None,
-                    help="export merges.txt + vocab.json (the standard "
-                         "loadable tokenizer layout) to this directory")
-    bp.add_argument("--output", default=None)
-    bp.set_defaults(fn=_cmd_bpe)
 
     ls = sub.add_parser("list", help="enumerate pipelines")
     ls.set_defaults(fn=_cmd_list)

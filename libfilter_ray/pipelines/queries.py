@@ -718,8 +718,6 @@ def q_revenue_by_nation(sf_dir: str) -> pd.DataFrame:
     customer leg to stages/joins.py:hash_equi_join with
     bloom_prune_right=True (the bloom-guarded co-partitioned shuffle join;
     see q_order_priority_revenue for the fact-x-fact shape)."""
-    import pyarrow.compute as pc
-
     nation = _read(sf_dir, "nation",
                    columns=["n_nationkey", "n_name",
                             "n_regionkey"]).to_pandas()
@@ -1074,8 +1072,6 @@ def q_hibp_filter_report(sf_dir: str) -> pd.DataFrame:
     import pyarrow.parquet as pq
 
     from ..sketch.hashing import hash_arrow_array
-    from ..sketch.taffy_block import TaffyBlock
-    from ..sketch.taffy_cuckoo import TaffyCuckoo
     from ..sources.hibp import read_hibp, write_hibp_file
     from ..stages.sketch_build import build_sketch
 
@@ -1236,8 +1232,7 @@ def q_line_dedup_stats(sf_dir: str) -> pd.DataFrame:
     kept/dropped/char stats in a second streaming pass."""
     import pyarrow.compute as pc
 
-    from ..stages.dedup import LINE_ORD_BASE, exact_dedup_drop_ids, \
-        explode_lines
+    from ..stages.dedup import exact_dedup_drop_ids, explode_lines
 
     FOOTER = "COMMON FOOTER - ALL RIGHTS RESERVED"
 
@@ -2062,7 +2057,6 @@ def q_bloom_per_lang_source(sf_dir: str) -> pd.DataFrame:
     import pyarrow.compute as pc
 
     from ..sketch.block_bloom import BlockBloom
-    from ..sketch.hashing import hash_arrow_array
     from ..stages.dedup import _str
     from ..stages.sketch_build import build_grouped_multi, probe_grouped
 
@@ -2236,7 +2230,6 @@ def q_quality_filter_counts(sf_dir: str) -> pd.DataFrame:
     terms) is mirrored in the DuckDB oracle — identical IEEE arithmetic per
     row, so the keep decision matches exactly. Counts only (no float
     accumulation) keep the comparison order-independent."""
-    import pyarrow.compute as pc
     from ray.data.aggregate import Count, Sum
 
     from ..functions.textstats import quality_stats
@@ -2749,7 +2742,6 @@ def q_partitioned_sink_roundtrip(sf_dir: str) -> pd.DataFrame:
     import shutil
     import tempfile
 
-    import pyarrow.compute as pc
     from ray.data.aggregate import Count, Sum
 
     from ..stages.sink import read_partitioned, write_partitioned
@@ -3793,234 +3785,6 @@ FROM ranked WHERE rank <= 5 ORDER BY lang, rank
 """
 
 
-# fixed search terms — literals shared with the SQL oracle
-INDEX_TERMS = ("table", "query")
-
-
-def q_inverted_index_search(sf_dir: str) -> pd.DataFrame:
-    """Build-once/probe-many exact retrieval: a token-hash-BUCKETED
-    inverted index is built over the corpus in one distributed pass
-    (distinct (token, doc) combiner -> bucket shuffle -> each bucket
-    task writes its OWN parquet partition, postings never return
-    through the driver — state/inverted_index.py), then AND/OR term
-    queries read exactly one bucket file per term. The exact-postings
-    face of the reference's build->freeze->probe contract. Output: one
-    row per search term with its document frequency plus the shared
-    AND/OR match stats."""
-    import tempfile
-
-    from ..state.inverted_index import InvertedIndex
-
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    idx = InvertedIndex.build(docs, "text", "doc_id",
-                              tempfile.mkdtemp(prefix="lfr-invidx-",
-                                               dir="/tmp"))
-    hits_and = idx.search(INDEX_TERMS, mode="and")
-    hits_or = idx.search(INDEX_TERMS, mode="or")
-    return pd.DataFrame({
-        "term": list(INDEX_TERMS),
-        "df": [np.int64(len(idx.postings(t))) for t in INDEX_TERMS],
-        "n_and": np.int64(len(hits_and)),
-        "sum_and_ids": np.int64(hits_and.sum()) if len(hits_and)
-        else np.int64(0),
-        "n_or": np.int64(len(hits_or)),
-    }).sort_values("term").reset_index(drop=True)
-
-
-SQL_INVERTED_INDEX_SEARCH = f"""
-WITH words AS (
-  SELECT DISTINCT doc_id, word FROM (
-    SELECT doc_id,
-           UNNEST(list_filter(string_split(text, ' '),
-                              x -> x <> '')) AS word
-    FROM documents)
-),
-t(term) AS (VALUES {", ".join(f"('{w}')" for w in INDEX_TERMS)}),
-dfs AS (
-  SELECT t.term, CAST(count(w.doc_id) AS BIGINT) AS df
-  FROM t LEFT JOIN words w ON w.word = t.term GROUP BY t.term
-),
-m_and AS (
-  SELECT doc_id FROM words
-  WHERE word IN {str(tuple(INDEX_TERMS))}
-  GROUP BY doc_id HAVING count(DISTINCT word) = {len(INDEX_TERMS)}
-),
-m_or AS (
-  SELECT DISTINCT doc_id FROM words
-  WHERE word IN {str(tuple(INDEX_TERMS))}
-)
-SELECT d.term, d.df,
-       (SELECT CAST(count(*) AS BIGINT) FROM m_and) AS n_and,
-       (SELECT CAST(coalesce(sum(doc_id), 0) AS BIGINT) FROM m_and)
-           AS sum_and_ids,
-       (SELECT CAST(count(*) AS BIGINT) FROM m_or) AS n_or
-FROM dfs d ORDER BY d.term
-"""
-
-
-def q_bm25_search(sf_dir: str) -> pd.DataFrame:
-    """BM25 ranked retrieval over the bucketed inverted index
-    (state/inverted_index.py): build once distributed (postings + term
-    frequencies + a doc-length sidecar, every bucket its own parquet
-    partition), then score the query's candidate set with the
-    Robertson/Lucene formulation (k1=1.2, b=0.75) reading one postings
-    bucket per term and only the candidates' doc-length buckets. Ties
-    break by doc id. Output: the top-10 (rank, doc_id, score)."""
-    import tempfile
-
-    from ..state.inverted_index import InvertedIndex
-
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    idx = InvertedIndex.build(docs, "text", "doc_id",
-                              tempfile.mkdtemp(prefix="lfr-bm25-",
-                                               dir="/tmp"))
-    ids, scores = idx.search_bm25(INDEX_TERMS, k=10)
-    return pd.DataFrame({
-        "rank": np.arange(1, len(ids) + 1, dtype=np.int64),
-        "doc_id": ids,
-        "score": np.round(scores, 6),
-    })
-
-
-SQL_BM25_SEARCH = f"""
-WITH toks AS (
-  SELECT doc_id,
-         UNNEST(list_filter(string_split(text, ' '),
-                            x -> x <> '')) AS word
-  FROM documents
-),
-consts AS (
-  SELECT (SELECT CAST(count(*) AS DOUBLE) FROM documents) AS n,
-         (SELECT CAST(count(*) AS DOUBLE) FROM toks)
-           / (SELECT CAST(count(*) AS DOUBLE) FROM documents) AS avgdl
-),
-tf AS (SELECT doc_id, word, CAST(count(*) AS BIGINT) AS tf
-       FROM toks GROUP BY 1, 2),
-dfs AS (SELECT word, CAST(count(*) AS BIGINT) AS df
-        FROM tf GROUP BY 1),
-dlen AS (SELECT doc_id, CAST(count(*) AS BIGINT) AS dl
-         FROM toks GROUP BY 1),
-q(term) AS (VALUES {", ".join(f"('{w}')" for w in INDEX_TERMS)}),
-scores AS (
-  SELECT t.doc_id,
-         sum(ln(1.0 + (c.n - d.df + 0.5) / (d.df + 0.5))
-             * t.tf * (1.2 + 1.0)
-             / (t.tf + 1.2 * (1.0 - 0.75 + 0.75 * l.dl / c.avgdl)))
-             AS score
-  FROM tf t
-  JOIN q ON t.word = q.term
-  JOIN dfs d ON d.word = t.word
-  JOIN dlen l ON l.doc_id = t.doc_id
-  CROSS JOIN consts c
-  GROUP BY t.doc_id
-)
-SELECT CAST(rank AS BIGINT) AS rank, doc_id, round(score, 6) AS score
-FROM (SELECT doc_id, score,
-             row_number() OVER (ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= 10 ORDER BY rank
-"""
-
-
-def q_bm25_snippets(sf_dir: str) -> pd.DataFrame:
-    """End-to-end search result page: BM25 top-10 over the bucketed
-    index, then ONLY the 10 winning documents are fetched (doc-id
-    predicate pushed into the Arrow scan — the corpus never loads) and
-    a keyword-in-context snippet is cut around the first occurrence of
-    the first query term (vectorized find_substring + slice). Output:
-    (rank, doc_id, snippet)."""
-    import tempfile
-
-    from ..state.inverted_index import InvertedIndex
-
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    idx = InvertedIndex.build(docs, "text", "doc_id",
-                              tempfile.mkdtemp(prefix="lfr-snip-",
-                                               dir="/tmp"))
-    ids, _scores = idx.search_bm25(INDEX_TERMS, k=10)
-    term = INDEX_TERMS[0]
-    WIN = 24  # snippet = 2*WIN+len(term) chars centred on the hit
-
-    hits = _read(sf_dir, "documents", columns=["doc_id", "text"],
-                 filter=pc.field("doc_id").isin(ids.tolist()))
-
-    def snippet(t: pa.Table) -> pa.Table:
-        # 10 rows total — code-POINT offsets computed in Python so the
-        # semantics match SQL strpos/substr on multibyte text exactly
-        out = []
-        texts = _str2(t["text"])
-        for i in range(t.num_rows):
-            s = texts[i].as_py()
-            p = s.find(term)
-            start = max(p - WIN, 0) if p >= 0 else 0
-            out.append(s[start:start + 2 * WIN + len(term)])
-        return pa.table({"doc_id": t["doc_id"],
-                         "snippet": pa.array(out, type=pa.string())})
-
-    snips = hits.map_batches(snippet, batch_format="pyarrow") \
-        .to_pandas().set_index("doc_id")
-    return pd.DataFrame({
-        "rank": np.arange(1, len(ids) + 1, dtype=np.int64),
-        "doc_id": ids,
-        "snippet": snips.loc[ids, "snippet"].to_numpy(),
-    })
-
-
-def _str2(col):
-    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) \
-        else col
-
-
-SQL_BM25_SNIPPETS = f"""
-WITH toks AS (
-  SELECT doc_id,
-         UNNEST(list_filter(string_split(text, ' '),
-                            x -> x <> '')) AS word
-  FROM documents
-),
-consts AS (
-  SELECT (SELECT CAST(count(*) AS DOUBLE) FROM documents) AS n,
-         (SELECT CAST(count(*) AS DOUBLE) FROM toks)
-           / (SELECT CAST(count(*) AS DOUBLE) FROM documents) AS avgdl
-),
-tf AS (SELECT doc_id, word, CAST(count(*) AS BIGINT) AS tf
-       FROM toks GROUP BY 1, 2),
-dfs AS (SELECT word, CAST(count(*) AS BIGINT) AS df
-        FROM tf GROUP BY 1),
-dlen AS (SELECT doc_id, CAST(count(*) AS BIGINT) AS dl
-         FROM toks GROUP BY 1),
-q(term) AS (VALUES {", ".join(f"('{w}')" for w in INDEX_TERMS)}),
-scores AS (
-  SELECT t.doc_id,
-         sum(ln(1.0 + (c.n - d.df + 0.5) / (d.df + 0.5))
-             * t.tf * (1.2 + 1.0)
-             / (t.tf + 1.2 * (1.0 - 0.75 + 0.75 * l.dl / c.avgdl)))
-             AS score
-  FROM tf t
-  JOIN q ON t.word = q.term
-  JOIN dfs d ON d.word = t.word
-  JOIN dlen l ON l.doc_id = t.doc_id
-  CROSS JOIN consts c
-  GROUP BY t.doc_id
-),
-ranked AS (
-  SELECT doc_id, row_number() OVER (ORDER BY score DESC, doc_id)
-             AS rank
-  FROM scores
-)
-SELECT CAST(r.rank AS BIGINT) AS rank, r.doc_id,
-       CASE WHEN strpos(d.text, '{INDEX_TERMS[0]}') > 0
-            THEN substr(d.text,
-                        greatest(strpos(d.text, '{INDEX_TERMS[0]}')
-                                 - 24, 1),
-                        48 + length('{INDEX_TERMS[0]}'))
-            ELSE substr(d.text, 1, 48 + length('{INDEX_TERMS[0]}'))
-       END AS snippet
-FROM ranked r JOIN documents d ON d.doc_id = r.doc_id
-WHERE r.rank <= 10 ORDER BY r.rank
-"""
-
-
 def q_crawl_delta(sf_dir: str) -> pd.DataFrame:
     """Incremental-crawl planning: per-url diff of two snapshots
     (added / removed / changed / unchanged), so a re-ingest processes
@@ -4258,313 +4022,6 @@ SELECT lang,
        CAST(sum(length(text)) AS BIGINT) AS sum_chars
 FROM documents GROUP BY lang ORDER BY lang
 """
-
-
-def q_link_components_stats(sf_dir: str) -> pd.DataFrame:
-    """Link-graph connected components, fully distributed and EXACTLY
-    oracled: edges synthesize deterministically from doc_id (anchor
-    ``u -> u - u%7`` plus long-range ``u -> (31u+13)%N`` for u%13==0,
-    stages/graph.py), labels come from the sharded-CC + min-label
-    contraction machinery in stages/cluster.py, and the per-size
-    component histogram is compared against a DuckDB recursive-CTE
-    transitive closure. A CC that merges one component wrong or drops
-    one singleton mismatches."""
-    from ..stages.graph import component_size_histogram
-
-    docs = _read(sf_dir, "documents", columns=["doc_id"])
-    n_docs = docs.count()
-    return component_size_histogram(docs, n_docs)
-
-
-SQL_LINK_COMPONENTS_STATS = """
-WITH RECURSIVE n AS (SELECT count(*) AS n FROM documents),
-edges AS (
-  SELECT doc_id AS src, doc_id - (doc_id % 7) AS dst
-  FROM documents WHERE doc_id % 7 <> 0
-  UNION ALL
-  SELECT doc_id AS src, (doc_id * 31 + 13) % (SELECT n FROM n) AS dst
-  FROM documents
-  WHERE doc_id % 13 = 0
-    AND (doc_id * 31 + 13) % (SELECT n FROM n) <> doc_id
-),
-ue AS (
-  SELECT src AS a, dst AS b FROM edges
-  UNION
-  SELECT dst AS a, src AS b FROM edges
-),
-reach(v, lbl) AS (
-  SELECT a, a FROM (SELECT a FROM ue UNION SELECT b FROM ue)
-  UNION
-  SELECT ue.a, r.lbl FROM ue JOIN reach r ON r.v = ue.b
-),
-comp AS (SELECT v, min(lbl) AS root FROM reach GROUP BY v),
-lab AS (
-  SELECT d.doc_id AS v, COALESCE(c.root, d.doc_id) AS root
-  FROM documents d LEFT JOIN comp c ON c.v = d.doc_id
-),
-sizes AS (SELECT root, count(*) AS size FROM lab GROUP BY root)
-SELECT CAST(size AS BIGINT) AS size,
-       CAST(count(*) AS BIGINT) AS n_components
-FROM sizes GROUP BY size ORDER BY size
-"""
-
-
-def q_link_pagerank_topk(sf_dir: str) -> pd.DataFrame:
-    """Integer-exact PageRank over the synthesized link graph: 3 rounds
-    of scatter (per-node contribution ``r//outdeg`` onto formula-derived
-    out-neighbors) + groupby-sum shuffle, all int64 micro-ranks so the
-    unrolled-CTE oracle matches bit-for-bit — no float summation order,
-    no damping rounding ambiguity. Top-10 by rank with doc_id
-    tie-break; the driver hash covers exact integer ranks."""
-    from ..stages.graph import pagerank_topk
-
-    docs = _read(sf_dir, "documents", columns=["doc_id"])
-    n_docs = docs.count()
-    return pagerank_topk(docs, n_docs, k=10, iters=3)
-
-
-SQL_LINK_PAGERANK_TOPK = """
-WITH n AS (SELECT count(*) AS n FROM documents),
-edges AS (
-  SELECT doc_id AS src, doc_id - (doc_id % 7) AS dst
-  FROM documents WHERE doc_id % 7 <> 0
-  UNION ALL
-  SELECT doc_id AS src, (doc_id * 31 + 13) % (SELECT n FROM n) AS dst
-  FROM documents
-  WHERE doc_id % 13 = 0
-    AND (doc_id * 31 + 13) % (SELECT n FROM n) <> doc_id
-),
-outd AS (SELECT src, count(*) AS d FROM edges GROUP BY src),
-r0 AS (SELECT doc_id AS v, CAST(1000000 AS BIGINT) AS r FROM documents),
-c1 AS (
-  SELECT e.dst AS v, sum(r0.r // o.d) AS s
-  FROM edges e JOIN outd o ON o.src = e.src JOIN r0 ON r0.v = e.src
-  GROUP BY e.dst
-),
-r1 AS (
-  SELECT d.doc_id AS v,
-         150000 + (85 * COALESCE(c1.s, 0)) // 100 AS r
-  FROM documents d LEFT JOIN c1 ON c1.v = d.doc_id
-),
-c2 AS (
-  SELECT e.dst AS v, sum(r1.r // o.d) AS s
-  FROM edges e JOIN outd o ON o.src = e.src JOIN r1 ON r1.v = e.src
-  GROUP BY e.dst
-),
-r2 AS (
-  SELECT d.doc_id AS v,
-         150000 + (85 * COALESCE(c2.s, 0)) // 100 AS r
-  FROM documents d LEFT JOIN c2 ON c2.v = d.doc_id
-),
-c3 AS (
-  SELECT e.dst AS v, sum(r2.r // o.d) AS s
-  FROM edges e JOIN outd o ON o.src = e.src JOIN r2 ON r2.v = e.src
-  GROUP BY e.dst
-),
-r3 AS (
-  SELECT d.doc_id AS v,
-         150000 + (85 * COALESCE(c3.s, 0)) // 100 AS r
-  FROM documents d LEFT JOIN c3 ON c3.v = d.doc_id
-)
-SELECT CAST(v AS BIGINT) AS doc_id, CAST(r AS BIGINT) AS pr_micro
-FROM r3 ORDER BY r DESC, v LIMIT 10
-"""
-
-
-def q_link_pagerank_redistribute(sf_dir: str) -> pd.DataFrame:
-    """Standard-formulation PageRank (dangling mass REDISTRIBUTED
-    uniformly each round — what real link graphs need, vs the drop
-    simplification of link_pagerank_topk): r' = teleport +
-    (85*(s + D//N))//100 with D = the round's total dangling mass,
-    all exact int64 so the extended unrolled CTE matches bit-for-bit.
-    D reaches the driver as ONE scalar tree-aggregate per round; the
-    redistribution itself is folded into the damp map — no extra
-    shuffle. Top-10 by rank with doc_id tie-break."""
-    from ..stages.graph import pagerank_topk
-
-    docs = _read(sf_dir, "documents", columns=["doc_id"])
-    n_docs = docs.count()
-    return pagerank_topk(docs, n_docs, k=10, iters=3,
-                         dangling="redistribute")
-
-
-SQL_LINK_PAGERANK_REDISTRIBUTE = """
-WITH n AS (SELECT count(*) AS n FROM documents),
-edges AS (
-  SELECT doc_id AS src, doc_id - (doc_id % 7) AS dst
-  FROM documents WHERE doc_id % 7 <> 0
-  UNION ALL
-  SELECT doc_id AS src, (doc_id * 31 + 13) % (SELECT n FROM n) AS dst
-  FROM documents
-  WHERE doc_id % 13 = 0
-    AND (doc_id * 31 + 13) % (SELECT n FROM n) <> doc_id
-),
-outd AS (SELECT src, count(*) AS d FROM edges GROUP BY src),
-r0 AS (SELECT doc_id AS v, CAST(1000000 AS BIGINT) AS r FROM documents),
-g1 AS (
-  SELECT COALESCE(sum(r0.r), 0) // (SELECT n FROM n) AS x
-  FROM r0 LEFT JOIN outd o ON o.src = r0.v WHERE o.src IS NULL
-),
-c1 AS (
-  SELECT e.dst AS v, sum(r0.r // o.d) AS s
-  FROM edges e JOIN outd o ON o.src = e.src JOIN r0 ON r0.v = e.src
-  GROUP BY e.dst
-),
-r1 AS (
-  SELECT d.doc_id AS v,
-         150000 + (85 * (COALESCE(c1.s, 0) + (SELECT x FROM g1))) // 100
-           AS r
-  FROM documents d LEFT JOIN c1 ON c1.v = d.doc_id
-),
-g2 AS (
-  SELECT COALESCE(sum(r1.r), 0) // (SELECT n FROM n) AS x
-  FROM r1 LEFT JOIN outd o ON o.src = r1.v WHERE o.src IS NULL
-),
-c2 AS (
-  SELECT e.dst AS v, sum(r1.r // o.d) AS s
-  FROM edges e JOIN outd o ON o.src = e.src JOIN r1 ON r1.v = e.src
-  GROUP BY e.dst
-),
-r2 AS (
-  SELECT d.doc_id AS v,
-         150000 + (85 * (COALESCE(c2.s, 0) + (SELECT x FROM g2))) // 100
-           AS r
-  FROM documents d LEFT JOIN c2 ON c2.v = d.doc_id
-),
-g3 AS (
-  SELECT COALESCE(sum(r2.r), 0) // (SELECT n FROM n) AS x
-  FROM r2 LEFT JOIN outd o ON o.src = r2.v WHERE o.src IS NULL
-),
-c3 AS (
-  SELECT e.dst AS v, sum(r2.r // o.d) AS s
-  FROM edges e JOIN outd o ON o.src = e.src JOIN r2 ON r2.v = e.src
-  GROUP BY e.dst
-),
-r3 AS (
-  SELECT d.doc_id AS v,
-         150000 + (85 * (COALESCE(c3.s, 0) + (SELECT x FROM g3))) // 100
-           AS r
-  FROM documents d LEFT JOIN c3 ON c3.v = d.doc_id
-)
-SELECT CAST(v AS BIGINT) AS doc_id, CAST(r AS BIGINT) AS pr_micro
-FROM r3 ORDER BY r DESC, v LIMIT 10
-"""
-
-
-def q_bpe_merges(sf_dir: str) -> pd.DataFrame:
-    """Distributed BPE tokenizer training (Sennrich et al. 2016), the
-    first 3 learned merges — EXACTLY oracled: the word table stays a
-    Dataset (one vocab-sized pair-count shuffle + bounded partial-top-1
-    collect + vectorized merge-apply per round, stages/bpe.py), while
-    the oracle unrolls each round in pure SQL window functions — the
-    greedy left-to-right merge rule is run-parity (merges at even
-    offsets within runs of overlapping matches), which IS expressible
-    as gaps-and-islands. Ties break (count DESC, left ASC, right ASC);
-    all counts integer — a pair counted or merged wrong anywhere
-    changes the learned merge list and mismatches."""
-    from ..stages.bpe import learn_bpe_merges
-
-    docs = _read(sf_dir, "documents", columns=["text"])
-    out = learn_bpe_merges(docs, k=3, num_shards=16)
-    return out.rename(columns={"left": "lsym", "right": "rsym"})
-
-
-def q_bpe_token_stats(sf_dir: str) -> pd.DataFrame:
-    """Tokenizer train + APPLY end-to-end: learn 3 BPE merges over the
-    corpus (the distributed trainer above), then segment every document
-    with them and count per-lang words/tokens — the token-budget
-    measurement every mixing decision rests on. The oracle reuses the
-    unrolled 3-round CTE chain to compute each distinct word's post-
-    merge symbol count and joins it back onto the corpus; a single word
-    segmented differently anywhere shifts a lang's token count and
-    mismatches."""
-    from ..stages.bpe import learn_bpe_merges, token_stats_after_merges
-
-    docs = _read(sf_dir, "documents", columns=["lang", "text"])
-    m = learn_bpe_merges(docs, k=3, num_shards=16)
-    merges = list(zip(m["left"], m["right"]))
-    return token_stats_after_merges(docs, merges)
-
-
-def _bpe_round_sql(i: int) -> str:
-    """One unrolled BPE round: s{i-1} -> b{i} (the winning pair) and
-    s{i} (the re-segmented symbol table)."""
-    p, c = i - 1, i
-    return f"""
-p{c} AS (
-  SELECT a.sym AS l, b.sym AS r, CAST(sum(a.cnt) AS BIGINT) AS n
-  FROM s{p} a JOIN s{p} b ON b.word = a.word AND b.pos = a.pos + 1
-  GROUP BY l, r
-),
-b{c} AS (SELECT l, r, n FROM p{c} ORDER BY n DESC, l, r LIMIT 1),
-m{c} AS (
-  SELECT word, cnt, pos, sym,
-         lead(sym) OVER (PARTITION BY word ORDER BY pos) AS nxt,
-         COALESCE(sym = (SELECT l FROM b{c}) AND
-           lead(sym) OVER (PARTITION BY word ORDER BY pos)
-             = (SELECT r FROM b{c}), FALSE) AS m
-  FROM s{p}
-),
-r{c} AS (
-  SELECT *, CASE WHEN m THEN pos - ROW_NUMBER() OVER
-       (PARTITION BY word, m ORDER BY pos) END AS run
-  FROM m{c}
-),
-t{c} AS (
-  SELECT *, m AND (ROW_NUMBER() OVER
-       (PARTITION BY word, run ORDER BY pos) % 2 = 1) AS take
-  FROM r{c}
-),
-n{c} AS (
-  SELECT *, COALESCE(lag(take) OVER
-       (PARTITION BY word ORDER BY pos), FALSE) AS dropped
-  FROM t{c}
-),
-s{c} AS (
-  SELECT word, cnt,
-         ROW_NUMBER() OVER (PARTITION BY word ORDER BY pos) AS pos,
-         CASE WHEN take THEN sym || nxt ELSE sym END AS sym
-  FROM n{c} WHERE NOT dropped
-)"""
-
-
-_BPE_PREFIX = ("""
-WITH w0 AS (
-  SELECT word, CAST(count(*) AS BIGINT) AS cnt FROM (
-    SELECT UNNEST(string_split(text, ' ')) AS word FROM documents
-  ) WHERE word <> '' GROUP BY word
-),
-s0 AS (
-  SELECT word, cnt, string_split(word, '')[p.pos] AS sym, p.pos
-  FROM w0, UNNEST(range(1, len(string_split(word, '')) + 1)) AS p(pos)
-),"""
-    + ",".join(_bpe_round_sql(i) for i in (1, 2, 3)))
-
-SQL_BPE_MERGES = (_BPE_PREFIX + """
-SELECT * FROM (
-  SELECT CAST(0 AS BIGINT) AS merge_rank, l AS lsym, r AS rsym,
-         n AS pair_n FROM b1
-  UNION ALL
-  SELECT CAST(1 AS BIGINT), l, r, n FROM b2
-  UNION ALL
-  SELECT CAST(2 AS BIGINT), l, r, n FROM b3
-) ORDER BY merge_rank
-""")
-
-SQL_BPE_TOKEN_STATS = (_BPE_PREFIX + """,
-wsyms AS (
-  SELECT word, CAST(count(*) AS BIGINT) AS nsym FROM s3 GROUP BY word
-),
-docw AS (
-  SELECT lang, UNNEST(string_split(text, ' ')) AS word FROM documents
-)
-SELECT d.lang,
-       CAST(count(*) AS BIGINT) AS n_words,
-       CAST(sum(w.nsym) AS BIGINT) AS n_tokens
-FROM docw d JOIN wsyms w USING (word)
-WHERE d.word <> ''
-GROUP BY d.lang ORDER BY d.lang
-""")
 
 
 # -- exact heavy hitters (round-4 additions) -------------------------------
@@ -5129,78 +4586,25 @@ SQL_DOCS_SOURCE_PIVOT = "SELECT lang,\n  " + ",\n  ".join(
 ) + "\nFROM documents GROUP BY lang ORDER BY lang"
 
 
-def q_link_extraction_edges(sf_dir: str) -> pd.DataFrame:
-    """Crawl-to-link-graph bridge (stages/extract.py:links_stage):
-    synthesize pages whose html embeds 1-3 planted <a href> anchors
-    around the document text (targets an arithmetic function of doc_id,
-    the PII-plant pattern), extract every href with the vectorized
-    split kernels — no regex engine, no per-row Python — and return
-    the full (doc_id, dst) edge list. The oracle replants the same
-    URLs, so a parser that misses an anchor, truncates a URL at the
-    wrong quote or picks up surrounding markup hash-mismatches."""
-    from ..stages.extract import links_stage
-
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def synthesize(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ids = np.asarray(t["doc_id"], dtype=np.int64)
-        text = t["text"].combine_chunks() \
-            if isinstance(t["text"], pa.ChunkedArray) else t["text"]
-        body = np.asarray(pc.fill_null(text, "")).astype(str)
-        html = []
-        for i, tx in zip(ids, body):  # plant loop (test fixture)
-            anchors = "".join(
-                f'<a href="https://d{(i * 7 + k) % 50}.example/'
-                f'p{(i + k) % 1000}">x</a>'
-                for k in range(1, 2 + i % 3))
-            html.append(f"<html><body><p>{tx}</p>{anchors}</body></html>")
-        return pa.table({"doc_id": t["doc_id"],
-                         "html": pa.array(html, type=pa.string())})
-
-    edges = docs.map_batches(synthesize, batch_format="pyarrow") \
-        .map_batches(links_stage(html_col="html", src_col="doc_id"),
-                     batch_format="pyarrow")
-    out = edges.to_pandas().rename(columns={"src": "doc_id"})
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return out.sort_values(["doc_id", "dst"]).reset_index(drop=True)
-
-
-SQL_LINK_EXTRACTION = """
-WITH l AS (
-  SELECT doc_id, UNNEST(range(1, 2 + doc_id % 3)) AS k FROM documents
-)
-SELECT doc_id,
-       'https://d' || CAST((doc_id * 7 + k) % 50 AS VARCHAR)
-        || '.example/p' || CAST((doc_id + k) % 1000 AS VARCHAR) AS dst
-FROM l ORDER BY doc_id, dst
-"""
-
-
 # Ordering policy: the correctness driver grades the FIRST 50 entries of this
 # dict, so SQL-oracled queries come first (rotating so every oracled query
 # eventually lands in the graded window) and the no-oracle entries (sketch
 # payloads, probabilistic results, throughput rows) sit at the end.
-# Round-5 window, per the r4 VERDICT rotation plan: (a) queries NEW this
-# round (never graded by anyone), (b) the never-driver-graded oracled
-# queries (judge-verified in r3/r4 VERDICTs but never in a driver
-# CORRECTNESS window — gif/bmp/link-extraction/pivot from r4 plus the
-# r3 judge-verified block), (c) the judge-requested re-admits
+# Round-5 window, per the r4 VERDICT rotation plan: (a) the
+# never-driver-graded oracled queries (judge-verified in r3/r4 VERDICTs
+# but never in a driver CORRECTNESS window — pivot from r4 plus the r3
+# judge-verified block), (b) the judge-requested re-admits
 # (supplier_revenue, event_funnel, doc_stats_by_lang, pricing_summary,
 # bloom_semijoin — driver-green in r2/r3, re-graded to guard
-# regressions), and (d) the OLDEST driver-graded anchors (r1/r2
-# windows) to fill to 50. Every r4-window entry (driver-confirmed
-# 50/50 in CORRECTNESS_r04.json) rotates below slot 50. When a family
-# is cut, the window holds by sliding: the next oracled entries below
-# the boundary move up into the freed slots, and nothing else is
-# reordered. tests/test_queries.py checks that every one of the first
-# 50 keys has an oracle.
+# regressions), (c) the OLDEST driver-graded anchors (r1/r2 windows),
+# then the slots freed by cut families. Every other r4-window entry
+# (driver-confirmed 50/50 in CORRECTNESS_r04.json) rotates below slot
+# 50. When a family is cut, the window holds by sliding: the next
+# oracled entries below the boundary move up into the freed slots, and
+# nothing else is reordered. tests/test_queries.py checks that every
+# one of the first 50 keys has an oracle.
 QUERIES: dict[str, Callable[[str], Any]] = {
-    # -- (a) new this round, never graded --
-    "link_pagerank_redistribute": q_link_pagerank_redistribute,
-    # -- (b) oracled but never driver-graded (judge-verified only) --
-    "link_extraction_edges": q_link_extraction_edges,
+    # -- (a) oracled but never driver-graded (judge-verified only) --
     "docs_source_pivot": q_docs_source_pivot,
     "sequence_packing_sharded": q_sequence_packing_sharded,
     "url_dedup_latest": q_url_dedup_latest,
@@ -5211,15 +4615,13 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     "train_val_test_split": q_train_val_test_split,
     "quality_percentile_cut": q_quality_percentile_cut,
     "exact_value_quantiles": q_exact_value_quantiles,
-    "inverted_index_search": q_inverted_index_search,
-    "bm25_search": q_bm25_search,
-    # -- (c) judge-requested re-admits (driver-green r2/r3) --
+    # -- (b) judge-requested re-admits (driver-green r2/r3) --
     "supplier_revenue": q_supplier_revenue,
     "event_funnel": q_event_funnel,
     "doc_stats_by_lang": q_doc_stats_by_lang,
     "pricing_summary": q_pricing_summary,
     "bloom_semijoin": q_bloom_semijoin,
-    # -- (d) oldest driver-graded anchors (r1/r2), re-admitted --
+    # -- (c) oldest driver-graded anchors (r1/r2), re-admitted --
     "extract_roundtrip": q_extract_roundtrip,
     "hibp_members_complete": q_hibp_members_complete,
     "checkpointed_lineage_counts": q_checkpointed_lineage_counts,
@@ -5245,20 +4647,20 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     "minimal_taffy_membership": q_minimal_taffy_membership,
     "quality_filter_counts": q_quality_filter_counts,
     "partitioned_sink_roundtrip": q_partitioned_sink_roundtrip,
-    # -- slots 45-50, filled by sliding (driver-green in earlier rounds) --
+    # -- slots 41-50, filled by sliding (driver-green in earlier rounds) --
     "bloom_antijoin": q_bloom_antijoin,
     "training_prep_pipeline": q_training_prep_pipeline,
     "bloom_per_lang_source": q_bloom_per_lang_source,
     "incremental_growable": q_incremental_growable,
     "tcf_per_domain": q_tcf_per_domain,
     "line_dedup_stats": q_line_dedup_stats,
-    # ---- slot 50 boundary ----
-    # -- rotation: the rest of the r4 window (driver-confirmed 50/50 in
-    # CORRECTNESS_r04.json) sits below slot 50 this round --
     "doc_repetition_stats": q_doc_repetition_stats,
     "top_words": q_top_words,
     "pii_scrub_stats": q_pii_scrub_stats,
     "label_centroids": q_label_centroids,
+    # ---- slot 50 boundary ----
+    # -- rotation: the rest of the r4 window (driver-confirmed 50/50 in
+    # CORRECTNESS_r04.json) sits below slot 50 this round --
     "sequence_packing": q_sequence_packing,
     "domain_cap": q_domain_cap,
     "freq_quality_stats": q_freq_quality_stats,
@@ -5267,17 +4669,12 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     "lm_quality_filter": q_lm_quality_filter,
     "blocklist_filter_stats": q_blocklist_filter_stats,
     "top_collocations": q_top_collocations,
-    "bm25_snippets": q_bm25_snippets,
     "shipping_priority": q_shipping_priority,
     "part_lineitem_full_join": q_part_lineitem_full_join,
     "warc_roundtrip": q_warc_roundtrip,
     "checkpointed_bloom_members": q_checkpointed_bloom_members,
     "bloom_intersect_members": q_bloom_intersect_members,
-    "link_components_stats": q_link_components_stats,
-    "link_pagerank_topk": q_link_pagerank_topk,
     "jsonl_roundtrip": q_jsonl_roundtrip,
-    "bpe_merges": q_bpe_merges,
-    "bpe_token_stats": q_bpe_token_stats,
     "heavy_hitter_items": q_heavy_hitter_items,
     "grouped_heavy_hitter_items": q_grouped_heavy_hitter_items,
     "shuffle_shard_report": q_shuffle_shard_report,
@@ -5366,9 +4763,6 @@ ORACLES: dict[str, str] = {
     "quality_percentile_cut": SQL_QUALITY_PERCENTILE_CUT,
     "blocklist_filter_stats": SQL_BLOCKLIST_FILTER,
     "top_collocations": SQL_TOP_COLLOCATIONS,
-    "inverted_index_search": SQL_INVERTED_INDEX_SEARCH,
-    "bm25_search": SQL_BM25_SEARCH,
-    "bm25_snippets": SQL_BM25_SNIPPETS,
     "shipping_priority": SQL_SHIPPING_PRIORITY,
     "crawl_delta": SQL_CRAWL_DELTA,
     "customer_order_counts": SQL_CUSTOMER_ORDER_COUNTS,
@@ -5377,11 +4771,7 @@ ORACLES: dict[str, str] = {
     "warc_roundtrip": SQL_WARC_ROUNDTRIP,
     "checkpointed_bloom_members": SQL_CKPT_BLOOM_MEMBERS,
     "bloom_intersect_members": SQL_BLOOM_INTERSECT,
-    "link_components_stats": SQL_LINK_COMPONENTS_STATS,
-    "link_pagerank_topk": SQL_LINK_PAGERANK_TOPK,
     "jsonl_roundtrip": SQL_JSONL_ROUNDTRIP,
-    "bpe_merges": SQL_BPE_MERGES,
-    "bpe_token_stats": SQL_BPE_TOKEN_STATS,
     "heavy_hitter_items": SQL_HEAVY_HITTERS,
     "grouped_heavy_hitter_items": SQL_GROUPED_HEAVY,
     "shuffle_shard_report": SQL_SHUFFLE_SHARDS,
@@ -5393,7 +4783,5 @@ ORACLES: dict[str, str] = {
     "user_running_value": SQL_USER_RUNNING_VALUE,
     "value_ntile": SQL_VALUE_NTILE,
     "doc_chunks": SQL_DOC_CHUNKS,
-    "link_extraction_edges": SQL_LINK_EXTRACTION,
     "docs_source_pivot": SQL_DOCS_SOURCE_PIVOT,
-    "link_pagerank_redistribute": SQL_LINK_PAGERANK_REDISTRIBUTE,
 }

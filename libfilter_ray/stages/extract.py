@@ -94,35 +94,3 @@ def verify_extract_stage(batch: pa.Table) -> pa.Table:
             f"first url={bad['url'][0].as_py()!r}")
     out = batch.append_column("text_extracted", extracted)
     return out.drop_columns(["html"])
-
-
-def links_stage(html_col: str = "html", src_col: str = "url"):
-    """map_batches fn: html -> (src, dst) edge rows from every
-    href="..." attribute, in document order — the crawl-to-link-graph
-    bridge (feed the edge table to stages/graph.py pagerank /
-    components). Fully vectorized: one split on the literal 'href="'
-    (every fragment after a row's first opens with a URL), one split on
-    '"' for the URL prefix — no per-row Python, no regex engine."""
-    import numpy as np
-
-    def fn(t: pa.Table) -> pa.Table:
-        html = t[html_col].combine_chunks() \
-            if isinstance(t[html_col], pa.ChunkedArray) else t[html_col]
-        s = pc.cast(html, pa.string()) \
-            if pa.types.is_binary(html.type) \
-            or pa.types.is_large_binary(html.type) else html
-        parts = pc.split_pattern(s, 'href="')
-        lens = np.asarray(pc.fill_null(pc.list_value_length(parts), 0),
-                          dtype=np.int64)
-        flat = pc.list_flatten(parts)
-        rows = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-        splits = np.zeros(len(lens) + 1, dtype=np.int64)
-        np.cumsum(lens, out=splits[1:])
-        keep = np.ones(len(rows), dtype=bool)
-        keep[splits[:-1][lens > 0]] = False  # fragment 0 = pre-href text
-        frag = flat.filter(pa.array(keep))
-        dst = pc.list_element(pc.split_pattern(frag, '"'), 0)
-        src = t[src_col].take(pa.array(rows[keep]))
-        return pa.table({"src": src, "dst": dst})
-
-    return fn

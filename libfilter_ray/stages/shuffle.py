@@ -29,8 +29,8 @@ membership AND order per shard: a positional digest
 leaves — reproduced exactly by a SQL window function.
 
 Resumability: each shard file is written once under its own final name
-(tmp + rename, like state/inverted_index.py); a re-run with the same
-seed reassigns identical shards, so finished files can be skipped.
+(tmp + rename); a re-run with the same seed reassigns identical shards,
+so finished files can be skipped.
 """
 
 from __future__ import annotations

@@ -39,9 +39,7 @@ FAMILIES = [
                                # so even a collect-free run grows with SF)
     "exact_dedup_docs",        # hash-partitioned exact dedup
     "training_prep_pipeline",  # curate chain: quality -> dedup -> stats
-    "bpe_merges",              # iterative tokenizer training
     "shuffle_shard_report",    # global permutation -> training shards
-    "link_pagerank_topk",      # iterative all-to-all link analysis
 ]
 
 

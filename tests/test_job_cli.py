@@ -771,78 +771,6 @@ def test_curate_blocklist_stage(tmp_path, ray_session):
         main(argv[:-1] + [str(tmp_path / "out3")])
 
 
-def test_index_subcommand_build_and_search(tmp_path, ray_session):
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-
-    df = pd.DataFrame({
-        "doc_id": np.arange(30, dtype=np.int64),
-        "text": [("alpha beta " * (i % 3 + 1)).strip() if i % 5
-                 else "gamma delta" for i in range(30)]})
-    src = tmp_path / "in"
-    src.mkdir()
-    pa.parquet.write_table(
-        pa.Table.from_pandas(df, preserve_index=False),
-        src / "docs.parquet")
-    ixd = tmp_path / "ix"
-    out = tmp_path / "hits.parquet"
-    assert main(["index", "--input", str(src), "--table", "docs",
-                 "--index-dir", str(ixd)]) == 0
-    # search without rebuild (no --input needed once built)
-    assert main(["index", "--index-dir", str(ixd), "--search",
-                 "gamma delta", "--mode", "and",
-                 "--output", str(out)]) == 0
-    hits = pq.read_table(out).to_pandas()
-    assert set(hits["doc_id"]) == set(range(0, 30, 5))
-    # bm25 mode returns ranked scores
-    out2 = tmp_path / "ranked.parquet"
-    assert main(["index", "--index-dir", str(ixd), "--search", "alpha",
-                 "--mode", "bm25", "--k", "3",
-                 "--output", str(out2)]) == 0
-    ranked = pq.read_table(out2).to_pandas()
-    assert list(ranked.columns) == ["rank", "doc_id", "score"]
-    assert len(ranked) == 3
-    assert (ranked["score"].diff().dropna() <= 0).all()
-    # unbuilt dir without --input is refused
-    with pytest.raises(SystemExit, match="needs"):
-        main(["index", "--index-dir", str(tmp_path / "nope"),
-              "--search", "x"])
-
-
-def test_index_incremental_merge_cli(tmp_path, ray_session):
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-
-    def write(dirname, ids):
-        d = tmp_path / dirname
-        d.mkdir()
-        pa.parquet.write_table(pa.Table.from_pandas(pd.DataFrame({
-            "doc_id": np.array(ids, dtype=np.int64),
-            "text": [f"alpha tok{i % 4} beta" for i in ids]}),
-            preserve_index=False), d / "docs.parquet")
-        return d
-
-    base_src = write("base", range(20))
-    new_src = write("new", range(100, 115))
-    assert main(["index", "--input", str(base_src), "--table", "docs",
-                 "--index-dir", str(tmp_path / "ixa"),
-                 "--buckets", "8"]) == 0
-    out = tmp_path / "hits.parquet"
-    assert main(["index", "--input", str(new_src), "--table", "docs",
-                 "--index-dir", str(tmp_path / "ixb"), "--buckets", "8",
-                 "--merge-base", str(tmp_path / "ixa"),
-                 "--merged-out", str(tmp_path / "ixm"),
-                 "--search", "alpha", "--mode", "and",
-                 "--output", str(out)]) == 0
-    hits = set(pq.read_table(out)["doc_id"].to_pylist())
-    assert hits == set(range(20)) | set(range(100, 115))
-    with pytest.raises(SystemExit, match="merged-out"):
-        main(["index", "--index-dir", str(tmp_path / "ixb"),
-              "--merge-base", str(tmp_path / "ixa")])
-
-
 def test_curate_split_partitions(tmp_path, ray_session):
     """--split writes deterministic hash-split hive partitions whose
     membership matches hash_split_stage exactly; bad specs refused."""
@@ -1079,51 +1007,6 @@ def test_import_warc_lang_id(tmp_path, ray_session):
               "--no-extract", "--lang-id"])
 
 
-def test_graph_subcommand_pagerank_and_components(tmp_path, ray_session):
-    """`graph` over a real edge parquet must reproduce the formula-path
-    results exactly (same graph, built from the synthesis formula)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as _pq
-
-    from libfilter_ray.stages.graph import _edges_of
-
-    n = 200
-    src, dst = _edges_of(np.arange(n, dtype=np.int64), n)
-    ep = tmp_path / "edges.parquet"
-    _pq.write_table(pa.table({"src": pa.array(src),
-                              "dst": pa.array(dst)}), str(ep))
-
-    out = tmp_path / "pr.parquet"
-    assert main(["graph", "--edges", str(ep), "--mode", "pagerank",
-                 "--iters", "2", "--top", "5", "--shards", "4",
-                 "--output", str(out)]) == 0
-    got = _pq.read_table(out).to_pandas()
-    assert len(got) == 5
-    assert got["pr_micro"].is_monotonic_decreasing
-    # exact parity with the formula-scatter path on the same graph —
-    # note the CLI derives nodes from edge ENDPOINTS (isolated formula
-    # nodes are absent), which for this graph is all n nodes
-    from libfilter_ray.stages.graph import integer_pagerank
-    import ray.data
-
-    docs = ray.data.from_arrow(pa.table(
-        {"doc_id": pa.array(np.arange(n, dtype=np.int64))}))
-    ref = integer_pagerank(docs, n, iters=2).to_pandas()
-    ref = ref.sort_values(["pr_micro", "v"],
-                          ascending=[False, True]).head(5)
-    assert got["node"].tolist() == ref["v"].tolist()
-    assert got["pr_micro"].tolist() == ref["pr_micro"].tolist()
-
-    outc = tmp_path / "cc.parquet"
-    assert main(["graph", "--edges", str(ep), "--mode", "components",
-                 "--output", str(outc)]) == 0
-    hist = _pq.read_table(outc).to_pandas()
-    # every node is covered exactly once across components
-    assert int((hist["size"] * hist["n_components"]).sum()) == n
-
-
 def test_shuffle_subcommand(tmp_path, ray_session):
     """`shuffle` report == the oracle-verified library pipeline; --out
     writes one parquet per shard carrying the payload columns."""
@@ -1188,49 +1071,6 @@ def test_export_subcommand_rejects_non_json_native(tmp_path, ray_session):
     with pytest.raises(Exception, match="non-JSON-native"):
         main(["export", "--input", SF_DIR_01, "--table", "orders",
               "--format", "jsonl", "--out", str(tmp_path / "x")])
-
-
-def test_bpe_subcommand_matches_reference(tmp_path, ray_session):
-    import pyarrow.parquet as _pq
-
-    from conftest import SF_DIR
-    from libfilter_ray.stages.bpe import bpe_reference
-
-    out = tmp_path / "merges.parquet"
-    assert main(["bpe", "--input", SF_DIR, "--merges", "3",
-                 "--shards", "4", "--output", str(out)]) == 0
-    got = _pq.read_table(out).to_pandas()
-    texts = _pq.read_table(f"{SF_DIR}/documents.parquet",
-                           columns=["text"])["text"].to_pylist()
-    ref = bpe_reference(texts, k=3)
-    assert got.to_dict("records") == ref
-
-
-def test_bpe_save_dir_roundtrips_into_loader(tmp_path, ray_session):
-    """CLI --save-dir exports merges.txt + vocab.json; loading them back
-    segments the corpus identically to the learned merge frame (the
-    save -> load -> apply parity the artifact format exists for)."""
-    import pyarrow.parquet as _pq
-
-    from conftest import SF_DIR
-    from libfilter_ray.stages.bpe import (
-        load_bpe_artifacts, segment_words)
-
-    out = tmp_path / "merges.parquet"
-    save = tmp_path / "tok"
-    assert main(["bpe", "--input", SF_DIR, "--merges", "3",
-                 "--shards", "4", "--output", str(out),
-                 "--save-dir", str(save)]) == 0
-    learned = _pq.read_table(out).to_pandas()
-    merges = list(zip(learned["left"], learned["right"]))
-    loaded, vocab = load_bpe_artifacts(str(save))
-    assert loaded == [(str(a), str(b)) for a, b in merges]
-    texts = _pq.read_table(f"{SF_DIR}/documents.parquet",
-                           columns=["text"])["text"].to_pylist()
-    words = sorted({w for t in texts if t for w in t.split(" ") if w})
-    segs = segment_words(words, loaded)
-    assert segs == segment_words(words, merges)
-    assert {s for seg in segs for s in seg} <= set(vocab)
 
 
 def test_topk_subcommand_exact_string_and_int(tmp_path, ray_session):
@@ -1484,28 +1324,3 @@ def test_curate_chunk_offramp(tmp_path, ray_session):
               "--column", "text", "--id-column", "row_id",
               "--chunk-out", str(tmp_path / "c3"),
               "--chunk-window", "4", "--chunk-stride", "9"])
-
-
-def test_links_subcommand_extracts_edges(tmp_path, ray_session):
-    """`job links` over a pages table with an html column writes the
-    (src, dst) edge parquet exactly."""
-    import pandas as pd
-    import pyarrow as pa
-
-    inp = tmp_path / "in"
-    inp.mkdir()
-    pq.write_table(pa.table({
-        "url": ["https://s/a", "https://s/b", "https://s/c"],
-        "html": [b'<a href="https://t/1">x</a><a href="https://t/2">y</a>',
-                 b"nothing here",
-                 b'<a href="https://t/3">z</a>'],
-    }), str(inp / "pages.parquet"))
-    out = tmp_path / "edges"
-    assert main(["links", "--input", str(inp), "--table", "pages",
-                 "--output", str(out)]) == 0
-    got = pq.read_table(str(out)).to_pandas() \
-        .sort_values(["src", "dst"]).reset_index(drop=True)
-    ref = pd.DataFrame({
-        "src": ["https://s/a", "https://s/a", "https://s/c"],
-        "dst": ["https://t/1", "https://t/2", "https://t/3"]})
-    pd.testing.assert_frame_equal(got, ref)

@@ -119,29 +119,3 @@ def test_determinism():
     a = synthesize_webpages(_docs_batch(100))
     b = synthesize_webpages(_docs_batch(100))
     assert a.equals(b)
-
-
-def test_links_stage_edge_cases(ray_session):
-    """href extraction: multiple anchors, zero anchors, binary html,
-    adjacent attributes after the URL, empty URL."""
-    import numpy as np
-    import pyarrow as pa
-
-    from libfilter_ray.stages.extract import links_stage
-
-    html = [
-        '<a href="https://a/1">x</a> mid <a href="https://a/2">y</a>',
-        "no links at all",
-        '<a href="" class="z">empty</a>',
-        '<a class="pre" href="https://b/3" target="_blank">w</a>',
-        None,
-    ]
-    t = pa.table({
-        "url": pa.array([f"u{i}" for i in range(len(html))]),
-        "html": pa.array([h.encode() if h is not None else None
-                          for h in html], type=pa.large_binary()),
-    })
-    out = links_stage()(t)
-    assert out["src"].to_pylist() == ["u0", "u0", "u2", "u3"]
-    assert out["dst"].to_pylist() == ["https://a/1", "https://a/2", "",
-                                      "https://b/3"]
