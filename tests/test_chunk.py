@@ -76,3 +76,34 @@ def test_chunk_documents_rejects_bad_params(ray_session):
         chunk_documents(ds, "text", "doc_id", window=0)
     with pytest.raises(ValueError, match="skip tokens"):
         chunk_documents(ds, "text", "doc_id", window=4, stride=5)
+
+
+def test_chunk_to_index_composition(tmp_path, ray_session):
+    """The retrieval-prep path composes: documents -> sliding-window
+    chunks -> inverted index over chunks -> term search returns exactly
+    the chunk ids whose text contains the term."""
+    import pyarrow as pa
+    import ray.data
+
+    from libfilter_ray.state.inverted_index import InvertedIndex
+
+    docs = pd.read_parquet("/root/testdata/sf0.01/documents.parquet",
+                           columns=["doc_id", "text"])
+    ds = ray.data.from_pandas(docs).repartition(4)
+    chunks = chunk_documents(ds, "text", "doc_id",
+                             window=16, stride=8).map_batches(
+        lambda t: t.append_column(
+            "chunk_uid", pa.array(
+                np.asarray(t["doc_id"], dtype=np.int64) * 4096
+                + np.asarray(t["chunk_id"], dtype=np.int64))),
+        batch_format="pyarrow").materialize()
+    idx = InvertedIndex.build(chunks, "chunk", "chunk_uid",
+                              str(tmp_path / "ix"), num_buckets=8)
+    cdf = chunks.to_pandas()
+    for term in ["table", "spark", "customer"]:
+        want = np.sort(cdf.loc[
+            cdf["chunk"].str.split(" ").map(lambda w: term in w),
+            "chunk_uid"].to_numpy(dtype=np.int64))
+        got = np.sort(idx.postings(term))
+        np.testing.assert_array_equal(got, want)
+        assert len(want) > 0
