@@ -4,8 +4,8 @@ Reimplements the capabilities of jbapple/libfilter (block / split-block Bloom,
 taffy-block, taffy-cuckoo, static xor filters) plus HLL, count-min, t-digest and
 KLL as *mergeable UDAFs* driven by ``ray.data.Dataset.map_batches`` over
 zero-copy Arrow batches, with one keyed merge of per-block partials (one
-task for a small partial set, a key-hash exchange for a large one) and
-per-partition checkpoint/resume.
+task for a small partial set, key-hash split and fold tasks for a large
+one) and per-partition checkpoint/resume.
 
 Layout:
   sketch/     pure numpy/Python kernels (no Ray imports)

@@ -22,7 +22,8 @@ the same range-partitioned sort (identical results, same operators,
 same wall time in our measurements) with the exchange performed by
 worker-side merge tasks, keeping the driver flat. We therefore pin it.
 (`ShuffleStrategy.HASH_SHUFFLE` is also driver-flat but was slower on
-small inputs in our measurements.)
+small inputs in our measurements.) The pin serves the query families;
+the sketch engine's keyed merge runs no Ray Data shuffle.
 """
 from __future__ import annotations
 

@@ -8,8 +8,8 @@ scale and stage count stays constant at 100 TB):
 
 1. build: read documents -> synthesize pages -> extract text with the
    byte-identical invariant ENFORCED per row -> per-block per-lang BlockBloom
-   partials -> one keyed merge (one task for a small partial set, a
-   key-hash exchange for a large one; stages/sketch_build.merge_keyed).
+   partials -> one keyed merge (one task, or key-hash split and fold tasks
+   for a large partial set; stages/sketch_build.merge_keyed).
 2. probe: broadcast the per-lang filters (ray.put once), stream the pages
    again, count members found per lang inside each batch (vectorized),
    and sum the per-batch counts through the same keyed merge

@@ -28,12 +28,6 @@ from datetime import datetime, timezone
 import numpy as np
 import pyarrow as pa
 
-WARC_RECORD_SCHEMA = pa.schema([
-    ("url", pa.string()),
-    ("warc_ts", pa.timestamp("us")),
-    ("html", pa.binary()),
-])
-
 _CRLF2 = b"\r\n\r\n"
 
 

@@ -46,16 +46,6 @@ from ..sketch.hashing import hash_arrow_array
 MAX_LEN = 256
 
 
-def _char_matrix(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n, W) single-char matrix + int64 lengths for a 1-D unicode
-    array. NUL-padded on the right; tokens from whitespace-split text
-    never contain NUL so padding is unambiguous."""
-    lens = np.char.str_len(words).astype(np.int64)
-    w = int(lens.max()) if len(lens) else 1
-    mat = words.astype(f"U{w}").view("U1").reshape(len(words), w)
-    return mat, lens
-
-
 def ed_le1_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vectorized exact Levenshtein<=1 test for aligned string arrays
     (unicode, char-level — matches SQL levenshtein() semantics)."""

@@ -19,11 +19,12 @@ them. Every engine result is produced this way:
    counts against broadcast filters; the fold sums them.
 
 `merge_keyed`: a partial set that fits `ONE_TASK_BYTES` is folded by ONE
-remote task; a larger one goes through one key-hash sharded exchange.
-Both fold each key's payloads in canonical order (`_fold_payloads`), so
-every output is independent of block order. Maps run one partial per
-BLOCK (no batch_size): a fixed batch size would coalesce small blocks
-into few huge tasks; block size is governed upstream by the read.
+remote task; a larger one is cut by key hash in plain split tasks and
+folded by one plain task per shard. Both fold each key's payloads in
+canonical order (`_fold_payloads`), so every output is independent of
+block order. Maps run one partial per BLOCK (no batch_size): a fixed
+batch size would coalesce small blocks into few huge tasks; block size
+is governed upstream by the read.
 
 Every per-key stage — that builder, the checkpointed partition builder
 (state/checkpoint.py) and the grouped probe — splits a block by key one
@@ -127,8 +128,8 @@ def build_sketch(ds, column: str, kind: str, params: dict | None = None, *,
     sketch object; an empty Dataset gives the empty sketch.
 
     Known limit: one key cannot spread over shards, so partials above
-    `ONE_TASK_BYTES` fold in ONE shard task of the exchange (as a hot key
-    does in a grouped build); that task's memory bounds the build.
+    `ONE_TASK_BYTES` fold in ONE shard's fold task (as a hot key does in a
+    grouped build); that task's memory bounds the build.
     """
     return _build_global(ds, column, kind, params, seed, pre_hashed,
                          raw=False)
@@ -231,7 +232,7 @@ def _key_payloads(split, kind: str, params: dict, column: str, seed: int,
     return payloads, fmts
 
 
-#: Key-hash shards of the keyed merge's exchange path (`merge_keyed`).
+#: Key-hash shards of the keyed merge's sharded path (`merge_keyed`).
 NUM_SHARDS = 32
 #: Range of the partial rows' `salt` column. The merge does not read it;
 #: perfbench's replay of the older two-round merge groups by it.
@@ -258,11 +259,11 @@ def _block_salt(batch: pa.Table, column: str, key: str) -> int:
 def _add_merge_shard(key: str, num_shards: int, with_salt: bool):
     """map_batches callable tagging partial rows with a merge shard: a pure
     hash of (key[, salt]) so one (key, salt) group never splits across
-    shards. The exchange path of `merge_keyed` shards by key alone and runs
-    ONE Ray task per shard folding all of its keys — at thousands of keys
-    (per-domain builds) this replaces per-key Ray map_groups calls with
-    `num_shards` tasks. `with_salt` is kept for perfbench's replay of the
-    older salted two-round merge (tests/test_perfbench_hooks.py)."""
+    shards. The sharded path of `merge_keyed` shards by key alone and runs
+    ONE fold task per shard over all of its keys, so thousands of keys
+    (per-domain builds) cost `num_shards` tasks, not one each. `with_salt`
+    is kept for perfbench's replay of the older salted two-round merge
+    (tests/test_perfbench_hooks.py)."""
 
     def add(t: pa.Table) -> pa.Table:
         kh = hash_arrow_array(t[key], seed=0x5AAD)
@@ -308,8 +309,8 @@ class _MultiGroupedPartialBuilder:
 def build_grouped_multi(ds, key: str, specs, *, seed: int = DEFAULT_SEED):
     """Per-key sketches for several (name, kind, params, column) specs in ONE
     pass over the data, then one keyed merge of the tiny per-block per-key
-    partial rows (`merge_keyed`: one task for a small partial set, else a
-    key-hash exchange over `NUM_SHARDS` shards).
+    partial rows (`merge_keyed`: one task for a small partial set, else
+    split and fold tasks over `NUM_SHARDS` key-hash shards).
     Returns pandas (key, rows, payload_<name>...) sorted by key."""
     import pandas as pd
 
@@ -331,13 +332,13 @@ def build_grouped_multi(ds, key: str, specs, *, seed: int = DEFAULT_SEED):
 
 #: Partial bytes (from Ray block metadata, or parquet footers for
 #: `PartialFiles`) up to which ONE task folds the whole keyed merge; above
-#: it the fold is spread over key-hash shards. The bound is set by the one
-#: task's memory, not by time: on one core, with 16 KB Bloom partials
-#: (tools/keyed_merge_crossover.py), one task folds
-#: 1 / 8 / 64 MB in 0.01 / 0.02 / 0.07 s against 0.16 / 1.1 / 11.9 s for the
-#: exchange, while its worker peaks at ~190 MB plus 5-7x the partial bytes
-#: (0.53 GB at 64 MB, 1.1 GB at 128 MB). No benchmark workload has partials
-#: above the bound, so the exchange's end-to-end cost there is unmeasured.
+#: it split tasks cut the rows by key hash and one task per shard folds
+#: them. The bound is set by the one task's memory, not by time: on one
+#: core, with 16 KB Bloom partials (tools/keyed_merge_crossover.py), one
+#: task folds 1 / 8 / 64 MB in 0.02 / 0.03 / 0.11 s against 0.16 / 0.77 /
+#: 1.55 s on the sharded path, while its worker peaks at ~185 MB plus 3-5x
+#: the partial bytes (0.38 GB at 64 MB). No benchmark workload has partials
+#: above the bound, so the sharded path's end-to-end cost is unmeasured.
 ONE_TASK_BYTES = 64 << 20
 
 
@@ -369,10 +370,10 @@ def _keyed_fold(specs, key: str, finalize: bool):
     from partial rows to one row per distinct key. Each spec's
     payload_<name> column (with its fmt_<name>, "sketch" or "raw"; a spec
     without a fmt column holds sketch payloads only) is folded by
-    `_fold_payloads`. The routing columns `salt` and the exchange's
-    `mshard` are dropped, and every other column is an int64 count summed
-    per key: `rows` for builds, `n` and `found` for the probe."""
-    skip = {key, "salt", "mshard"}
+    `_fold_payloads`. The routing column `salt` is dropped, and every
+    other column is an int64 count summed per key: `rows` for builds, `n`
+    and `found` for the probe."""
+    skip = {key, "salt"}
     for (name, *_r) in specs:
         skip |= {f"payload_{name}", f"fmt_{name}"}
 
@@ -401,10 +402,6 @@ def _keyed_fold(specs, key: str, finalize: bool):
         return pa.table(out)
 
     return fold
-
-
-def _fold_blocks(fold, *blocks: pa.Table) -> pa.Table:
-    return fold(pa.concat_tables(blocks, promote_options="default"))
 
 
 class PartialFiles:
@@ -436,16 +433,27 @@ class PartialFiles:
         t = pq.read_table(self.paths, columns=list(self.columns))
         return t.rename_columns([self.columns[c] for c in t.column_names])
 
-    def dataset(self):
-        import ray.data
 
-        return ray.data.read_parquet(self.paths, columns=list(self.columns)) \
-            .rename_columns(self.columns)
+def _rows(parts) -> pa.Table:
+    """The partial rows of `parts` (tables, or `PartialFiles` read here)."""
+    return pa.concat_tables([p.read() if isinstance(p, PartialFiles) else p
+                             for p in parts], promote_options="default")
 
 
-def _fold_files(fold, files: PartialFiles) -> pa.Table | None:
-    t = files.read()
+def _fold_parts(fold, *parts) -> pa.Table | None:
+    """One fold task of the keyed merge: every row of `parts` -> one row per
+    key, or None when there are no rows."""
+    t = _rows(parts)
     return fold(t) if t.num_rows else None
+
+
+def _split_parts(key: str, *parts) -> tuple:
+    """One split task of the keyed merge's sharded path: the rows of
+    `parts`, cut into `NUM_SHARDS` tables by the hash of their key
+    (`_add_merge_shard`), so every row of a key lands in one shard."""
+    t = _rows(parts)
+    shard = np.asarray(_add_merge_shard(key, NUM_SHARDS, False)(t)["mshard"])
+    return tuple(t.filter(shard == s) for s in range(NUM_SHARDS))
 
 
 def merge_keyed(partials, key: str, specs, *, finalize: bool):
@@ -456,35 +464,39 @@ def merge_keyed(partials, key: str, specs, *, finalize: bool):
 
     `partials` is a Dataset of partial rows or a `PartialFiles`. A Dataset
     is materialized and sized from block metadata, files from their
-    footers; no payload reaches the driver. Up to `ONE_TASK_BYTES` ONE
-    remote task receives every block (or reads every file) and folds every
-    key; files that fit never pass through a Ray Data read, whose fixed
-    cost is most of a small merge's wall and most of its spread. Above the
-    budget, one key-hash sharded exchange over `NUM_SHARDS` shards
-    (`_add_merge_shard` + `groupby("mshard").map_groups`) hands each shard
-    task every partial of its keys. Either way each key's whole payload
-    multiset goes through the same canonical fold, so both paths give the
-    same bytes for every sketch kind."""
+    footers; no payload reaches the driver, and files are read by the
+    tasks themselves, never through a Ray Data read. Up to
+    `ONE_TASK_BYTES` ONE remote fold task receives every block (or reads
+    every file) and folds every key. Above it, the blocks (or file paths)
+    are cut into at most `NUM_SHARDS` consecutive runs; one split task per
+    run cuts its rows into `NUM_SHARDS` key-hash shards, and fold task `s`
+    takes shard `s` of every run. Either way each key's whole payload
+    multiset goes through the same canonical fold in one task, so both
+    paths give the same bytes for every sketch kind."""
     import ray
 
     fold = _keyed_fold(specs, key, finalize)
+    fold_task = ray.remote(_fold_parts)
     if isinstance(partials, PartialFiles):
         if partials.fits(ONE_TASK_BYTES):
-            return ray.get(ray.remote(_fold_files).remote(fold, partials))
-        partials = partials.dataset()
-    partials = partials.materialize()
-    if not partials.count():
-        return None
-    if partials.size_bytes() <= ONE_TASK_BYTES:
-        task = ray.remote(_fold_blocks)
-        return ray.get(task.remote(fold, *partials.to_arrow_refs()))
-    merged = partials \
-        .map_batches(_add_merge_shard(key, NUM_SHARDS, False),
-                     batch_format="pyarrow") \
-        .groupby("mshard").map_groups(fold, batch_format="pyarrow") \
-        .materialize()  # to_arrow_refs() would re-run the shuffle for a schema
-    return pa.concat_tables(ray.get(merged.to_arrow_refs()),
-                            promote_options="default")
+            return ray.get(fold_task.remote(fold, partials))
+        paths = partials.paths
+        runs = [[PartialFiles(run.tolist(), partials.columns)] for run in
+                np.array_split(paths, min(NUM_SHARDS, len(paths)))]
+    else:
+        partials = partials.materialize()
+        if not partials.count():
+            return None
+        refs = partials.to_arrow_refs()
+        if partials.size_bytes() <= ONE_TASK_BYTES:
+            return ray.get(fold_task.remote(fold, *refs))
+        runs = np.array_split(refs, min(NUM_SHARDS, len(refs)))
+    split = ray.remote(num_returns=NUM_SHARDS)(_split_parts)
+    shards = [split.remote(key, *run) for run in runs]
+    outs = ray.get([fold_task.remote(fold, *[s[i] for s in shards])
+                    for i in range(NUM_SHARDS)])
+    outs = [o for o in outs if o is not None]
+    return pa.concat_tables(outs, promote_options="default") if outs else None
 
 
 def build_sketch_actor_pool(ds, column: str, kind: str,

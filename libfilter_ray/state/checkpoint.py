@@ -28,9 +28,9 @@ Design (SURVEY.md §4.2 "checkpoint/resume"):
   in the dir is ignored by progress, merge and metrics alike.
 - The final merge runs the engine's one keyed merge over the (tiny)
   checkpoint files (``stages/sketch_build.merge_keyed``): ONE remote task
-  reads and folds a small partial set, a key-hash sharded exchange merges
-  a large one. No payload is concentrated on the driver; scales to
-  millions of partitions.
+  reads and folds a small partial set; split tasks read runs of a large
+  one and cut them by key hash, one fold task per shard merges them. No
+  payload is concentrated on the driver; scales to millions of partitions.
 
 At 100 TB: partitions are ~row-group sized (100s of MB), checkpoint rows are
 KBs, and a failed run resumes by re-listing one directory. The partials dir
@@ -375,9 +375,9 @@ class CheckpointedBuild:
     def merge(self):
         """Idempotent final merge, a pure function of the checkpoint dir:
         the partial files -> `sketch_build.merge_keyed` (one task reads and
-        folds a small partial set, one key-hash exchange round merges a
-        large one; payloads folded in canonical order either way). A torn
-        or unreadable partial file raises. Returns {key: sketch} (key "" when
+        folds a small partial set, split and per-shard fold tasks a large
+        one; payloads folded in canonical order either way). A torn or
+        unreadable partial file raises. Returns {key: sketch} (key "" when
         ungrouped)."""
         from ..stages.sketch_build import PartialFiles, merge_keyed
 

@@ -124,11 +124,14 @@ def test_orphan_tmp_files_ignored(tmp_path, events_parquet, ray_session):
 
 
 def test_torn_partial_file_raises_then_rebuilds(tmp_path, events_parquet,
-                                               ray_session):
+                                               ray_session, monkeypatch):
     """A torn partial file (truncated after a full run) makes merge() raise
-    instead of returning under-counted sketches; once the file is deleted,
-    run() rebuilds only that partition and the result equals the clean
-    build byte for byte."""
+    instead of returning under-counted sketches, on the one-task path and
+    on the sharded path (where a split task reads it); once the file is
+    deleted, run() rebuilds only that partition and the result equals the
+    clean build byte for byte."""
+    from libfilter_ray.stages import sketch_build
+
     kw = dict(kind="block", params={"bytes_": 4096}, column="user_id",
               key="event_type", target_rows=2048)
     run_dir = str(tmp_path / "r")
@@ -143,6 +146,10 @@ def test_torn_partial_file_raises_then_rebuilds(tmp_path, events_parquet,
     job = CheckpointedBuild(run_dir, events_parquet, **kw)
     with pytest.raises(pa.ArrowInvalid):
         job.merge()
+    with monkeypatch.context() as m:
+        m.setattr(sketch_build, "ONE_TASK_BYTES", 0)
+        with pytest.raises(pa.ArrowInvalid):
+            job.merge()
 
     os.unlink(torn)
     kept = {f: os.stat(os.path.join(d, f)).st_mtime_ns

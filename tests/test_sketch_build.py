@@ -232,9 +232,9 @@ def test_global_build_empty_input(ray_session):
 
 
 def test_keyed_merge_paths_agree(ray_session, rng, monkeypatch):
-    """The one-task fold and the sharded exchange give byte-identical
-    payloads for every spec (the merge-order-sensitive KLL included) and
-    equal rows, on normal, empty and all-null-key inputs."""
+    """The one-task fold and the sharded path give byte-identical payloads
+    for every spec (the merge-order-sensitive KLL included) and equal rows,
+    on normal, many-block, empty and all-null-key inputs."""
     import ray.data
 
     empty = pa.table({"k": pa.array([], type=pa.string()),
@@ -243,7 +243,10 @@ def test_keyed_merge_paths_agree(ray_session, rng, monkeypatch):
     null_keys = pa.table({"k": pa.array([None] * 50, type=pa.string()),
                           "url": pa.array([f"u{i}" for i in range(50)]),
                           "len": pa.array(np.arange(50.0))})
-    inputs = [_keyed_blocks(rng), [empty], [null_keys, null_keys]]
+    # 70 blocks: more than NUM_SHARDS, so each split task takes a run of
+    # several blocks, and with 3 keys most shards come back empty
+    inputs = [_keyed_blocks(rng), _keyed_blocks(rng, 70), [empty],
+              [null_keys, null_keys]]
 
     def build(blocks):
         return sb.build_grouped_multi(ray.data.from_arrow(blocks), "k",
@@ -252,7 +255,7 @@ def test_keyed_merge_paths_agree(ray_session, rng, monkeypatch):
     one_task = [build(blocks) for blocks in inputs]
     monkeypatch.setattr(sb, "ONE_TASK_BYTES", 0)
     exchanged = [build(blocks) for blocks in inputs]
-    assert [len(o) for o in one_task] == [3, 0, 0]
+    assert [len(o) for o in one_task] == [3, 3, 0, 0]
     for a, b in zip(one_task, exchanged):
         assert list(a.columns) == list(b.columns)
         assert a["k"].tolist() == b["k"].tolist()

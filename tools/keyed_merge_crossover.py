@@ -6,10 +6,11 @@ behind `stages/sketch_build.ONE_TASK_BYTES`.
 
 For each size it builds per-block partial rows of 16 KB BlockBloom
 payloads over 50 keys (the grouped builder's output columns), then times
-`merge_keyed` with the budget raised (one task) and zeroed (key-hash
-exchange), best of two each, on one Ray session with one CPU. It also runs
-the one-task fold in a fresh worker and reports that worker's peak RSS,
-and checks both paths give the same bytes.
+`merge_keyed` with the budget raised (one task) and zeroed (the sharded
+path: key-hash split tasks, then one fold task per shard; printed as
+"exchange"), best of two each, on one Ray session with one CPU. It also
+runs the one-task fold in a fresh worker and reports that worker's peak
+RSS, and checks both paths give the same bytes.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def main() -> int:
 
     @ray.remote(max_calls=1)
     def one_task_peak_mb(fold, *blocks):
-        sb._fold_blocks(fold, *blocks)
+        sb._fold_parts(fold, *blocks)
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     specs = [("b", "block", {"bytes_": PAYLOAD_BYTES}, "v")]
