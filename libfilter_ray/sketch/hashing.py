@@ -11,11 +11,16 @@ splitmix64 mixer (Steele, Lea & Flood, "Fast splittable pseudorandom number
 generators", OOPSLA 2014 — public constants) for avalanche.
 
 Vectorization trick: for row bytes b[s..e) we want
-    H = sum_{i=s}^{e-1} b[i] * P^(e-1-i)  (mod 2^64).
+    H = sum_{i=s}^{e-1} (b[i] + 0x101) * P^(e-1-i)  (mod 2^64).
 P is odd, hence invertible mod 2^64. With Q = P^-1,
-    H = (S[e] - S[s]) * P^(e-1)   where  S[k] = sum_{i<k} b[i] * Q^i.
-S and the power tables are plain cumsum/cumprod over the whole buffer —
-all vectorized, all uint64 wraparound arithmetic.
+    H = (S[e] - S[s]) * P^(e-1)   where  S[k] = sum_{i<k} (b[i] + 0x101) * Q^i.
+The difference is translation-invariant (shifting the buffer start by d
+multiplies S[e] - S[s] by Q^d and P^(e-1) by P^d), so rows are hashed in
+groups of at most GROUP_BYTES bytes, S[e] - S[s] taken as a segment sum of
+the group's terms against power tables precomputed once at import:
+temporaries stay bounded whatever the input size. All uint64 wraparound
+arithmetic. The body is then XORed with length * 0x9E3779B97F4A7C15 and
+finalized by splitmix64.
 """
 
 from __future__ import annotations
@@ -73,62 +78,90 @@ def rehash_32_to_64(h32: np.ndarray) -> np.ndarray:
         return (((REHASH_32 * s) >> U64(32)) << U64(32)) | s
 
 
-# One _hash_buffer pass materializes ~32 B of u64 tables per input byte
-# (qpow/ppow/prefix sums); bound the transient at ~2 GB per task by hashing
-# row groups of <= this many bytes. The polynomial hash is TRANSLATION-
-# INVARIANT (Q = P^-1 mod 2^64, so the Q^d·P^d shift factors cancel),
-# hence chunked results are bit-identical to a single pass — property-
-# tested in test_hashing.py.
-_HASH_CHUNK_BYTES = 64 << 20
+#: Bytes per row group. A call's temporaries are one scratch buffer of
+#: GROUP_BYTES u64 (0.5 MB) plus a few u64 per row, whatever the input
+#: size; the two power tables hold GROUP_BYTES + 1 u64 each.
+GROUP_BYTES = 64 << 10
+
+
+def _powers(x: np.uint64, n: int) -> np.ndarray:
+    """[x^0, x^1, ..., x^n] mod 2^64."""
+    out = np.empty(n + 1, dtype=U64)
+    out[0] = U64(1)
+    with np.errstate(over="ignore"):
+        np.cumprod(np.full(n, x, dtype=U64), out=out[1:])
+    return out
+
+
+_QPOW = _powers(POLY_Q, GROUP_BYTES)
+_PPOW = _powers(POLY_P, GROUP_BYTES)
+_MASK64 = (1 << 64) - 1
+
+
+def _weighted(span: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """t[:len(span)] = (span + 0x101) * Q^i, the bytes' terms of S."""
+    w = t[:len(span)]
+    np.add(span, U64(0x101), out=w, dtype=U64)
+    np.multiply(w, _QPOW[:len(span)], out=w)
+    return w
+
+
+def _fold_long(row: np.ndarray, t: np.ndarray, g: int) -> int:
+    """Body hash of one row longer than a group: each chunk of at most `g`
+    bytes is hashed on its own and folded in with H(x||y) = H(x)·P^|y| + H(y)."""
+    h = 0
+    for c in range(0, len(row), g):
+        m = min(g, len(row) - c)
+        chunk = int(_weighted(row[c:c + m], t).sum()) * int(_PPOW[m - 1])
+        h = (h * int(_PPOW[m]) + chunk) & _MASK64
+    return h
 
 
 def _hash_buffer(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
                  seed: int) -> np.ndarray:
-    """Polynomial hash of variable-length slices [starts, ends) of `data`,
-    processed in byte-bounded row groups (see _HASH_CHUNK_BYTES)."""
+    """Polynomial hash of the slices [starts, ends) of `data`, laid out as
+    Arrow rows (each row starts where the one before it ends).
+
+    Consecutive rows are hashed in groups whose bytes span at most
+    GROUP_BYTES: a group's weighted bytes go into one reused scratch buffer
+    and each row's S[e] - S[s] is its segment sum (`np.add.reduceat`). The
+    hash is translation-invariant, so a row hashes the same whatever group
+    it falls in. A row longer than a group is folded chunk by chunk
+    (`_fold_long`)."""
     n = len(starts)
-    if n == 0:
-        return np.empty(0, dtype=U64)
-    if len(data) > _HASH_CHUNK_BYTES and n > 1:
-        out = np.empty(n, dtype=U64)
+    g = GROUP_BYTES
+    body = np.zeros(n, dtype=U64)
+    t = np.empty(g, dtype=U64)
+    with np.errstate(over="ignore"):
         i = 0
         while i < n:
-            limit = int(starts[i]) + _HASH_CHUNK_BYTES
-            j = max(i + 1, int(np.searchsorted(ends, limit, side="right")))
-            j = min(j, n)
             base = int(starts[i])
-            out[i:j] = _hash_buffer_one(
-                data[base:int(ends[j - 1])],
-                starts[i:j] - base, ends[i:j] - base, seed)
+            j = int(np.searchsorted(ends, base + g, side="right"))
+            if j <= i:
+                body[i] = _fold_long(data[base:int(ends[i])], t, g)
+                i += 1
+                continue
+            w = _weighted(data[base:int(ends[j - 1])], t)
+            st = starts[i:j] - base
+            # rows are contiguous, so from one row's start to the next row's
+            # start lie exactly its bytes; the group's trailing empty rows
+            # start at len(w), outside reduceat's range, and are left out
+            k = int(np.searchsorted(st, len(w)))
+            body[i:i + k] = (np.add.reduceat(w, st[:k])
+                             * _PPOW[ends[i:i + k] - base - 1])
             i = j
-        return out
-    return _hash_buffer_one(data, starts, ends, seed)
-
-
-def _hash_buffer_one(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                     seed: int) -> np.ndarray:
-    n = len(starts)
-    L = len(data)
-    with np.errstate(over="ignore"):
-        if L == 0:
-            body = np.zeros(n, dtype=U64)
-        else:
-            # qpow[i] = Q^i, ppow[i] = P^i for i in [0, L]
-            qpow = np.empty(L + 1, dtype=U64)
-            qpow[0] = U64(1)
-            np.cumprod(np.broadcast_to(POLY_Q, L).astype(U64), out=qpow[1:])
-            ppow = np.empty(L + 1, dtype=U64)
-            ppow[0] = U64(1)
-            np.cumprod(np.broadcast_to(POLY_P, L).astype(U64), out=ppow[1:])
-            s = np.empty(L + 1, dtype=U64)
-            s[0] = U64(0)
-            np.cumsum((data.astype(U64) + U64(0x101)) * qpow[:L], out=s[1:])
-            # H = (S[e]-S[s]) * P^(e-1); for empty rows (e==s) force 0.
-            e1 = np.maximum(ends, 1)
-            body = (s[ends] - s[starts]) * ppow[e1 - 1]
-            body[ends == starts] = U64(0)
         lengths = (ends - starts).astype(U64)
+        # an empty row inside a group got its successor's first term (and
+        # any power); its body is 0
+        body[lengths == 0] = 0
         return splitmix64(body ^ (lengths * _SM_GAMMA), seed=seed)
+
+
+def _null_hash(seed: int) -> np.uint64:
+    """The hash of a null under `seed`: drawn from a DISTINCT seed stream,
+    so a null never collides with a real value's hash under the data seed."""
+    return splitmix64(np.asarray([U64(0xDEAD)], dtype=U64),
+                      seed=(seed ^ 0xA5A5_5A5A_F00D_BEEF))[0]
 
 
 def _binary_array_parts(arr: pa.Array):
@@ -137,8 +170,8 @@ def _binary_array_parts(arr: pa.Array):
     `data` is only the rows' own byte span [first start, last end) of the
     value buffer, and starts/ends are rebased to it: a zero-copy slice of a
     large array scans its own bytes, not the whole buffer. The polynomial
-    hash is translation-invariant (see _HASH_CHUNK_BYTES), so hashes do not
-    depend on where the span begins."""
+    hash is translation-invariant (see the module docstring), so hashes do
+    not depend on where the span begins."""
     buffers = arr.buffers()
     if arr.type in (pa.large_string(), pa.large_binary()):
         off_dtype = np.int64
@@ -158,7 +191,7 @@ def hash_arrow_array(arr: pa.Array | pa.ChunkedArray,
                      seed: int = DEFAULT_SEED) -> np.ndarray:
     """Hash an Arrow string/binary/integer array to pseudorandom u64.
 
-    Nulls hash to splitmix64(seed-derived constant) — a fixed sentinel.
+    Nulls hash to one fixed sentinel, `_null_hash(seed)`.
     Fully vectorized; no per-row Python.
     """
     if isinstance(arr, pa.ChunkedArray):
@@ -184,12 +217,7 @@ def hash_arrow_array(arr: pa.Array | pa.ChunkedArray,
     else:
         raise TypeError(f"unhashable arrow type for sketch keys: {t}")
     if arr.null_count:
-        mask = np.asarray(arr.is_null())
-        out = out.copy()
-        # sentinel drawn from a DISTINCT seed stream so NULL can never
-        # collide with any real value's hash under the data seed
-        out[mask] = splitmix64(np.asarray([U64(0xDEAD)], dtype=U64),
-                               seed=(seed ^ 0xA5A5_5A5A_F00D_BEEF))[0]
+        out[np.asarray(arr.is_null())] = _null_hash(seed)
     return out
 
 
@@ -203,12 +231,9 @@ def shard_of_values(values, num_shards: int, seed: int = 0x5AAD) -> np.ndarray:
     if len(values) == 0:
         return np.empty(0, dtype=np.int64)
     if pa.types.is_null(values.type):
-        # all-None python input infers Arrow type `null`; use the SAME
-        # null sentinel as hash_arrow_array so a fully-null column shards
-        # exactly like the null rows of a typed column
-        sentinel = splitmix64(np.asarray([U64(0xDEAD)], dtype=U64),
-                              seed=(seed ^ 0xA5A5_5A5A_F00D_BEEF))[0]
-        h = np.full(len(values), sentinel, dtype=U64)
+        # all-None python input infers Arrow type `null`; a fully-null
+        # column shards exactly like the null rows of a typed column
+        h = np.full(len(values), _null_hash(seed), dtype=U64)
     else:
         h = hash_arrow_array(values, seed=seed)
     return (h % np.uint64(num_shards)).astype(np.int64)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from libfilter_ray.sketch.hashing import (DEFAULT_SEED, hash_arrow_array,
                                           hash_u64, splitmix64)
@@ -102,27 +104,132 @@ def test_null_sentinel_distinct_from_any_int():
     assert h[0] != h[2]
 
 
-def test_hash_buffer_chunked_matches_single_pass(monkeypatch, rng):
-    """Byte-bounded chunked hashing is bit-identical to one pass (the
-    polynomial hash is translation-invariant: Q = P^-1 mod 2^64)."""
-    import numpy as np
-    import pyarrow as pa
+_MASK64 = (1 << 64) - 1
 
+
+def _reference_hash(row, seed):
+    """Scalar reference of hash_arrow_array for one string/binary row:
+    sum (b + 0x101) * P^(e-1-i) mod 2^64 (Horner), XOR length * gamma,
+    then splitmix64 with the seed's increment; a null is `_null_hash`."""
     from libfilter_ray.sketch import hashing
 
-    texts = ["".join(chr(97 + c) for c in rng.integers(0, 26, int(L)))
-             for L in rng.integers(0, 200, 300)]
-    arr = pa.array(texts)
-    want = hashing.hash_arrow_array(arr, seed=123)
-    monkeypatch.setattr(hashing, "_HASH_CHUNK_BYTES", 257)
-    got = hashing.hash_arrow_array(arr, seed=123)
-    assert np.array_equal(want, got)
-    # single row larger than the chunk bound still hashes correctly
-    big = pa.array(["x" * 5000, "y"])
-    monkeypatch.setattr(hashing, "_HASH_CHUNK_BYTES", 64 << 20)
-    w2 = hashing.hash_arrow_array(big, seed=9)
-    monkeypatch.setattr(hashing, "_HASH_CHUNK_BYTES", 100)
-    assert np.array_equal(w2, hashing.hash_arrow_array(big, seed=9))
+    if row is None:
+        return int(hashing._null_hash(seed))
+    if isinstance(row, str):
+        row = row.encode()
+    h = 0
+    for b in row:
+        h = (h * 0x100000001B3 + b + 0x101) & _MASK64
+    z = (h ^ (len(row) * 0x9E3779B97F4A7C15)) & _MASK64
+    z = (z + seed * 0x9E3779B97F4A7C15 + 1) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _layouts(rows):
+    """The same rows as string, binary, large_binary, a slice of a padded
+    array and a chunked array."""
+    as_bytes = [r if r is None else r.encode() for r in rows]
+    padded = pa.array(["pad", *rows, "tail"], type=pa.large_string())
+    half = len(rows) // 2
+    return [pa.array(rows, type=pa.string()),
+            pa.array(as_bytes, type=pa.binary()),
+            pa.array(as_bytes, type=pa.large_binary()),
+            padded.slice(1, len(rows)),
+            pa.chunked_array([pa.array(rows[:half], type=pa.string()),
+                              pa.array(rows[half:], type=pa.string())])]
+
+
+def test_hash_matches_scalar_reference_at_group_edges(monkeypatch):
+    """Every row length, at every group width, hashes as the scalar
+    reference: empty rows, rows one byte either side of a group, a row
+    spanning several groups, nulls, and sliced/chunked layouts."""
+    from libfilter_ray.sketch import hashing
+
+    alphabet = "abcdefghijklmnopqrstuvwxyz" * 8
+    seed = 123
+    for g in (1, 7, 257, hashing.GROUP_BYTES):
+        lengths = [0, 1, g - 1, 0, g, g + 1, 3 * g + 7, 2, 0, 300]
+        rows = [(alphabet[n % 26:] * (n // 100 + 1))[:n] for n in lengths]
+        assert [len(r) for r in rows] == lengths
+        rows[3] = None
+        rows.append(None)
+        want = [_reference_hash(r, seed) for r in rows]
+        monkeypatch.setattr(hashing, "GROUP_BYTES", g)
+        for arr in _layouts(rows):
+            got = hashing.hash_arrow_array(arr, seed=seed)
+            assert got.tolist() == want, (g, arr.type)
+
+
+@given(rows=st.lists(st.one_of(st.none(), st.text(max_size=40)),
+                     max_size=60),
+       g=st.sampled_from([1, 7, 257, 64 << 10]),
+       seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_hash_matches_scalar_reference_property(rows, g, seed):
+    from libfilter_ray.sketch import hashing
+
+    want = [_reference_hash(r, seed) for r in rows]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hashing, "GROUP_BYTES", g)
+        for arr in _layouts(rows):
+            assert hashing.hash_arrow_array(arr, seed=seed).tolist() == want
+
+
+# hash_arrow_array outputs pinned before the row-group kernel replaced the
+# whole-buffer one: every filter and sketch digest depends on them
+_GOLDEN_ROWS = [b"", b"a", b"https://example.com/", None,
+                "h\u00e9llo w\u00f6rld".encode(), b"\x00\xff\x00",
+                bytes(range(256)) * 800, b"x" * 65536, b"y" * 65537,
+                b"The quick brown fox jumps over the lazy dog"]
+_GOLDEN = {
+    DEFAULT_SEED: [
+        0xD46A65B921B4BF15, 0xB1D56185BD1F12D6, 0x6A1D0D2DC896D12B,
+        0xC2E628550AEA0672, 0x5EF0A96CBB88E0B9, 0xE33F66C985916D5A,
+        0x9C7E6382027ED8C4, 0x3BB2DC28F6B1E30F, 0xE2FCDC30E13552A0,
+        0x73CE3265705D6E76],
+    7: [
+        0xE099EC6CD7363CA5, 0x85CC650B6E168EE6, 0x7A92D55081D5B4A3,
+        0xC176D1863B1C5400, 0xB3C6CFF45089F029, 0x8B6F298A84C7712D,
+        0xD53D2FF0C5B92218, 0x9AC419B488BB0B1D, 0x768F9255ABD5415E,
+        0x92BADFDBD2BA5D59],
+}
+
+
+def test_golden_hash_values():
+    arr = pa.array(_GOLDEN_ROWS, type=pa.large_binary())
+    for seed, want in _GOLDEN.items():
+        assert hash_arrow_array(arr, seed=seed).tolist() == want, seed
+    ints = pa.array([0, -1, 2**62 + 1, None], type=pa.int64())
+    assert hash_arrow_array(ints).tolist() == [
+        0xD46A65B921B4BF15, 0x8246101DF485E84D, 0x1CB529C99A218030,
+        0xC2E628550AEA0672]
+
+
+def test_hash_memory_is_bounded():
+    """Hashing a ~32 MB string column keeps the traced numpy peak far below
+    the input size: the kernel's temporaries are per group and per row,
+    not per input byte."""
+    import tracemalloc
+
+    gen = np.random.default_rng(11)
+    lengths = gen.integers(0, 512, 125_000)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int32)
+    np.cumsum(lengths, out=offsets[1:])
+    data = gen.integers(32, 127, int(offsets[-1]), dtype=np.uint8)
+    arr = pa.Array.from_buffers(pa.string(), len(lengths),
+                                [None, pa.py_buffer(offsets),
+                                 pa.py_buffer(data)])
+    del data
+    assert arr.nbytes > 30 << 20
+    tracemalloc.start()
+    try:
+        hash_arrow_array(arr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
 
 
 def test_sql_splitmix_chain_bit_exact(rng):
