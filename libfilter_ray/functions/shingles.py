@@ -1,11 +1,11 @@
 """Vectorized byte-shingle hashing and winnowing fingerprints over Arrow
 string columns.
 
-Engine additions beyond the reference (training-data text family); the
-rolling-hash machinery reuses the invertible polynomial prefix-sum trick from
-``sketch/hashing.py``: with S[k] = sum_{i<k} b[i]·Q^i, the hash of ANY window
-[i, i+k) is (S[i+k] − S[i])·P^(i+k−1) — so every k-gram hash of every row in
-a batch comes out of one cumsum + one elementwise pass, no per-row Python.
+Engine additions beyond the reference (training-data text family). A
+shingle hashes exactly as its bytes would on their own under the engine's
+string hash (``sketch/hashing.py``): each run of shingles is gathered into
+one contiguous buffer of windows and hashed by the hash kernel in one call,
+so there is no per-row Python and no second hash implementation.
 
 Winnowing is the published algorithm (Schleimer/Wilkes/Aiken 2003).
 """
@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ..sketch.hashing import (POLY_P, POLY_Q, _binary_array_parts, splitmix64)
+from ..sketch.hashing import GROUP_BYTES, _binary_array_parts, _hash_buffer
 
 U64 = np.uint64
 
@@ -28,46 +29,34 @@ def _as_array(col) -> pa.Array:
 
 def shingle_hashes(col: pa.Array | pa.ChunkedArray, k: int = 5,
                    seed: int = 0x5419E1E5):
-    """All k-byte rolling shingle hashes for every row of a string column.
+    """All k-byte shingle hashes for every row of a string column.
 
     Returns (flat u64 hashes, row_splits int64[len+1]); rows shorter than k
-    contribute ONE whole-row hash so no row is empty. Fully vectorized.
+    contribute ONE whole-row hash so no row is empty. Shingles are hashed in
+    runs whose windows span at most `GROUP_BYTES` bytes: a run's windows are
+    gathered into one contiguous buffer, one row per window, for
+    `_hash_buffer`. Besides the output, memory stays bounded by the run,
+    whatever the column or row size.
     """
-    arr = _as_array(col)
-    data, starts, ends = _binary_array_parts(arr)
-    n = len(starts)
-    if n == 0:
-        return np.empty(0, dtype=U64), np.zeros(1, dtype=np.int64)
-    L = len(data)
-    with np.errstate(over="ignore"):
-        qpow = np.empty(L + 1, dtype=U64)
-        qpow[0] = U64(1)
-        ppow = np.empty(L + 1, dtype=U64)
-        ppow[0] = U64(1)
-        if L:
-            np.cumprod(np.broadcast_to(POLY_Q, L).astype(U64), out=qpow[1:])
-            np.cumprod(np.broadcast_to(POLY_P, L).astype(U64), out=ppow[1:])
-        s = np.empty(L + 1, dtype=U64)
-        s[0] = U64(0)
-        if L:
-            np.cumsum((data.astype(U64) + U64(0x101)) * qpow[:L], out=s[1:])
-
-        lengths = ends - starts
-        counts = np.where(lengths >= k, lengths - k + 1, 1).astype(np.int64)
-        row_splits = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=row_splits[1:])
-        total = int(row_splits[-1])
-        # window start index for every shingle: row start + offset-in-row
-        row_of = np.repeat(np.arange(n, dtype=np.int64), counts)
-        pos_in_row = np.arange(total, dtype=np.int64) - row_splits[:-1][row_of]
-        w_start = starts[row_of] + pos_in_row
-        w_len = np.where(lengths[row_of] >= k, k, lengths[row_of])
-        w_end = w_start + w_len
-        e1 = np.maximum(w_end, 1)
-        h = (s[w_end] - s[w_start]) * ppow[e1 - 1]
-        h[w_end == w_start] = U64(0)
-        return splitmix64(h ^ (w_len.astype(U64) * U64(0x9E3779B97F4A7C15)),
-                          seed=seed), row_splits
+    data, starts, ends = _binary_array_parts(_as_array(col))
+    lengths = ends - starts
+    row_splits = np.zeros(len(starts) + 1, dtype=np.int64)
+    np.cumsum(np.maximum(lengths - k + 1, 1), out=row_splits[1:])
+    out = np.empty(int(row_splits[-1]), dtype=U64)
+    step = max(GROUP_BYTES // k, 1)
+    for s0 in range(0, len(out), step):
+        s = np.arange(s0, min(s0 + step, len(out)), dtype=np.int64)
+        row = np.searchsorted(row_splits, s, side="right") - 1
+        w_len = np.minimum(lengths[row], k)
+        w_end = np.cumsum(w_len)  # window ends in the gathered buffer
+        w_start = starts[row] + (s - row_splits[row])
+        if w_end[-1] == k * len(s):  # every window is k bytes long
+            buf = sliding_window_view(data, k)[w_start].ravel()
+        else:  # byte j of a window sits at its start + j in `data`
+            buf = data[np.arange(int(w_end[-1]))
+                       + np.repeat(w_start - w_end + w_len, w_len)]
+        out[s0:s0 + len(s)] = _hash_buffer(buf, w_end - w_len, w_end, seed)
+    return out, row_splits
 
 
 def winnow_fingerprints(col, k: int = 8, window: int = 4,

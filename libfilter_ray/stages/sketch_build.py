@@ -5,17 +5,16 @@ each block into small keyed partial rows (a pure function of the block,
 so Ray task retries are safe); the one keyed merge, `merge_keyed`, folds
 them. Every engine result is produced this way:
 
-1. **Global sketches** (`build_sketch`): one partial sketch per block,
-   keyed by the one key "". `build_sketch_exact` ships each block's raw
-   hash list instead, so the fold inserts the sorted hash multiset once.
-
-2. **Grouped sketches** (per-lang / per-domain): one builder,
+1. **Sketch builds**: one per-block partial builder,
    `_MultiGroupedPartialBuilder`, emits per-block *per-key* partials for
-   any number of specs (`build_grouped_multi`), and
-   `CheckpointedBuild.merge` (state/checkpoint.py) folds the checkpoint
-   files the same way.
+   any number of specs. Grouped builds (per-lang / per-domain,
+   `build_grouped_multi`) key by a column; global builds (`build_sketch`)
+   use the one key "" over every row, and `build_sketch_exact` ships each
+   block's raw hash list, so the fold inserts the sorted hash multiset
+   once. `CheckpointedBuild` (state/checkpoint.py) writes the same
+   builder's partials to its files, and its merge folds them the same way.
 
-3. **Grouped probe** (`probe_grouped`): per-block per-key `(n, found)`
+2. **Grouped probe** (`probe_grouped`): per-block per-key `(n, found)`
    counts against broadcast filters; the fold sums them.
 
 `merge_keyed`: a partial set that fits `ONE_TASK_BYTES` is folded by ONE
@@ -26,10 +25,9 @@ block order. Maps run one partial per BLOCK (no batch_size): a fixed
 batch size would coalesce small blocks into few huge tasks; block size
 is governed upstream by the read.
 
-Every per-key stage — that builder, the checkpointed partition builder
-(state/checkpoint.py) and the grouped probe — splits a block by key one
-way, `split_by_key`: one dictionary encode, null-key rows dropped in one
-place, each hashed column hashed once per block.
+Both map stages, the builder and the grouped probe, split a block by key
+one way, `split_by_key`: one dictionary encode, null-key rows dropped in
+one place, each hashed column hashed once per block.
 
 The reference's merge ops backing this: BlockBloom bitwise OR (implied by
 c/lib/block.c construction), taffy-cuckoo union (c/lib/taffy-cuckoo.c:260-348),
@@ -78,40 +76,14 @@ def _updates_from(batch_col, sketch, seed: int, pre_hashed: bool = False):
     return sketch
 
 
-class _PartialBuilder:
-    """Stateless per-block partial: block -> one keyed partial row (key "",
-    rows, payload_s, fmt_s), the shape `merge_keyed` folds. raw=True ships
-    the block's hash list (fmt "raw") instead of a sketch."""
-
-    def __init__(self, kind: str, params: dict, column: str, seed: int,
-                 pre_hashed: bool = False, raw: bool = False):
-        self.kind, self.params, self.column, self.seed = kind, params, column, seed
-        self.pre_hashed, self.raw = pre_hashed, raw
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch[self.column]
-        if self.raw:
-            payload = _column_hashes(col, self.seed, self.pre_hashed).tobytes()
-        else:
-            sk = registry.make(self.kind, **self.params)
-            payload = _updates_from(col, sk, self.seed, self.pre_hashed) \
-                .to_bytes()
-        return pa.table({
-            "key": pa.array([""]),
-            "rows": pa.array([batch.num_rows], type=pa.int64()),
-            "payload_s": pa.array([payload], type=pa.large_binary()),
-            "fmt_s": pa.array(["raw" if self.raw else "sketch"]),
-        })
-
-
 def _build_global(ds, column: str, kind: str, params: dict | None,
                   seed: int, pre_hashed: bool, raw: bool):
     params = params or {}
+    spec = [("s", kind, params, column)]
     partials = ds.map_batches(
-        _PartialBuilder(kind, params, column, seed, pre_hashed, raw),
+        _MultiGroupedPartialBuilder(spec, None, seed, raw, pre_hashed),
         batch_format="pyarrow")
-    out = merge_keyed(partials, "key", [("s", kind, params, column)],
-                      finalize=False)
+    out = merge_keyed(partials, "key", spec, finalize=False)
     if out is None:
         return registry.make(kind, **params).finalize()
     return registry.get(kind).from_bytes(out["payload_s"][0].as_py()) \
@@ -122,10 +94,13 @@ def build_sketch(ds, column: str, kind: str, params: dict | None = None, *,
                  seed: int = DEFAULT_SEED, pre_hashed: bool = False):
     """Build ONE global sketch of `column` over the whole Dataset.
 
-    map_batches(one partial per block) -> `merge_keyed` over the one key ""
-    -> `.finalize()` on the driver. The fold is canonical, so the result
-    does not depend on block order (KLL included). Returns the finalized
-    sketch object; an empty Dataset gives the empty sketch.
+    map_batches(one partial per block, `_MultiGroupedPartialBuilder` over
+    the one key "") -> `merge_keyed` -> `.finalize()` on the driver. The
+    partials are always sketches, never raw hash lists: for the taffy kinds
+    the raw fold and the level merge give different bytes. The fold is
+    canonical, so the result does not depend on block order (KLL
+    included). Returns the finalized sketch object; an empty Dataset gives
+    the empty sketch.
 
     Known limit: one key cannot spread over shards, so partials above
     `ONE_TASK_BYTES` fold in ONE shard's fold task (as a hot key does in a
@@ -143,11 +118,12 @@ def build_sketch_exact(ds, column: str, kind: str = "taffy_block",
     TaffyBlock's distributed level-OR merge is exact only while both sides
     share one level plan (taffy_block.py docstring) — growth under merge
     degrades the fpp plan. This path sidesteps merge entirely: each block's
-    partial is its RAW 8-byte hash list (the grouped builder's own "raw"
-    fmt, `_key_payloads`), and the keyed merge's fold inserts the sorted
-    multiset of all of them into one fresh sketch (`_fold_payloads`). The
-    result is byte-identical to a sequential build over the sorted hash
-    stream no matter how the input was partitioned (property-tested).
+    partial is its RAW 8-byte hash list (the one partial builder with
+    `raw=True`, `_MultiGroupedPartialBuilder`), and the keyed merge's fold
+    inserts the sorted multiset of all of them into one fresh sketch
+    (`_fold_payloads`). The result is byte-identical to a sequential build
+    over the sorted hash stream no matter how the input was partitioned
+    (property-tested).
 
     Scale shape: hashing runs distributed in map_batches; only the 8 B/row
     hash stream reaches the one fold task (never the driver), as in
@@ -158,78 +134,63 @@ def build_sketch_exact(ds, column: str, kind: str = "taffy_block",
                          raw=True)
 
 
-def split_by_key(table: pa.Table, key: str, hashed=(), valued=(),
-                 seed: int = DEFAULT_SEED):
+def split_by_key(table: pa.Table, key: str | None, hashed=(), valued=(),
+                 seed: int = DEFAULT_SEED, pre_hashed: bool = False):
     """The one key split behind every per-key stage: group a block's rows by
     `key` with one dictionary encode and one stable sort of the codes.
 
     Returns (keys, bounds, hashes, values). `keys` are the distinct non-null
     keys in order of first appearance, typed as the key column; key i owns
     rows [bounds[i], bounds[i+1]) of the key-ordered columns. `hashes[c]`
-    holds column c's u64 hashes: hashed ONCE over the unsorted block, then
-    permuted into key order (the hash is per element, so this equals hashing
-    the sorted column, without an Arrow take of a string column).
-    `values[c]` is column c taken into key order. The sort is stable, so each
-    key keeps its rows' block order (order-sensitive value sketches stay
-    byte-identical); per-key cost is O(its rows), linear at thousands of
-    keys. Rows with a NULL key are dropped — unlike SQL GROUP BY, which
-    groups them; pre-filter nulls (or fill a sentinel) if they must count.
-    """
+    holds column c's u64 hashes (`_column_hashes`): hashed ONCE over the
+    unsorted block, then permuted into key order (the hash is per element,
+    so this equals hashing the sorted column, without an Arrow take of a
+    string column). `values[c]` is column c taken into key order. The sort
+    is stable, so each key keeps its rows' block order (order-sensitive
+    value sketches stay byte-identical); per-key cost is O(its rows), linear
+    at thousands of keys. Rows with a NULL key are dropped — unlike SQL
+    GROUP BY, which groups them; pre-filter nulls (or fill a sentinel) if
+    they must count.
+
+    `key=None` is the global split: one key "" over every row, in block
+    order (no key at all for an empty block). With `pre_hashed` the hashed
+    columns already hold 64-bit hashes, and a row null in one of them is
+    dropped first, so the hashes stay aligned with the bounds."""
     import pyarrow.compute as pc
 
-    enc = pc.dictionary_encode(_combined(table[key]))
-    keys = enc.dictionary
-    codes = np.asarray(enc.indices.fill_null(len(keys)))
+    if pre_hashed:
+        for c in hashed:
+            if table[c].null_count:
+                table = table.filter(pc.is_valid(table[c]))
+    if key is None:
+        keys = pa.array([""] * min(table.num_rows, 1), type=pa.string())
+        codes = np.zeros(table.num_rows, dtype=np.int64)
+    else:
+        enc = pc.dictionary_encode(_combined(table[key]))
+        keys = enc.dictionary
+        codes = np.asarray(enc.indices.fill_null(len(keys)))
     order = np.argsort(codes, kind="stable")
     bounds = np.searchsorted(codes[order], np.arange(len(keys) + 1))
     order = order[:bounds[-1]]  # null keys sort past the last bound
-    hashes = {c: hash_arrow_array(table[c], seed=seed)[order] for c in hashed}
+    hashes = {c: _column_hashes(table[c], seed, pre_hashed)[order]
+              for c in hashed}
     values = {c: _combined(table[c]).take(pa.array(order)) for c in valued}
     return keys, bounds, hashes, values
 
 
-def _spec_inputs(specs):
-    """(hashed, valued): the columns split_by_key hashes for the specs'
-    hash-consuming sketches and the columns whose values it takes for the
-    others (t-digest/KLL must see raw values)."""
+def _takes_hashes(kind: str, pre_hashed: bool) -> bool:
+    """Whether a spec of `kind` is fed u64 hashes (every kind is, from a
+    pre-hashed column) rather than float64 values (t-digest, KLL)."""
+    return pre_hashed or _column_input(registry.get(kind)) == "hashes"
+
+
+def _spec_inputs(specs, pre_hashed: bool):
+    """(hashed, valued): the columns split_by_key hashes for the specs fed
+    hashes and the columns whose values it takes for the others."""
     hashed, valued = set(), set()
-    for (_name, kind, params, column) in specs:
-        hashes = _column_input(registry.make(kind, **params)) == "hashes"
-        (hashed if hashes else valued).add(column)
+    for (_name, kind, _params, column) in specs:
+        (hashed if _takes_hashes(kind, pre_hashed) else valued).add(column)
     return hashed, valued
-
-
-def _key_payloads(split, kind: str, params: dict, column: str, seed: int,
-                  raw_ok: bool):
-    """(payloads, fmts): one serialized partial per key of a split_by_key
-    result.
-
-    Shuffle-volume guard (`raw_ok`, the 100 TB lever): a per-block per-key
-    partial of a FIXED-SIZE sketch (e.g. a corpus-sized BlockBloom) costs
-    its full size however few rows it holds, and partial count scales with
-    blocks x keys. When a hash-consuming sketch's raw 8-byte hash list is
-    under half its size, ship THAT ("raw") and let the reducer insert."""
-    _keys, bounds, hashes, values = split
-    probe = registry.make(kind, **params)
-    hashing = _column_input(probe) == "hashes"
-    budget = 0
-    if raw_ok and hashing:
-        budget = (probe.size_in_bytes() if hasattr(probe, "size_in_bytes")
-                  else len(probe.to_bytes())) // 2
-    payloads, fmts = [], []
-    for b0, b1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        if (b1 - b0) * 8 < budget:
-            payloads.append(hashes[column][b0:b1].tobytes())
-            fmts.append("raw")
-            continue
-        sk = registry.make(kind, **params)
-        if hashing:
-            sk.update(hashes[column][b0:b1])
-        else:
-            _updates_from(values[column].slice(b0, b1 - b0), sk, seed)
-        payloads.append(sk.to_bytes())
-        fmts.append("sketch")
-    return payloads, fmts
 
 
 #: Key-hash shards of the keyed merge's sharded path (`merge_keyed`).
@@ -239,12 +200,13 @@ NUM_SHARDS = 32
 NUM_SALTS = 8
 
 
-def _block_salt(batch: pa.Table, column: str, key: str) -> int:
+def _block_salt(batch: pa.Table, column: str, key: str | None) -> int:
     """Deterministic per-block salt in [0, NUM_SALTS) (a pure function of
     block content, so retry-safe): a hash of the block's first `column`
     value — of its first key value when the column is not hashable
-    (float values) — and row count."""
-    if not batch.num_rows:
+    (float values) — and row count. 0 for an empty block and for a global
+    build (`key` None), whose one key has no salt groups to spread over."""
+    if key is None or not batch.num_rows:
         return 0
     try:
         fp = hash_arrow_array(batch[column].slice(0, 1), seed=7)
@@ -277,33 +239,81 @@ def _add_merge_shard(key: str, num_shards: int, with_salt: bool):
 
 
 class _MultiGroupedPartialBuilder:
-    """One pass, many sketches: per-block per-key partials for a list of
-    (name, kind, params, column) specs. At 100 TB this is the pattern that
-    matters — one read feeds every sketch instead of one pipeline each.
+    """The one per-block partial builder: per-key partials of a block for a
+    list of (name, kind, params, column) specs. Every build maps through it
+    (global, exact, grouped and checkpointed), and at 100 TB one pass is
+    the pattern that matters: one read feeds every sketch instead of one
+    pipeline each.
 
     One split_by_key per block: each column is hashed ONCE and reused by
-    every spec consuming it; hash-consuming specs may ship raw hash lists
-    (see _key_payloads). Output columns: key, salt (see `NUM_SALTS`), rows,
-    then payload_<name> and fmt_<name> per spec."""
+    every spec consuming it. `key=None` builds one partial per block under
+    the key "" (a global build). `raw` sets what a partial ships (see
+    `_key_payloads`): None decides by size (grouped builds), True always the
+    hash list (`build_sketch_exact`), False always a sketch (`build_sketch`
+    and the checkpoint). `pre_hashed`: the spec columns already hold 64-bit
+    hashes (`_column_hashes`). Output columns: key ("key" when `key` is
+    None), salt (see `NUM_SALTS`), rows, then payload_<name> and
+    fmt_<name> per spec."""
 
-    def __init__(self, specs, key: str, seed: int):
+    def __init__(self, specs, key: str | None, seed: int,
+                 raw: bool | None = None, pre_hashed: bool = False):
         self.specs, self.key, self.seed = specs, key, seed
+        self.raw, self.pre_hashed = raw, pre_hashed
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        split = split_by_key(batch, self.key, *_spec_inputs(self.specs),
-                             seed=self.seed)
-        keys, bounds = split[0], split[1]
-        salt = _block_salt(batch, self.specs[0][3], self.key)
-        out = {self.key: keys,
-               "salt": pa.array(np.full(len(keys), salt), type=pa.int32()),
-               "rows": pa.array(np.diff(bounds), type=pa.int64())}
+    def _key_payloads(self, split, kind: str, params: dict, column: str):
+        """(payloads, fmts): one serialized partial per key of a
+        split_by_key result, for one spec.
+
+        A raw partial is the key's 8-byte hash list ("raw"), which the fold
+        inserts; `raw=True` is for hash-consuming kinds only. `raw=None` is
+        the shuffle-volume guard (the 100 TB lever): a per-block per-key
+        partial of a FIXED-SIZE sketch (e.g. a corpus-sized BlockBloom)
+        costs its full size however few rows it holds, and partial count
+        scales with blocks x keys, so a hash-consuming spec's key whose hash
+        list is under half the sketch's size ships THAT."""
+        _keys, bounds, hashes, values = split
+        hashing = _takes_hashes(kind, self.pre_hashed)
+        budget = 0
+        if self.raw is None and hashing:
+            probe = registry.make(kind, **params)
+            budget = (probe.size_in_bytes() if hasattr(probe, "size_in_bytes")
+                      else len(probe.to_bytes())) // 2
+        payloads, fmts = [], []
+        for b0, b1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            if self.raw or (b1 - b0) * 8 < budget:
+                payloads.append(hashes[column][b0:b1].tobytes())
+                fmts.append("raw")
+                continue
+            sk = registry.make(kind, **params)
+            if hashing:
+                sk.update(hashes[column][b0:b1])
+            else:
+                _updates_from(values[column].slice(b0, b1 - b0), sk, self.seed)
+            payloads.append(sk.to_bytes())
+            fmts.append("sketch")
+        return payloads, fmts
+
+    def partials(self, batch: pa.Table):
+        """(keys, columns) of the block's partial rows without the salt:
+        `rows`, then payload_<name> and fmt_<name> per spec."""
+        split = split_by_key(batch, self.key,
+                             *_spec_inputs(self.specs, self.pre_hashed),
+                             seed=self.seed, pre_hashed=self.pre_hashed)
+        out = {"rows": pa.array(np.diff(split[1]), type=pa.int64())}
         for (name, kind, params, column) in self.specs:
-            payloads, fmts = _key_payloads(split, kind, params, column,
-                                           self.seed, raw_ok=True)
+            payloads, fmts = self._key_payloads(split, kind, params, column)
             out[f"payload_{name}"] = pa.array(payloads,
                                               type=pa.large_binary())
             out[f"fmt_{name}"] = pa.array(fmts, type=pa.string())
-        return pa.table(out)
+        return split[0], out
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        keys, cols = self.partials(batch)
+        salt = _block_salt(batch, self.specs[0][3], self.key)
+        return pa.table({"key" if self.key is None else self.key: keys,
+                         "salt": pa.array(np.full(len(keys), salt),
+                                          type=pa.int32()),
+                         **cols})
 
 
 def build_grouped_multi(ds, key: str, specs, *, seed: int = DEFAULT_SEED):

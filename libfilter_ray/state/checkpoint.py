@@ -125,9 +125,11 @@ def _partial_name(pid: int) -> str:
 
 class _PartitionBuilder:
     """Per-partition sketch build: ``build(partition)`` reads and slices the
-    partition's row groups -> per-key partial sketches -> one checkpoint
-    file with the lineage/meta columns, written atomically. It skips a
-    partition whose file already exists.
+    partition's row groups -> per-key partial sketches from the one
+    per-block partial builder every build maps through
+    (``sketch_build._MultiGroupedPartialBuilder``) -> one checkpoint file
+    with the lineage/meta columns, written atomically. It skips a partition
+    whose file already exists.
 
     ``CheckpointedBuild.build_partials`` puts one builder in the object
     store and runs ``build`` as one Ray task per pending partition. Called
@@ -147,21 +149,15 @@ class _PartitionBuilder:
         self.read_columns = read_columns
 
     def _partials(self, t: pa.Table):
-        """(keys, payloads, rows per key) of one partition's rows."""
-        from ..stages import sketch_build as sb
+        """(keys, payloads, rows per key) of one partition's rows, always
+        sketches (``raw=False``): null-key rows are excluded and keys keep
+        the key column's type; an ungrouped build has the one key ""."""
+        from ..stages.sketch_build import _MultiGroupedPartialBuilder
 
-        if self.key is None:
-            p = sb._PartialBuilder(self.kind, self.params, self.column,
-                                   self.seed)(t).to_pydict()
-            return pa.array(p["key"]), p["payload_s"], p["rows"]
-        # the one key split (sketch_build.split_by_key): null-key rows
-        # are excluded, keys keep the key column's type
-        spec = [(None, self.kind, self.params, self.column)]
-        split = sb.split_by_key(t, self.key, *sb._spec_inputs(spec),
-                                seed=self.seed)
-        payloads, _ = sb._key_payloads(split, self.kind, self.params,
-                                       self.column, self.seed, raw_ok=False)
-        return split[0], payloads, np.diff(split[1])
+        keys, cols = _MultiGroupedPartialBuilder(
+            [("s", self.kind, self.params, self.column)], self.key,
+            self.seed, raw=False).partials(t)
+        return keys, cols["payload_s"], cols["rows"]
 
     def build(self, p: Partition) -> tuple[int, int, float] | None:
         """Build partition `p`'s checkpoint file; returns ``(partition_id,
@@ -194,8 +190,8 @@ class _PartitionBuilder:
             "kind": pa.array([self.kind] * n),
             "params": pa.array([json.dumps(self.params)] * n),
             "seed": pa.array([self.seed] * n, type=pa.int64()),
-            "payload": pa.array(payloads, type=pa.large_binary()),
-            "rows_processed": pa.array(counts, type=pa.int64()),
+            "payload": payloads,
+            "rows_processed": counts,
             "input_fragments": const_str(lineage),
             "wall_ms": pa.array(np.full(n, wall_ms), type=pa.float64()),
             "engine_version": const_str(ENGINE_VERSION),

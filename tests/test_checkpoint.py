@@ -211,6 +211,37 @@ def test_empty_input_table(tmp_path, ray_session):
     assert g.run() == {}  # no keys exist in an empty corpus
 
 
+def test_ungrouped_checkpoint_equals_global_build(tmp_path, ray_session):
+    """An ungrouped CheckpointedBuild and build_sketch map through one
+    partial builder: over the same rows cut at the same boundaries (one
+    partition per row group, one block per row group) they give the same
+    bytes for block, hll and kll, the merge-order-sensitive KLL included."""
+    import ray.data
+
+    from libfilter_ray.stages.sketch_build import build_sketch
+
+    gen = np.random.default_rng(4)
+    n, per = 6000, 1000
+    t = pa.table({"url": pa.array([f"u{v}" for v in
+                                   gen.integers(0, 4000, n)]),
+                  "len": pa.array(gen.normal(100, 30, n))})
+    path = str(tmp_path / "in.parquet")
+    pq.write_table(t, path, row_group_size=per)
+    ds = ray.data.from_arrow([t.slice(i, per) for i in range(0, n, per)])
+    for kind, params, column in (("block", {"bytes_": 4096}, "url"),
+                                 ("hll", {"p": 10}, "url"),
+                                 ("kll", {"k": 16}, "len")):
+        job = CheckpointedBuild(str(tmp_path / kind), [path], kind=kind,
+                                params=params, column=column,
+                                target_rows=per)
+        assert len(job.partitions) == n // per
+        out = job.run()
+        assert list(out) == [""], kind
+        want = build_sketch(ds, column, kind, params)
+        assert out[""].to_bytes() == want.to_bytes(), kind
+    assert len(want.compactors) > 1  # the KLL partials really compacted
+
+
 def test_checkpointed_build_int_keys(tmp_path, ray_session):
     """An int64 key column keeps its type through the partition partials
     (a string-typed key column used to raise ArrowTypeError); null-key rows

@@ -18,7 +18,9 @@ inputs `perfbench/inputs.py` writes, and stores sha256 prefixes of:
 - `exact`: `build_sketch_exact` (TaffyBlock) of the urls over the same lang
   blocks, and `exact_order_invariant` for the reversed blocks (true);
 - `CheckpointedBuild.run()` payloads per key on the
-  `domain_checkpoint_resume` input, single-shot and stopped-then-resumed;
+  `domain_checkpoint_resume` input, single-shot and stopped-then-resumed,
+  and `ckpt_global`, the same build with no key (one sketch over every
+  row);
 - `grouped_probe_counts` `(n, found)` per group on the probe input.
 
 Run it on two checkouts and compare the files (`cmp a.json b.json`).
@@ -49,6 +51,7 @@ def digests(seed: int, work: str) -> dict:
     from libfilter_ray.stages.sketch_build import (build_grouped_multi,
                                                    build_sketch,
                                                    build_sketch_exact)
+    from libfilter_ray.state.checkpoint import CheckpointedBuild
 
     def workload(name):
         w = WORKLOADS[name](os.path.join(work, name), seed)
@@ -101,6 +104,11 @@ def digests(seed: int, work: str) -> dict:
     out["ckpt_single"] = {str(k): _h(v.to_bytes()) for k, v in one.items()}
     out["ckpt_resume"] = {str(k): _h(v.to_bytes())
                           for k, v in resumed.items()}
+    whole = CheckpointedBuild(
+        os.path.join(work, "ckpt-global"), w.paths, kind="taffy_block",
+        params=w.PARAMS, column="url", key=None,
+        target_rows=-(-w.sizes["n_rows"] // w.PARTITIONS)).run()
+    out["ckpt_global"] = {str(k): _h(v.to_bytes()) for k, v in whole.items()}
 
     w = workload("url_membership_probe")
     probe = w._probe(w._source(), w.ref)
