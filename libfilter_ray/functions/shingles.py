@@ -59,6 +59,11 @@ def shingle_hashes(col: pa.Array | pa.ChunkedArray, k: int = 5,
     return out, row_splits
 
 
+def _run_starts(rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose (row, value) differs from the one before."""
+    return np.r_[True, (rows[1:] != rows[:-1]) | (vals[1:] != vals[:-1])]
+
+
 def winnow_fingerprints(col, k: int = 8, window: int = 4,
                         seed: int = 0x111101) -> np.ndarray:
     """Winnowing document fingerprint (Schleimer et al. 2003): per row, the
@@ -87,11 +92,15 @@ def winnow_fingerprints(col, k: int = 8, window: int = 4,
         row_of = np.searchsorted(splits, s, side="right") - 1
         valid = (s + window) <= splits[row_of + 1]
         rows, vals = row_of[valid], W[valid]
-        # XOR of UNIQUE minima per row: lexsort, drop in-row duplicates,
+        # XOR of UNIQUE minima per row. Windows that share their minimum
+        # give runs of one value, so drop those repeats first; then
+        # lexsort what is left, drop in-row duplicates, and
         # bitwise_xor.reduceat at row starts
+        keep = _run_starts(rows, vals)
+        rows, vals = rows[keep], vals[keep]
         order = np.lexsort((vals, rows))
         rows, vals = rows[order], vals[order]
-        keep = np.r_[True, (rows[1:] != rows[:-1]) | (vals[1:] != vals[:-1])]
+        keep = _run_starts(rows, vals)
         rows, vals = rows[keep], vals[keep]
         starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
         out[rows[starts]] = np.bitwise_xor.reduceat(vals, starts)

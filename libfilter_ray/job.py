@@ -45,10 +45,6 @@ Subcommands:
   corpus size. ``--exact-quantiles`` swaps the KLL estimates for exact
   order statistics (stages/order_stats.py iterative range refinement — a
   few extra streaming passes, still no group materialization).
-- ``topk``    exact heavy hitters over a string/integer column
-  (heavy domains/urls/tokens): per-block Misra-Gries summaries, bounded
-  candidate collect, broadcast exact recount — exact counts for every
-  item with frequency >= ``--phi``, no full-vocabulary shuffle.
 - ``shuffle`` deterministic global shuffle into hash-range training
   shards (splitmix64 order — reproducible permutation, resumable
   per-shard files, positional-digest report).
@@ -1047,92 +1043,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_topk(args: argparse.Namespace) -> int:
-    """EXACT heavy hitters over a string/integer column (the heavy
-    domains / urls / tokens report): per-block Misra-Gries summaries ->
-    bounded candidate set -> broadcast exact recount (stages/heavy.py).
-    Output is exactly the items with count >= ceil(total * phi) and
-    their exact counts — no sketch error — while no stage ever holds
-    more than k rows per block or ~1/(phi - 1/(k+1)) rows on the
-    driver. With --by KEY the threshold applies within each key's
-    stream (grouped_heavy_hitters — heavy tokens per language); rows
-    where either column is NULL are dropped."""
-    import ray.data
-
-    from .stages.heavy import (column_items, grouped_heavy_hitters,
-                               heavy_hitters)
-
-    paths = _table_paths(args.input, args.table)
-    need = [args.column] if not args.by else [args.column, args.by]
-    if args.by == args.column:
-        raise SystemExit("--by must differ from --column")
-    _check_columns(paths, need)
-    ftype = pq.read_schema(paths[0]).field(args.column).type
-    if pa.types.is_integer(ftype):
-        item_type, sentinel = pa.int64(), 0
-    elif pa.types.is_string(ftype) or pa.types.is_large_string(ftype):
-        item_type, sentinel = pa.string(), ""
-    else:
-        raise SystemExit(f"cannot run topk on column of type {ftype} — "
-                         "supported: string and integer")
-    try:
-        num, den = (int(x) for x in args.phi.split("/", 1))
-    except ValueError:
-        raise SystemExit(f"--phi must look like 1/100, got {args.phi!r}")
-    ds = ray.data.read_parquet(paths, columns=need)
-    if args.by:
-        ds = ds.map_batches(lambda t: t.drop_null(),
-                            batch_format="pyarrow")
-        try:
-            out, totals = grouped_heavy_hitters(
-                ds, args.by, column_items(args.column, drop_null=False),
-                k=args.k, phi_num=num, phi_den=den, item_type=item_type,
-                sentinel=sentinel)
-        except ValueError as e:
-            raise SystemExit(str(e))
-        out = out.rename(columns={"item": args.column})
-        if len(out):
-            tot = out[args.by].map(totals).astype("int64")
-            out["share_ppm"] = (out["n"] * 1_000_000 // tot).astype("int64")
-        print(f"keys: {len(totals)}, total items: {sum(totals.values())}, "
-              f"per-key threshold: >= ceil({num}/{den} * key_total)",
-              file=sys.stderr)
-        _write_result(out, args.output)
-        return 0
-    try:
-        out, total = heavy_hitters(
-            ds, column_items(args.column), k=args.k,
-            phi_num=num, phi_den=den, item_type=item_type,
-            sentinel=sentinel)
-    except ValueError as e:
-        raise SystemExit(str(e))
-    out = out.rename(columns={"item": args.column})
-    if total:
-        out["share_ppm"] = (out["n"] * 1_000_000 // total).astype("int64")
-    print(f"total items: {total}, threshold: "
-          f">= ceil({num}/{den} * total) = {(num * total + den - 1) // den}",
-          file=sys.stderr)
-    _write_result(out, args.output)
-    return 0
-
-
-def _cmd_outliers(args: argparse.Namespace) -> int:
-    """Robust per-key outlier report over a numeric column: exact lower
-    median + MAD (order-statistics engine, no group materialized) and
-    the count of |x - median| > scale * MAD rows per key
-    (stages/robust.py)."""
-    import ray.data
-
-    from .stages.robust import mad_outlier_stats
-
-    paths = _table_paths(args.input, args.table)
-    _check_columns(paths, [args.column, args.by])
-    ds = ray.data.read_parquet(paths, columns=[args.by, args.column])
-    out = mad_outlier_stats(ds, args.by, args.column, scale=args.scale)
-    _write_result(out, args.output)
-    return 0
-
-
 def _cmd_rollup(args: argparse.Namespace) -> int:
     """All GROUP BY ROLLUP levels of sum(value)+count over comma-listed
     keys in ONE input shuffle (stages/rollup.py): coarser levels
@@ -1151,24 +1061,6 @@ def _cmd_rollup(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fuzzy(args: argparse.Namespace) -> int:
-    """All pairs of distinct column values within Levenshtein distance 1
-    (stages/fuzzy.py: FastSS deletion-neighborhood banding + vectorized
-    exact verify) — typo-variant detection over keys/tokens/URLs."""
-    import ray.data
-
-    from .stages.fuzzy import edit1_pairs
-
-    paths = _table_paths(args.input, args.table)
-    _check_columns(paths, [args.column])
-    ds = ray.data.read_parquet(paths, columns=[args.column])
-    out = edit1_pairs(ds, args.column,
-                      num_shards=args.num_shards).to_pandas() \
-        .sort_values(["w1", "w2"]).reset_index(drop=True)
-    _write_result(out, args.output)
-    return 0
-
-
 def _cmd_chunk(args: argparse.Namespace) -> int:
     """Sliding-window document chunking (stages/chunk.py): expand each
     doc into overlapping word windows — the flat_map in front of an
@@ -1184,26 +1076,6 @@ def _cmd_chunk(args: argparse.Namespace) -> int:
     out = chunk_documents(ds, args.column, args.id_column,
                           window=args.window, stride=args.stride)
     _write_result(out, args.output)
-    return 0
-
-
-def _cmd_rank(args: argparse.Namespace) -> int:
-    """Exact per-key percent_rank of a numeric column for every row
-    (stages/rank.py): histogram shuffle + per-key cumsum + broadcast-
-    or-join rank attach — the group itself never materializes."""
-    import ray.data
-
-    from .stages.rank import percent_rank
-
-    id_cols = [c for c in args.id_cols.split(",") if c]
-    if not id_cols:
-        raise SystemExit("--id-cols needs at least one column")
-    paths = _table_paths(args.input, args.table)
-    _check_columns(paths, id_cols + [args.by, args.column])
-    ds = ray.data.read_parquet(paths,
-                               columns=id_cols + [args.by, args.column])
-    _write_result(percent_rank(ds, args.by, args.column,
-                               id_cols=id_cols), args.output)
     return 0
 
 
@@ -1511,23 +1383,6 @@ def make_parser() -> argparse.ArgumentParser:
     pf.add_argument("--output", default=None)
     pf.set_defaults(fn=_cmd_profile)
 
-    tk = sub.add_parser("topk",
-                        help="exact heavy hitters over a column "
-                             "(Misra-Gries candidates + exact recount)")
-    tk.add_argument("--input", required=True)
-    tk.add_argument("--table", required=True)
-    tk.add_argument("--column", required=True)
-    tk.add_argument("--k", type=int, default=256,
-                    help="MG summary size; must satisfy phi > 1/(k+1)")
-    tk.add_argument("--phi", default="1/100",
-                    help="frequency threshold as NUM/DEN (items with "
-                         "count >= ceil(total*phi) are reported)")
-    tk.add_argument("--by", default=None,
-                    help="grouping key column: report per-key heavy "
-                         "hitters, threshold applied within each key")
-    tk.add_argument("--output", default=None)
-    tk.set_defaults(fn=_cmd_topk)
-
     iw = sub.add_parser("import-warc",
                         help="WARC archives -> partitioned parquet table")
     iw.add_argument("--warc", required=True, nargs="+",
@@ -1548,18 +1403,6 @@ def make_parser() -> argparse.ArgumentParser:
                     help="keep the wide html column after extraction")
     iw.set_defaults(fn=_cmd_import_warc)
 
-    ol = sub.add_parser("outliers",
-                        help="robust per-key outlier report "
-                             "(exact median + MAD)")
-    ol.add_argument("--input", required=True)
-    ol.add_argument("--table", required=True)
-    ol.add_argument("--column", required=True, help="numeric column")
-    ol.add_argument("--by", required=True, help="grouping key column")
-    ol.add_argument("--scale", type=float, default=3.0,
-                    help="flag |x - median| > scale * MAD")
-    ol.add_argument("--output", default=None)
-    ol.set_defaults(fn=_cmd_outliers)
-
     ru = sub.add_parser("rollup",
                         help="all GROUP BY ROLLUP levels in one "
                              "input shuffle")
@@ -1572,17 +1415,6 @@ def make_parser() -> argparse.ArgumentParser:
     ru.add_argument("--output", default=None)
     ru.set_defaults(fn=_cmd_rollup)
 
-    fz = sub.add_parser("fuzzy",
-                        help="edit-distance-1 pairs of distinct "
-                             "column values (typo variants)")
-    fz.add_argument("--input", required=True)
-    fz.add_argument("--table", required=True)
-    fz.add_argument("--column", required=True)
-    fz.add_argument("--num-shards", type=int, default=64,
-                    dest="num_shards")
-    fz.add_argument("--output", default=None)
-    fz.set_defaults(fn=_cmd_fuzzy)
-
     ch = sub.add_parser("chunk",
                         help="sliding-window document chunking "
                              "(overlapping word windows)")
@@ -1594,18 +1426,6 @@ def make_parser() -> argparse.ArgumentParser:
     ch.add_argument("--stride", type=int, default=32)
     ch.add_argument("--output", default=None)
     ch.set_defaults(fn=_cmd_chunk)
-
-    rk = sub.add_parser("rank",
-                        help="exact per-key percent_rank of a numeric "
-                             "column (row-level)")
-    rk.add_argument("--input", required=True)
-    rk.add_argument("--table", required=True)
-    rk.add_argument("--column", required=True, help="numeric column")
-    rk.add_argument("--by", required=True, help="partition key column")
-    rk.add_argument("--id-cols", required=True, dest="id_cols",
-                    help="comma-separated id columns carried through")
-    rk.add_argument("--output", default=None)
-    rk.set_defaults(fn=_cmd_rank)
 
     shf = sub.add_parser("shuffle",
                          help="deterministic global shuffle into "

@@ -4024,11 +4024,7 @@ FROM documents GROUP BY lang ORDER BY lang
 """
 
 
-# -- exact heavy hitters (round-4 additions) -------------------------------
-
-# splitmix64 additive constant for the planted zipf item stream
-# (stages/heavy.py), replayed in SQL with _sql_mulmod64 above.
-_SM_ADD_ZIPF = (0x21BF * 0x9E3779B97F4A7C15 + 1) % _M64
+# -- splitmix64 replayed in SQL --------------------------------------------
 
 
 def _sql_splitmix_chain(prefix: str, src: str, in_expr: str,
@@ -4048,85 +4044,6 @@ def _sql_splitmix_chain(prefix: str, src: str, in_expr: str,
                                        0x94D049BB133111EB)} AS z
               FROM {prefix}1),
 {prefix}3 AS (SELECT {c}xor(z, z >> 31) AS h FROM {prefix}2)"""
-
-
-def q_heavy_hitter_items(sf_dir: str) -> pd.DataFrame:
-    """EXACT heavy hitters (count >= ceil(total/50)) over a planted
-    zipf(2) item stream derived from event_id (stages/heavy.py:
-    zipf_items — P(item j) = 1/j - 1/(j+1), the url/domain/token shape
-    of a real crawl, a pure function of event_id that the oracle
-    replays). Two bounded passes: per-block Misra-Gries
-    size-64 summaries -> summed lower bounds -> candidate filter INSIDE
-    the Dataset (driver collects <= 1/(phi - 1/(k+1)) ~ 217 rows,
-    constant in data size) -> broadcast exact recount. Exactness is the
-    MG no-false-negative guarantee; the oracle is a plain GROUP BY ...
-    HAVING over the replayed item derivation."""
-    from ..stages.heavy import heavy_hitters, zipf_items
-
-    ds = _read(sf_dir, "events", columns=["event_id"])
-
-    def items(t: pa.Table) -> np.ndarray:
-        ids = t.column("event_id").combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        return zipf_items(np.asarray(ids))
-
-    out, _total = heavy_hitters(ds, items, k=64, phi_num=1, phi_den=50)
-    return out
-
-
-SQL_HEAVY_HITTERS = f"""
-WITH {_sql_splitmix_chain("zh", "events", "event_id", _SM_ADD_ZIPF).lstrip()},
-i AS (
-  SELECT CAST(CAST(9007199254740992 AS HUGEINT)
-              // (CAST(h >> 11 AS HUGEINT) + 1) AS BIGINT) AS item
-  FROM zh3
-),
-t AS (SELECT count(*)::BIGINT AS total FROM i),
-c AS (SELECT item, count(*)::BIGINT AS n FROM i GROUP BY item)
-SELECT c.item, c.n FROM c, t
-WHERE 50 * c.n >= t.total
-ORDER BY c.n DESC, c.item ASC
-"""
-
-
-def q_grouped_heavy_hitter_items(sf_dir: str) -> pd.DataFrame:
-    """Per-key exact heavy hitters (the Gopher-style "heavy tokens per
-    language" shape, keyed by event_type here): per-block MG summaries
-    per key-in-block via the sort-split idiom, per-key cutoffs against
-    broadcast totals, per-key candidate recount — every stage bounded by
-    #keys x the candidate constant (stages/heavy.py:
-    grouped_heavy_hitters). Same planted zipf stream as
-    heavy_hitter_items; the oracle joins per-type totals back in SQL."""
-    from ..stages.heavy import grouped_heavy_hitters, zipf_items
-
-    ds = _read(sf_dir, "events", columns=["event_id", "event_type"])
-
-    def items(t: pa.Table) -> np.ndarray:
-        ids = t.column("event_id").combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        return zipf_items(np.asarray(ids))
-
-    out, _totals = grouped_heavy_hitters(ds, "event_type", items, k=64,
-                                         phi_num=1, phi_den=50)
-    return out.rename(columns={"item": "item", "n": "n"})
-
-
-SQL_GROUPED_HEAVY = f"""
-WITH {_sql_splitmix_chain("gz", "events", "event_id", _SM_ADD_ZIPF,
-                          carry="event_type").lstrip()},
-i AS (
-  SELECT event_type,
-         CAST(CAST(9007199254740992 AS HUGEINT)
-              // (CAST(h >> 11 AS HUGEINT) + 1) AS BIGINT) AS item
-  FROM gz3
-),
-t AS (SELECT event_type, count(*)::BIGINT AS total FROM i GROUP BY 1),
-c AS (SELECT event_type, item, count(*)::BIGINT AS n FROM i GROUP BY 1, 2)
-SELECT c.event_type, c.item, c.n
-FROM c JOIN t USING (event_type)
-WHERE 50 * c.n >= t.total
-ORDER BY c.event_type, c.n DESC, c.item
-"""
 
 
 def q_shuffle_shard_report(sf_dir: str) -> pd.DataFrame:
@@ -4161,63 +4078,6 @@ SELECT shard,
        CAST(sum((CAST(rn AS HUGEINT) * CAST(h AS HUGEINT)) % {_M64})
             % {_M64} % 9223372036854775808 AS BIGINT) AS ord_digest
 FROM r GROUP BY shard ORDER BY shard
-"""
-
-
-def q_mad_outlier_stats(sf_dir: str) -> pd.DataFrame:
-    """Robust per-type outlier stats via median absolute deviation
-    (stages/robust.py:mad_outlier_stats): exact lower medians from the
-    histogram-refinement order-statistics engine, deviation column
-    derived per batch from broadcast medians, bounded counting pass —
-    no group ever materializes. Medians are exact stored doubles, so
-    abs / scale*MAD / strict > are the same IEEE ops in the oracle:
-    bit-for-bit match."""
-    from ..stages.robust import mad_outlier_stats
-
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-    return mad_outlier_stats(ds, "event_type", "value", scale=3.0)
-
-
-SQL_MAD_OUTLIERS = """
-WITH r AS (
-  SELECT event_type, value,
-         row_number() OVER (PARTITION BY event_type ORDER BY value) - 1
-           AS rk,
-         count(*) OVER (PARTITION BY event_type) AS n
-  FROM events WHERE value IS NOT NULL
-),
-med AS (
-  SELECT event_type,
-         max(CASE WHEN rk = CAST(floor(0.5 * (n - 1)) AS BIGINT)
-                  THEN value END) AS med,
-         max(n) AS n
-  FROM r GROUP BY 1
-),
-d AS (
-  SELECT e.event_type, abs(e.value - m.med) AS dev
-  FROM events e JOIN med m USING (event_type)
-  WHERE e.value IS NOT NULL
-),
-r2 AS (
-  SELECT event_type, dev,
-         row_number() OVER (PARTITION BY event_type ORDER BY dev) - 1
-           AS rk,
-         count(*) OVER (PARTITION BY event_type) AS n
-  FROM d
-),
-mad AS (
-  SELECT event_type,
-         max(CASE WHEN rk = CAST(floor(0.5 * (n - 1)) AS BIGINT)
-                  THEN dev END) AS mad
-  FROM r2 GROUP BY 1
-)
-SELECT m.event_type, m.med, a.mad,
-       CAST(m.n AS BIGINT) AS n,
-       CAST(sum(CASE WHEN d.dev > 3.0 * a.mad THEN 1 ELSE 0 END)
-            AS BIGINT) AS n_outliers
-FROM med m JOIN mad a USING (event_type) JOIN d USING (event_type)
-GROUP BY m.event_type, m.med, a.mad, m.n
-ORDER BY m.event_type
 """
 
 
@@ -4316,110 +4176,6 @@ SELECT CAST(2 - GROUPING(l_returnflag) - GROUPING(l_linestatus)
 FROM lineitem
 GROUP BY ROLLUP(l_returnflag, l_linestatus)
 ORDER BY lvl, l_returnflag, l_linestatus
-"""
-
-
-def q_edit1_typo_pairs(sf_dir: str) -> pd.DataFrame:
-    """Typo-variant detection (stages/fuzzy.py:edit1_pairs): ALL word
-    pairs within Levenshtein distance 1 over the corpus vocabulary via
-    FastSS deletion-neighborhood banding — shard-sharded candidate
-    generation + the vectorized exact ed<=1 verify, never the O(V^2)
-    cross join the oracle runs. The synthetic vocabulary has no natural
-    ed-1 pairs, so each doc plants a deterministic typo of its first
-    word by doc_id % 5 (0: last char dropped, 1: '-' appended, 2: first
-    char -> '#') — the same rule the SQL computes, covering all three
-    edit kinds plus typo-x-typo pairs."""
-    from ..stages.fuzzy import edit1_pairs
-
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def vocab_partial(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        text = t["text"].combine_chunks() \
-            if isinstance(t["text"], pa.ChunkedArray) else t["text"]
-        lists = pc.split_pattern(text, " ")
-        flat = pc.list_flatten(lists)
-        flat = flat.filter(pc.not_equal(flat, ""))
-        words = np.unique(np.asarray(flat)).astype(str)
-        # the typo plant (test fixture, not the operator): pandas .str
-        # slicing over the batch's plant rows only
-        mask = pc.and_kleene(pc.is_valid(text), pc.not_equal(text, ""))
-        sub = t.filter(pc.fill_null(mask, False))
-        if sub.num_rows:
-            fw = pd.Series(np.asarray(
-                pc.list_element(pc.split_pattern(
-                    sub["text"].combine_chunks()
-                    if isinstance(sub["text"], pa.ChunkedArray)
-                    else sub["text"], " "), 0)).astype(str))
-            r = pd.Series(np.asarray(sub["doc_id"], dtype=np.int64) % 5)
-            ok = fw.str.len() >= 2
-            typos = pd.concat([
-                fw[ok & (r == 0)].str[:-1],
-                fw[ok & (r == 1)] + "-",
-                "#" + fw[ok & (r == 2)].str[1:],
-            ])
-            words = np.unique(np.concatenate(
-                [words, typos.to_numpy(dtype="U")]))
-        return pa.table({"word": pa.array(words.astype(str),
-                                          type=pa.string())})
-
-    pairs = docs.map_batches(vocab_partial, batch_format="pyarrow")
-    out = edit1_pairs(pairs, "word", num_shards=32).to_pandas()
-    return out.sort_values(["w1", "w2"]).reset_index(drop=True)
-
-
-SQL_EDIT1_TYPO_PAIRS = """
-WITH first_word AS (
-  SELECT doc_id, string_split(text, ' ')[1] AS w FROM documents
-  WHERE text IS NOT NULL AND text <> ''
-),
-typos AS (
-  SELECT CASE doc_id % 5
-           WHEN 0 THEN substr(w, 1, length(w) - 1)
-           WHEN 1 THEN w || '-'
-           WHEN 2 THEN '#' || substr(w, 2)
-         END AS word
-  FROM first_word WHERE doc_id % 5 <= 2 AND length(w) >= 2
-),
-toks AS (SELECT UNNEST(string_split(text, ' ')) AS word FROM documents),
-vocab AS (
-  SELECT DISTINCT word FROM (
-    SELECT word FROM toks UNION ALL SELECT word FROM typos)
-  WHERE word <> '' AND word IS NOT NULL
-)
-SELECT a.word AS w1, b.word AS w2
-FROM vocab a JOIN vocab b
-  ON a.word < b.word AND levenshtein(a.word, b.word) = 1
-ORDER BY w1, w2
-"""
-
-
-def q_value_percent_rank(sf_dir: str) -> pd.DataFrame:
-    """Exact per-type percent_rank of every event's value
-    (stages/rank.py): the group never materializes — one combined
-    (key, value, cnt) histogram shuffle, per-key cumsum over distinct
-    values, then ranks attach to the streaming rows (broadcast
-    searchsorted here; composite-hash join with equality confirm above
-    the bound, proven identical in tests). count_lt and n are exact
-    ints and the final division is one IEEE op — bit-exact vs the SQL
-    window function."""
-    from ..stages.rank import percent_rank
-
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "event_type", "value"])
-    out = percent_rank(ds, "event_type", "value",
-                       id_cols=["event_id"]).to_pandas()
-    return out.sort_values("event_id").reset_index(drop=True)[
-        ["event_id", "event_type", "pr"]]
-
-
-SQL_VALUE_PERCENT_RANK = """
-SELECT event_id, event_type,
-       percent_rank() OVER (PARTITION BY event_type
-                            ORDER BY value) AS pr
-FROM events WHERE value IS NOT NULL
-ORDER BY event_id
 """
 
 
@@ -4675,14 +4431,9 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     "checkpointed_bloom_members": q_checkpointed_bloom_members,
     "bloom_intersect_members": q_bloom_intersect_members,
     "jsonl_roundtrip": q_jsonl_roundtrip,
-    "heavy_hitter_items": q_heavy_hitter_items,
-    "grouped_heavy_hitter_items": q_grouped_heavy_hitter_items,
     "shuffle_shard_report": q_shuffle_shard_report,
-    "mad_outlier_stats": q_mad_outlier_stats,
     "dedup_keep_best": q_dedup_keep_best,
     "rollup_pricing_levels": q_rollup_pricing_levels,
-    "edit1_typo_pairs": q_edit1_typo_pairs,
-    "value_percent_rank": q_value_percent_rank,
     "user_running_value": q_user_running_value,
     "value_ntile": q_value_ntile,
     "doc_chunks": q_doc_chunks,
@@ -4772,14 +4523,9 @@ ORACLES: dict[str, str] = {
     "checkpointed_bloom_members": SQL_CKPT_BLOOM_MEMBERS,
     "bloom_intersect_members": SQL_BLOOM_INTERSECT,
     "jsonl_roundtrip": SQL_JSONL_ROUNDTRIP,
-    "heavy_hitter_items": SQL_HEAVY_HITTERS,
-    "grouped_heavy_hitter_items": SQL_GROUPED_HEAVY,
     "shuffle_shard_report": SQL_SHUFFLE_SHARDS,
-    "mad_outlier_stats": SQL_MAD_OUTLIERS,
     "dedup_keep_best": SQL_DEDUP_KEEP_BEST,
     "rollup_pricing_levels": SQL_ROLLUP_PRICING,
-    "edit1_typo_pairs": SQL_EDIT1_TYPO_PAIRS,
-    "value_percent_rank": SQL_VALUE_PERCENT_RANK,
     "user_running_value": SQL_USER_RUNNING_VALUE,
     "value_ntile": SQL_VALUE_NTILE,
     "doc_chunks": SQL_DOC_CHUNKS,

@@ -1,8 +1,7 @@
 """Grouped ordered window transforms: running sum, lag, row_number.
 
-The row-level window-function family member (percent_rank lives in
-stages/rank.py): for each row, aggregates over the rows BEFORE it in
-its group under an explicit total order — SQL's
+For each row, aggregates over the rows BEFORE it in its group under an
+explicit total order — SQL's
 
     sum(v)  OVER (PARTITION BY key ORDER BY ord ROWS UNBOUNDED PRECEDING)
     lag(v, 1, default) OVER (...)

@@ -45,7 +45,7 @@ import pyarrow.parquet as pq
 from ..sketch.hashing import splitmix64
 
 # Pinned shuffle seed: the SQL oracle replays the derivation with the
-# same add-constant pattern as _SM_ADD_ZIPF (pipelines/queries.py).
+# add-constant _SM_ADD_SHUF (pipelines/queries.py).
 SHUFFLE_SEED = 0x5A5F
 
 _M63 = np.uint64(1) << np.uint64(63)

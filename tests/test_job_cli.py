@@ -1145,108 +1145,6 @@ def test_export_subcommand_rejects_non_json_native(tmp_path, ray_session):
               "--format", "jsonl", "--out", str(tmp_path / "x")])
 
 
-def test_topk_subcommand_exact_string_and_int(tmp_path, ray_session):
-    """`topk` == plain GROUP BY ... HAVING on both column families."""
-    import duckdb
-    import pandas as pd
-
-    out = tmp_path / "hh.parquet"
-    assert main(["topk", "--input", SF_DIR_01, "--table", "events",
-                 "--column", "user_id", "--k", "256", "--phi", "1/200",
-                 "--output", str(out)]) == 0
-    got = pd.read_parquet(out)
-    want = duckdb.sql(f"""
-        WITH c AS (SELECT user_id, count(*)::BIGINT AS n
-                   FROM '{SF_DIR_01}/events.parquet' GROUP BY 1),
-             t AS (SELECT count(*) AS total
-                   FROM '{SF_DIR_01}/events.parquet')
-        SELECT user_id, n FROM c, t WHERE 200 * n >= total
-        ORDER BY n DESC, user_id""").df().astype("int64")
-    g = got[["user_id", "n"]].sort_values(
-        ["n", "user_id"], ascending=[False, True]).reset_index(drop=True)
-    assert g.equals(want.reset_index(drop=True))
-    assert (got["share_ppm"] == got["n"] * 1_000_000 // 10_000).all()
-
-    out2 = tmp_path / "hh2.parquet"
-    assert main(["topk", "--input", SF_DIR_01, "--table", "documents",
-                 "--column", "source", "--k", "64", "--phi", "1/25",
-                 "--output", str(out2)]) == 0
-    got2 = pd.read_parquet(out2)
-    want2 = duckdb.sql(f"""
-        WITH c AS (SELECT source, count(*)::BIGINT AS n
-                   FROM '{SF_DIR_01}/documents.parquet' GROUP BY 1),
-             t AS (SELECT count(*) AS total
-                   FROM '{SF_DIR_01}/documents.parquet')
-        SELECT source, n FROM c, t WHERE 25 * n >= total
-        ORDER BY n DESC, source""").df()
-    g2 = got2[["source", "n"]].sort_values(
-        ["n", "source"], ascending=[False, True]).reset_index(drop=True)
-    assert g2.equals(want2.reset_index(drop=True))
-
-
-def test_topk_by_key_exact(tmp_path, ray_session):
-    """`topk --by` == per-key GROUP BY ... HAVING with per-key totals."""
-    import duckdb
-    import pandas as pd
-
-    out = tmp_path / "ghh.parquet"
-    assert main(["topk", "--input", SF_DIR_01, "--table", "events",
-                 "--column", "user_id", "--by", "event_type",
-                 "--k", "256", "--phi", "1/100",
-                 "--output", str(out)]) == 0
-    got = pd.read_parquet(out)
-    want = duckdb.sql(f"""
-        WITH c AS (SELECT event_type, user_id, count(*)::BIGINT AS n
-                   FROM '{SF_DIR_01}/events.parquet' GROUP BY 1, 2),
-             t AS (SELECT event_type, count(*)::BIGINT AS total
-                   FROM '{SF_DIR_01}/events.parquet' GROUP BY 1)
-        SELECT c.event_type, c.user_id, c.n, c.n * 1000000 // t.total
-               AS share_ppm
-        FROM c JOIN t USING (event_type) WHERE 100 * c.n >= t.total
-        ORDER BY c.event_type, c.n DESC, c.user_id""").df()
-    want[["user_id", "n", "share_ppm"]] = \
-        want[["user_id", "n", "share_ppm"]].astype("int64")
-    g = got.sort_values(["event_type", "n", "user_id"],
-                        ascending=[True, False, True]) \
-        .reset_index(drop=True)[list(want.columns)]
-    assert g.equals(want.reset_index(drop=True))
-
-
-def test_topk_guarantee_gate(ray_session):
-    with pytest.raises(SystemExit):
-        main(["topk", "--input", SF_DIR_01, "--table", "events",
-              "--column", "user_id", "--k", "100", "--phi", "1/200"])
-    with pytest.raises(SystemExit):
-        main(["topk", "--input", SF_DIR_01, "--table", "events",
-              "--column", "user_id", "--by", "user_id", "--phi", "1/100"])
-    with pytest.raises(SystemExit):
-        main(["topk", "--input", SF_DIR_01, "--table", "events",
-              "--column", "value", "--k", "64", "--phi", "1/25"])
-    with pytest.raises(SystemExit):
-        main(["topk", "--input", SF_DIR_01, "--table", "events",
-              "--column", "user_id", "--phi", "bogus"])
-
-
-def test_outliers_subcommand_matches_stage(tmp_path, ray_session):
-    """`job outliers` reproduces stages/robust.py:mad_outlier_stats over
-    the events table (exact per-key median/MAD/outlier counts)."""
-    import pandas as pd
-    import ray.data
-
-    out = tmp_path / "o.parquet"
-    assert main(["outliers", "--input", SF_DIR_01, "--table", "events",
-                 "--column", "value", "--by", "event_type",
-                 "--scale", "2.5", "--output", str(out)]) == 0
-    got = pd.read_parquet(out)
-    from libfilter_ray.stages.robust import mad_outlier_stats
-
-    ds = ray.data.read_parquet(f"{SF_DIR_01}/events.parquet",
-                               columns=["event_type", "value"])
-    ref = mad_outlier_stats(ds, "event_type", "value", scale=2.5)
-    pd.testing.assert_frame_equal(got.reset_index(drop=True), ref)
-    assert (got["n_outliers"] > 0).any()      # the rule actually fires
-
-
 def test_rollup_subcommand_matches_duckdb(tmp_path, ray_session):
     """`job rollup` over lineitem equals GROUP BY ROLLUP in DuckDB."""
     import duckdb
@@ -1270,56 +1168,6 @@ def test_rollup_subcommand_matches_duckdb(tmp_path, ray_session):
         FROM read_parquet('{SF_DIR_01}/lineitem.parquet')
         GROUP BY ROLLUP(l_returnflag, l_linestatus)
         ORDER BY lvl, l_returnflag, l_linestatus""").df()
-    pd.testing.assert_frame_equal(got, ref)
-
-
-def test_fuzzy_subcommand_finds_planted_typos(tmp_path, ray_session):
-    """`job fuzzy` over a keys table recovers exactly the DuckDB
-    levenshtein()=1 cross-join pairs."""
-    import duckdb
-    import pandas as pd
-    import pyarrow as pa
-
-    keys = ["alpha", "alpa", "alphax", "beta", "bteа".replace("а", "a"),
-            "gamma", "gamm", "delta", "delta-", "unrelated"]
-    inp = tmp_path / "in"
-    inp.mkdir()
-    pq.write_table(pa.table({"k": keys * 3}), str(inp / "keys.parquet"))
-    out = tmp_path / "p.parquet"
-    assert main(["fuzzy", "--input", str(inp), "--table", "keys",
-                 "--column", "k", "--num-shards", "8",
-                 "--output", str(out)]) == 0
-    got = pd.read_parquet(out)
-    con = duckdb.connect()
-    ref = con.execute(f"""
-        WITH v AS (SELECT DISTINCT k FROM
-                   read_parquet('{inp}/keys.parquet'))
-        SELECT a.k AS w1, b.k AS w2 FROM v a JOIN v b
-        ON a.k < b.k AND levenshtein(a.k, b.k) = 1
-        ORDER BY w1, w2""").df()
-    pd.testing.assert_frame_equal(got, ref)
-    assert len(got) >= 3
-
-
-def test_rank_subcommand_matches_duckdb(tmp_path, ray_session):
-    """`job rank` percent_rank equals the DuckDB window function
-    bit-for-bit."""
-    import duckdb
-    import pandas as pd
-
-    out = tmp_path / "pr.parquet"
-    assert main(["rank", "--input", SF_DIR_01, "--table", "events",
-                 "--column", "value", "--by", "event_type",
-                 "--id-cols", "event_id", "--output", str(out)]) == 0
-    got = pd.read_parquet(out).sort_values("event_id") \
-        .reset_index(drop=True)[["event_id", "event_type", "pr"]]
-    con = duckdb.connect()
-    ref = con.execute(f"""
-        SELECT event_id, event_type,
-               percent_rank() OVER (PARTITION BY event_type
-                                    ORDER BY value) AS pr
-        FROM read_parquet('{SF_DIR_01}/events.parquet')
-        WHERE value IS NOT NULL ORDER BY event_id""").df()
     pd.testing.assert_frame_equal(got, ref)
 
 

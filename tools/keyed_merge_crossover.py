@@ -9,8 +9,9 @@ payloads over 50 keys (the grouped builder's output columns), then times
 `merge_keyed` with the budget raised (one task) and zeroed (the sharded
 path: key-hash split tasks, then one fold task per shard; printed as
 "exchange"), best of two each, on one Ray session with one CPU. It also
-runs the one-task fold in a fresh worker and reports that worker's peak
-RSS, and checks both paths give the same bytes.
+runs the one-task fold in a fresh worker three times and reports the
+median of those workers' peak RSS with its min-max (one sample spreads
+about 25%), and checks both paths give the same bytes.
 """
 
 from __future__ import annotations
@@ -81,12 +82,14 @@ def main() -> int:
                 out = sb.merge_keyed(ds, "k", specs, finalize=True)
                 wall.setdefault(path, []).append(time.perf_counter() - t)
                 outs[path] = out.sort_by("k")["payload_b"].to_pylist()
-            peak = ray.get(one_task_peak_mb.remote(
-                sb._keyed_fold(specs, "k", True), *ds.to_arrow_refs()))
+            fold, refs = sb._keyed_fold(specs, "k", True), ds.to_arrow_refs()
+            peaks = sorted(ray.get(one_task_peak_mb.remote(fold, *refs))
+                           for _ in range(3))
             print(f"{ds.size_bytes() / 2**20:7.1f} MB partials: "
                   f"one_task {min(wall['one_task']):.2f} s, "
                   f"exchange {min(wall['exchange']):.2f} s, "
-                  f"one-task worker peak RSS {peak:.0f} MB, "
+                  f"one-task worker peak RSS {peaks[1]:.0f} MB "
+                  f"({peaks[0]:.0f}-{peaks[-1]:.0f}), "
                   f"same bytes {outs['one_task'] == outs['exchange']}",
                   flush=True)
     finally:
