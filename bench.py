@@ -39,7 +39,6 @@ BANDS: dict[str, tuple[float, float]] = {
     "shipping_priority": (4.0, 8.0),
     "keyword_topk": (1.8, 4.5),
     "quality_percentile_cut": (2.2, 5.5),
-    "warc_roundtrip": (1.3, 3.5),
 }
 
 
@@ -177,9 +176,6 @@ def run_bench() -> dict:
     timed("keyword_topk", q.q_keyword_topk)
     # Gopher-style top-30% cut via exact distributed order statistics
     timed("quality_percentile_cut", q.q_quality_percentile_cut)
-    # gzip'd WARC round-trip: sharded write -> streamed member-per-record
-    # read -> extract -> per-lang aggregate
-    timed("warc_roundtrip", q.q_warc_roundtrip)
 
     # single-process kernel throughput (comparable to the reference's
     # single-core table in BASELINE.md — SBBF insert/lookup M keys/s)

@@ -45,9 +45,6 @@ Subcommands:
   corpus size. ``--exact-quantiles`` swaps the KLL estimates for exact
   order statistics (stages/order_stats.py iterative range refinement — a
   few extra streaming passes, still no group materialization).
-- ``shuffle`` deterministic global shuffle into hash-range training
-  shards (splitmix64 order — reproducible permutation, resumable
-  per-shard files, positional-digest report).
 - ``list``    print every registered pipeline and whether it carries a
   DuckDB oracle.
 """
@@ -425,11 +422,9 @@ def _cmd_curate(args: argparse.Namespace) -> int:
     keep-newest capture per url -> per-domain cap -> benchmark
     decontamination -> self-trained
     frequency quality filter -> per-lang token budget -> optional
-    off-ramp (--split hive partitions, or --shuffle-out deterministic
-    global shuffle into training shards). Every stage is
-    optional; each is the streaming form of its stages/crawl.py /
-    stages/corpus.py / stages/shuffle.py operator (bounded
-    broadcast/DropIdStore carriers throughout).
+    --split hive partitions. Every stage is optional; each is the
+    streaming form of its stages/crawl.py / stages/corpus.py operator
+    (bounded broadcast/DropIdStore carriers throughout).
 
     With --checkpoint-dir every expensive full-corpus artifact persists
     on shared storage and a resubmitted run re-attaches instead of
@@ -473,10 +468,6 @@ def _cmd_curate(args: argparse.Namespace) -> int:
          + (f", mix {args.mix}" if args.mix else "") + ")",
          bool(args.token_budget)),
         (f"split({args.split})", bool(args.split)),
-        (f"shuffle({1 << args.shuffle_shards_log2} shards)",
-         bool(args.shuffle_out)),
-        (f"chunk(w={args.chunk_window},s={args.chunk_stride})",
-         bool(args.chunk_out)),
     ) if on]
     if not stages:
         raise SystemExit("all curation stages disabled — nothing to do")
@@ -488,25 +479,6 @@ def _cmd_curate(args: argparse.Namespace) -> int:
                 or sum(split_shares.values()) != 100:
             raise SystemExit("--split shares must be integer percents "
                              f"summing to 100, got {args.split!r}")
-    if args.shuffle_out:  # validate BEFORE any stage runs
-        if split_shares is not None:
-            raise SystemExit(
-                "--shuffle-out and --split are mutually exclusive "
-                "(shuffle each split partition in its own run)")
-        if not 0 <= args.shuffle_shards_log2 <= 24:
-            raise SystemExit("--shuffle-shards-log2 must be in [0, 24], "
-                             f"got {args.shuffle_shards_log2}")
-    if args.chunk_out:  # validate BEFORE any stage runs
-        if split_shares is not None or args.shuffle_out:
-            raise SystemExit(
-                "--chunk-out is mutually exclusive with --split / "
-                "--shuffle-out (one off-ramp per run)")
-        if args.chunk_window < 1 or not \
-                1 <= args.chunk_stride <= args.chunk_window:
-            raise SystemExit(
-                "--chunk-window must be >= 1 and --chunk-stride in "
-                f"[1, window], got w={args.chunk_window} "
-                f"s={args.chunk_stride}")
     mix = _parse_mix(args.mix) if args.mix else None
     if mix is not None and not args.token_budget:
         raise SystemExit("--mix needs --token-budget (the TOTAL token "
@@ -819,30 +791,7 @@ def _cmd_curate(args: argparse.Namespace) -> int:
             how = "cached" if m["cached"] else f"built {m['sec']}s"
             parts.append(f"{m['stage']}: n={m['n']} ({how})")
         print("artifacts: " + "; ".join(parts), file=sys.stderr)
-    if args.shuffle_out:
-        from .stages.shuffle import shuffle_shards
-
-        payload = tuple(c for c in pq.read_schema(paths[0]).names
-                        if c != args.id_column)
-        report = shuffle_shards(ds, args.id_column,
-                                nshards_log2=args.shuffle_shards_log2,
-                                out_dir=args.shuffle_out,
-                                payload_columns=payload)
-        print(f"shuffled {int(report['n_docs'].sum())} docs into "
-              f"{len(report)} shards under {args.shuffle_out}",
-              file=sys.stderr)
-        _write_result(report, args.output)
-    elif args.chunk_out:
-        from .stages.chunk import chunk_documents
-
-        chunks = chunk_documents(ds, args.column, args.id_column,
-                                 window=args.chunk_window,
-                                 stride=args.chunk_stride)
-        _write_result(chunks, args.chunk_out)
-        print(f"chunked curated corpus (w={args.chunk_window}, "
-              f"s={args.chunk_stride}) under {args.chunk_out}",
-              file=sys.stderr)
-    elif split_shares is not None:
+    if split_shares is not None:
         from .stages.corpus import hash_split_stage
 
         ds = ds.map_batches(
@@ -1061,132 +1010,8 @@ def _cmd_rollup(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chunk(args: argparse.Namespace) -> int:
-    """Sliding-window document chunking (stages/chunk.py): expand each
-    doc into overlapping word windows — the flat_map in front of an
-    embedding or index build. Streams to partitioned parquet."""
-    import ray.data
-
-    from .stages.chunk import chunk_documents
-
-    paths = _table_paths(args.input, args.table)
-    _check_columns(paths, [args.column, args.id_column])
-    ds = ray.data.read_parquet(paths,
-                               columns=[args.id_column, args.column])
-    out = chunk_documents(ds, args.column, args.id_column,
-                          window=args.window, stride=args.stride)
-    _write_result(out, args.output)
-    return 0
 
 
-def _cmd_shuffle(args: argparse.Namespace) -> int:
-    """Deterministic global shuffle into training shards: shard = top
-    log2(S) bits of splitmix64(id column), within-shard order =
-    ascending hash — a pseudorandom permutation any re-run reproduces
-    (stages/shuffle.py). With --out, each shard writes its own parquet
-    file (tmp+rename, re-runs skip finished shards); stdout is the
-    report (shard, n_docs, sum_doc_id, ord_digest[, path])."""
-    import ray.data
-
-    from .stages.shuffle import shuffle_shards
-
-    paths = _table_paths(args.input, args.table)
-    payload = [c for c in (args.payload or "").split(",") if c]
-    _check_columns(paths, [args.column, *payload])
-    ds = ray.data.read_parquet(paths, columns=[args.column, *payload])
-    try:
-        report = shuffle_shards(ds, args.column,
-                                nshards_log2=args.shards_log2,
-                                out_dir=args.out,
-                                payload_columns=tuple(payload))
-    except ValueError as e:
-        raise SystemExit(str(e))
-    print(f"shards: {len(report)}, docs: {int(report['n_docs'].sum())}",
-          file=sys.stderr)
-    _write_result(report, args.output)
-    return 0
-
-
-def _cmd_export(args: argparse.Namespace) -> int:
-    """Ship a parquet table as wire-format shards — the off-ramp
-    mirroring import-warc's on-ramp: `--format jsonl` writes gzip'd
-    JSONL (the LLM-corpus interchange layout; columns must be
-    JSON-native — project timestamps/binary first or pass --columns),
-    `--format warc` writes member-per-record gzip'd WARC (requires
-    url/warc_ts/html columns). Each task writes its own shard named by
-    its batch's content digest (idempotent re-runs); stdout is the
-    manifest (shard_path, n_records)."""
-    import ray.data
-
-    paths = _table_paths(args.input, args.table)
-    cols = args.columns.split(",") if args.columns else None
-    ds = ray.data.read_parquet(paths, columns=cols)
-    os.makedirs(args.out, exist_ok=True)
-    if args.format == "jsonl":
-        from .sources.jsonl import write_jsonl_shards_stage
-
-        # shard naming digests full batch content; --key-column is
-        # accepted for compatibility but no longer affects names
-        stage = write_jsonl_shards_stage(args.out, args.key_column)
-    else:
-        from .sources.warc import write_warc_shards_stage
-
-        stage = write_warc_shards_stage(args.out)
-    manifest = ds.map_batches(stage, batch_format="pyarrow").to_pandas()
-    _write_result(manifest, args.output)
-    return 0
-
-
-def _cmd_import_warc(args: argparse.Namespace) -> int:
-    """Ingest gzip'd WARC archives (Common Crawl's native format) into a
-    hive-partitioned parquet web-page table: one WARC file per read
-    task, streamed response records, optional html->text extraction,
-    url-hash bucket partitioning for downstream partition pruning.
-    Resume is whole-output atomic (stages/sink.py:write_partitioned):
-    a COMPLETED output (_SUCCESS) is reused on re-run; an incomplete one
-    is rewritten from scratch — for crash-resumable ingest of a large
-    crawl, split the archive list across several import-warc invocations
-    with distinct --out dirs (each completes or rewrites independently).
-    The on-ramp from a real crawl into every pipeline in this engine."""
-    import glob as _glob
-
-    from .sketch.hashing import shard_of_values
-    from .sources.warc import read_warc
-    from .stages.extract import extract_text
-    from .stages.sink import write_partitioned
-
-    paths = sorted(p for pat in args.warc for p in _glob.glob(pat))
-    if not paths:
-        raise SystemExit(f"no WARC files match {args.warc}")
-    ds = read_warc(paths, batch_rows=args.batch_rows)
-    extract = not args.no_extract
-    keep_html = args.keep_html
-    buckets = args.buckets
-    want_lang = args.lang_id
-    if want_lang and not extract:
-        raise SystemExit("--lang-id needs the extracted text "
-                         "(remove --no-extract)")
-
-    def prep(t: pa.Table) -> pa.Table:
-        if extract:
-            text = extract_text(t["html"])
-            t = t.append_column("text", text)
-            if want_lang:  # WARC carries no language — annotate here
-                from .functions.textstats import lang_id
-
-                t = t.append_column("lang_pred", lang_id(text))
-            if not keep_html:
-                t = t.drop_columns(["html"])  # wide payload dies here
-        return t.append_column("bucket", pa.array(
-            shard_of_values(t["url"], buckets, seed=0x3A7C),
-            type=pa.int64()))
-
-    wrote = write_partitioned(
-        ds.map_batches(prep, batch_format="pyarrow"), args.out,
-        partition_cols=["bucket"])
-    print(json.dumps({"out": args.out, "warc_files": len(paths),
-                      "wrote": bool(wrote)}))
-    return 0
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
@@ -1300,22 +1125,6 @@ def make_parser() -> argparse.ArgumentParser:
                          "each language is budgeted "
                          "floor(weight share x --token-budget) tokens; "
                          "languages absent from the mix are dropped")
-    cu.add_argument("--shuffle-out", default=None,
-                    help="after all stages, globally shuffle the curated "
-                         "corpus into hash-range training shards under "
-                         "this directory (deterministic splitmix64 "
-                         "order); the report replaces the row output")
-    cu.add_argument("--shuffle-shards-log2", type=int, default=4,
-                    dest="shuffle_shards_log2")
-    cu.add_argument("--chunk-out", default=None, dest="chunk_out",
-                    help="after all stages, expand the curated corpus "
-                         "into sliding-window chunks under this "
-                         "directory (RAG/index prep; exclusive with "
-                         "--split / --shuffle-out)")
-    cu.add_argument("--chunk-window", type=int, default=64,
-                    dest="chunk_window")
-    cu.add_argument("--chunk-stride", type=int, default=32,
-                    dest="chunk_stride")
     cu.add_argument("--checkpoint-dir", default=None,
                     help="shared-storage run dir: every stage artifact "
                          "(drop/keep stores, shingle set, vocab, budget "
@@ -1383,26 +1192,6 @@ def make_parser() -> argparse.ArgumentParser:
     pf.add_argument("--output", default=None)
     pf.set_defaults(fn=_cmd_profile)
 
-    iw = sub.add_parser("import-warc",
-                        help="WARC archives -> partitioned parquet table")
-    iw.add_argument("--warc", required=True, nargs="+",
-                    help="one or more .warc.gz paths/globs")
-    iw.add_argument("--out", required=True,
-                    help="output table directory (hive buckets)")
-    iw.add_argument("--buckets", type=int, default=64,
-                    help="url-hash output partitions (pruning "
-                         "granularity for downstream reads)")
-    iw.add_argument("--batch-rows", type=int, default=512,
-                    help="records per streamed batch")
-    iw.add_argument("--no-extract", action="store_true",
-                    help="skip html->text extraction")
-    iw.add_argument("--lang-id", action="store_true",
-                    help="annotate a lang_pred column (n-gram marker "
-                         "heuristic) — WARC carries no language")
-    iw.add_argument("--keep-html", action="store_true",
-                    help="keep the wide html column after extraction")
-    iw.set_defaults(fn=_cmd_import_warc)
-
     ru = sub.add_parser("rollup",
                         help="all GROUP BY ROLLUP levels in one "
                              "input shuffle")
@@ -1414,54 +1203,6 @@ def make_parser() -> argparse.ArgumentParser:
     ru.add_argument("--value", required=True, help="numeric column")
     ru.add_argument("--output", default=None)
     ru.set_defaults(fn=_cmd_rollup)
-
-    ch = sub.add_parser("chunk",
-                        help="sliding-window document chunking "
-                             "(overlapping word windows)")
-    ch.add_argument("--input", required=True)
-    ch.add_argument("--table", required=True)
-    ch.add_argument("--column", required=True, help="text column")
-    ch.add_argument("--id-column", required=True, dest="id_column")
-    ch.add_argument("--window", type=int, default=64)
-    ch.add_argument("--stride", type=int, default=32)
-    ch.add_argument("--output", default=None)
-    ch.set_defaults(fn=_cmd_chunk)
-
-    shf = sub.add_parser("shuffle",
-                         help="deterministic global shuffle into "
-                              "hash-range training shards")
-    shf.add_argument("--input", required=True)
-    shf.add_argument("--table", default="documents")
-    shf.add_argument("--column", default="doc_id",
-                     help="unique integer id column (shuffle key)")
-    shf.add_argument("--payload", default=None,
-                     help="comma-separated payload columns carried "
-                          "into the shard files")
-    shf.add_argument("--shards-log2", type=int, default=4,
-                     dest="shards_log2",
-                     help="log2(shard count); size so one shard fits "
-                          "a task (512MB-ish files at scale)")
-    shf.add_argument("--out", default=None,
-                     help="shard output directory (omit: report only)")
-    shf.add_argument("--output", default=None)
-    shf.set_defaults(fn=_cmd_shuffle)
-
-    ex = sub.add_parser("export",
-                        help="parquet table -> wire-format shards")
-    ex.add_argument("--input", required=True)
-    ex.add_argument("--table", default="documents")
-    ex.add_argument("--format", choices=["jsonl", "warc"],
-                    default="jsonl")
-    ex.add_argument("--out", required=True,
-                    help="shard output directory")
-    ex.add_argument("--columns", default=None,
-                    help="comma-separated projection (jsonl columns "
-                         "must be JSON-native)")
-    ex.add_argument("--key-column", default=None,
-                    help="shard-naming key (default: first column)")
-    ex.add_argument("--output", default=None,
-                    help="write the manifest here instead of stdout")
-    ex.set_defaults(fn=_cmd_export)
 
     ls = sub.add_parser("list", help="enumerate pipelines")
     ls.set_defaults(fn=_cmd_list)

@@ -2776,78 +2776,6 @@ GROUP BY lang ORDER BY lang
 """
 
 
-def q_warc_roundtrip(sf_dir: str) -> pd.DataFrame:
-    """Common Crawl's native format end-to-end: synthesize the web-page
-    table, each task writes its own gzip'd WARC shard (member-per-record,
-    sources/warc.py — the resumable partitioned-sink shape), then the
-    shards are READ BACK with the streaming WARC source (one file per
-    task, generator batches), text re-extracted from the html payloads
-    and (doc_id, lang) re-derived from the WARC-Target-URI alone.
-    Per-lang page counts, id sums and extracted-char sums must match the
-    documents table exactly — any record lost, duplicated or corrupted
-    through the gzip/WARC/HTTP framing breaks the hash. The capture
-    timestamp's WARC-Date round-trip (second precision) is asserted
-    in-stage. Reference analogue: the HIBP corpus reader shape
-    (cpp/extras/benchmarks/hibp.cpp:27-31,79-90)."""
-    import shutil
-    import tempfile
-
-    import pyarrow.compute as pc
-
-    from ..sources.warc import read_warc, write_warc_shards_stage
-    from ..sources.webpages import WARC_EPOCH_US, read_webpages
-    from ..stages.extract import extract_text
-
-    out_dir = tempfile.mkdtemp(prefix="lfr-warc-", dir="/tmp")
-    try:
-        pages = read_webpages(sf_dir).select_columns(
-            ["url", "warc_ts", "html"])
-        manifest = pages.map_batches(write_warc_shards_stage(out_dir),
-                                     batch_format="pyarrow").to_pandas()
-        paths = sorted(manifest["shard_path"])
-
-        def per_page(t: pa.Table) -> pa.Table:
-            text = extract_text(t["html"])
-            g = pc.extract_regex(
-                t["url"],
-                r"\.example\.org/(?P<lang>[^/]+)/page-(?P<id>\d+)\.html$")
-            lang = pc.struct_field(g, "lang")
-            doc_id = pc.cast(pc.struct_field(g, "id"), pa.int64())
-            ids = doc_id.to_numpy(zero_copy_only=False)
-            ts = pc.cast(t["warc_ts"], pa.int64()).to_numpy(
-                zero_copy_only=False)
-            want = WARC_EPOCH_US + ids * 1_337_000_000
-            if not (ts == want // 1_000_000 * 1_000_000).all():
-                raise AssertionError("WARC-Date round-trip broke the "
-                                     "capture timestamp")
-            return pa.table({
-                "lang": lang,
-                "n_pages": pa.array(np.ones(t.num_rows, np.int64)),
-                "sum_ids": doc_id,
-                "sum_chars": pc.cast(pc.utf8_length(text), pa.int64()),
-            })
-
-        out = read_warc(paths).map_batches(per_page,
-                                           batch_format="pyarrow") \
-            .groupby("lang").aggregate(
-                Sum("n_pages", alias_name="n_pages"),
-                Sum("sum_ids", alias_name="sum_ids"),
-                Sum("sum_chars", alias_name="sum_chars")).to_pandas()
-    finally:
-        shutil.rmtree(out_dir, ignore_errors=True)
-    for c in ("n_pages", "sum_ids", "sum_chars"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
-
-
-SQL_WARC_ROUNDTRIP = """
-SELECT lang, count(*)::BIGINT AS n_pages,
-       sum(doc_id)::BIGINT AS sum_ids,
-       sum(length(text))::BIGINT AS sum_chars
-FROM documents GROUP BY lang ORDER BY lang
-"""
-
-
 def q_order_priority_revenue(sf_dir: str) -> pd.DataFrame:
     """Fact-x-fact distributed hash equi-join: orders x lineitem on
     orderkey (15:1 row ratio, NEITHER side broadcast — the shape where the
@@ -3963,67 +3891,6 @@ FROM j GROUP BY c_mktsegment ORDER BY c_mktsegment
 """
 
 
-def q_jsonl_roundtrip(sf_dir: str) -> pd.DataFrame:
-    """The LLM-corpus interchange format end-to-end: each task writes
-    its own gzip'd JSONL shard of the documents table (the resumable
-    partitioned-sink shape, sources/jsonl.py), the shards are read back
-    with the streaming JSONL source (one file per task, Arrow C++ NDJSON
-    parse — never a per-line json.loads loop), and per-lang counts, id
-    sums and code-point sums must match the original table exactly —
-    any record lost, duplicated, mis-escaped or re-typed through the
-    JSON framing breaks the hash (utf8_length counts code points,
-    matching SQL length())."""
-    import shutil
-    import tempfile
-
-    import pyarrow.compute as pc
-
-    from ..sources.jsonl import read_jsonl, write_jsonl_shards_stage
-
-    out_dir = tempfile.mkdtemp(prefix="lfr-jsonl-", dir="/tmp")
-    try:
-        docs = _read(sf_dir, "documents",
-                     columns=["doc_id", "lang", "text"])
-        manifest = docs.map_batches(write_jsonl_shards_stage(
-            out_dir, "doc_id"), batch_format="pyarrow").to_pandas()
-        paths = sorted(manifest["shard_path"])
-
-        schema = pa.schema([("doc_id", pa.int64()),
-                            ("lang", pa.string()),
-                            ("text", pa.string())])
-
-        def stats(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "lang": t["lang"],
-                "n_docs": pa.array(np.ones(t.num_rows, np.int64)),
-                "sum_doc_id": pc.cast(t["doc_id"], pa.int64()),
-                "sum_chars": pc.cast(pc.utf8_length(t["text"]),
-                                     pa.int64()),
-            })
-
-        out = read_jsonl(paths, schema=schema) \
-            .map_batches(stats, batch_format="pyarrow") \
-            .groupby("lang").aggregate(
-                Sum("n_docs", alias_name="n_docs"),
-                Sum("sum_doc_id", alias_name="sum_doc_id"),
-                Sum("sum_chars", alias_name="sum_chars")) \
-            .to_pandas().sort_values("lang").reset_index(drop=True)
-        for c in ("n_docs", "sum_doc_id", "sum_chars"):
-            out[c] = out[c].astype("int64")
-        return out
-    finally:
-        shutil.rmtree(out_dir, ignore_errors=True)
-
-
-SQL_JSONL_ROUNDTRIP = """
-SELECT lang,
-       CAST(count(*) AS BIGINT) AS n_docs,
-       CAST(sum(doc_id) AS BIGINT) AS sum_doc_id,
-       CAST(sum(length(text)) AS BIGINT) AS sum_chars
-FROM documents GROUP BY lang ORDER BY lang
-"""
-
-
 # -- splitmix64 replayed in SQL --------------------------------------------
 
 
@@ -4044,41 +3911,6 @@ def _sql_splitmix_chain(prefix: str, src: str, in_expr: str,
                                        0x94D049BB133111EB)} AS z
               FROM {prefix}1),
 {prefix}3 AS (SELECT {c}xor(z, z >> 31) AS h FROM {prefix}2)"""
-
-
-def q_shuffle_shard_report(sf_dir: str) -> pd.DataFrame:
-    """Deterministic global shuffle into training shards — the last step
-    of every curation pipeline (the reference leaves ordering to its
-    caller, c/include/filter/block.h:43-46; this engine owns it). Shard =
-    top 4 bits of splitmix64(doc_id), within-shard order = ascending
-    hash; the report's positional digest sum(rank * h) mod 2^64 pins
-    membership AND order per shard, so the SQL oracle (row_number window
-    over the replayed hash chain) verifies the permutation bit-for-bit
-    (stages/shuffle.py:shuffle_shards)."""
-    from ..stages.shuffle import shuffle_shards
-
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    return shuffle_shards(ds, "doc_id", nshards_log2=4)
-
-
-_SM_ADD_SHUF = (0x5A5F * 0x9E3779B97F4A7C15 + 1) % _M64
-
-SQL_SHUFFLE_SHARDS = f"""
-WITH {_sql_splitmix_chain("su", "documents", "doc_id", _SM_ADD_SHUF,
-                          carry="doc_id").lstrip()},
-r AS (
-  SELECT doc_id, h, CAST(h >> 60 AS BIGINT) AS shard,
-         row_number() OVER (PARTITION BY h >> 60 ORDER BY h) AS rn
-  FROM su3
-)
-SELECT shard,
-       count(*)::BIGINT AS n_docs,
-       CAST(sum(CAST(doc_id AS HUGEINT)) % {_M64}
-            % 9223372036854775808 AS BIGINT) AS sum_doc_id,
-       CAST(sum((CAST(rn AS HUGEINT) * CAST(h AS HUGEINT)) % {_M64})
-            % {_M64} % 9223372036854775808 AS BIGINT) AS ord_digest
-FROM r GROUP BY shard ORDER BY shard
-"""
 
 
 def q_dedup_keep_best(sf_dir: str) -> pd.DataFrame:
@@ -4278,47 +4110,6 @@ ORDER BY event_id
 """
 
 
-def q_doc_chunks(sf_dir: str) -> pd.DataFrame:
-    """Sliding-window chunking (stages/chunk.py): every document
-    expands into 64-token windows at stride 32 (tail = remainder) —
-    the flat_map in front of an embedding or index build. Chunk text
-    is a character-offset slice of the original string (offsets fully
-    vectorized; only the final substring per OUTPUT row is Python),
-    and the chunk-count rule ceil(max(L-64,0)/32)+1 is shared verbatim
-    with the SQL list-slicing oracle."""
-    from ..stages.chunk import chunk_documents
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    out = chunk_documents(ds, "text", "doc_id",
-                          window=64, stride=32).to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["chunk_id"] = out["chunk_id"].astype("int64")
-    out["n_tokens"] = out["n_tokens"].astype("int64")
-    return out.sort_values(["doc_id", "chunk_id"]) \
-        .reset_index(drop=True)
-
-
-SQL_DOC_CHUNKS = """
-WITH t AS (
-  SELECT doc_id, string_split(text, ' ') AS w,
-         len(string_split(text, ' ')) AS L
-  FROM documents WHERE text IS NOT NULL
-),
-g AS (
-  SELECT doc_id, w, L,
-         UNNEST(range(0, CAST(ceil(greatest(L - 64, 0) / 32.0)
-                              AS BIGINT) + 1)) AS chunk_id
-  FROM t
-)
-SELECT doc_id, CAST(chunk_id AS BIGINT) AS chunk_id,
-       array_to_string(w[chunk_id*32 + 1 :
-                         least(chunk_id*32 + 64, L)], ' ') AS chunk,
-       CAST(least(chunk_id*32 + 64, L) - chunk_id*32 AS BIGINT)
-         AS n_tokens
-FROM g ORDER BY doc_id, chunk_id
-"""
-
-
 def q_docs_source_pivot(sf_dir: str) -> pd.DataFrame:
     """Corpus composition matrix (stages/rollup.py:pivot_counts —
     pivot/crosstab, absent from Ray Data): per-lang document counts
@@ -4427,16 +4218,12 @@ QUERIES: dict[str, Callable[[str], Any]] = {
     "top_collocations": q_top_collocations,
     "shipping_priority": q_shipping_priority,
     "part_lineitem_full_join": q_part_lineitem_full_join,
-    "warc_roundtrip": q_warc_roundtrip,
     "checkpointed_bloom_members": q_checkpointed_bloom_members,
     "bloom_intersect_members": q_bloom_intersect_members,
-    "jsonl_roundtrip": q_jsonl_roundtrip,
-    "shuffle_shard_report": q_shuffle_shard_report,
     "dedup_keep_best": q_dedup_keep_best,
     "rollup_pricing_levels": q_rollup_pricing_levels,
     "user_running_value": q_user_running_value,
     "value_ntile": q_value_ntile,
-    "doc_chunks": q_doc_chunks,
     # -- remaining oracled queries (driver-green in earlier rounds;
     # family coverage stays in-window: sliding via events_hourly,
     # punct/stopword via text_stats, stratified via the
@@ -4519,15 +4306,11 @@ ORACLES: dict[str, str] = {
     "customer_order_counts": SQL_CUSTOMER_ORDER_COUNTS,
     "exact_value_quantiles": SQL_EXACT_VALUE_QUANTILES,
     "part_lineitem_full_join": SQL_PART_LINEITEM_FULL_JOIN,
-    "warc_roundtrip": SQL_WARC_ROUNDTRIP,
     "checkpointed_bloom_members": SQL_CKPT_BLOOM_MEMBERS,
     "bloom_intersect_members": SQL_BLOOM_INTERSECT,
-    "jsonl_roundtrip": SQL_JSONL_ROUNDTRIP,
-    "shuffle_shard_report": SQL_SHUFFLE_SHARDS,
     "dedup_keep_best": SQL_DEDUP_KEEP_BEST,
     "rollup_pricing_levels": SQL_ROLLUP_PRICING,
     "user_running_value": SQL_USER_RUNNING_VALUE,
     "value_ntile": SQL_VALUE_NTILE,
-    "doc_chunks": SQL_DOC_CHUNKS,
     "docs_source_pivot": SQL_DOCS_SOURCE_PIVOT,
 }

@@ -16,11 +16,6 @@ import numpy as np
 from .registry import register
 
 
-def _k1(q: np.ndarray, delta: float) -> np.ndarray:
-    q = np.clip(q, 0.0, 1.0)
-    return (delta / (2 * math.pi)) * np.arcsin(2 * q - 1)
-
-
 @register
 class TDigest:
     kind = "tdigest"

@@ -47,39 +47,3 @@ def read_partitioned(path: str, **kwargs):
 
     return ray.data.read_parquet(path, **kwargs)
 
-
-def write_bucketed(ds, out_dir: str, *, bucket_by: str,
-                   num_buckets: int = 64, resume: bool = True) -> bool:
-    """Write hash-BUCKETED parquet: rows land in `bucket=<hash(key)%N>`
-    directories (seed/scheme = `sketch.hashing.shard_of_values`, the same
-    bucketing the engine's shuffles use). A dataset written this way is
-    pre-co-located for later joins / grouped builds on the same key:
-    read one bucket directory per task and keys never cross buckets —
-    no re-shuffle. Same _SUCCESS resume protocol as write_partitioned."""
-    import pyarrow as pa
-
-    from ..sketch.hashing import shard_of_values
-
-    if resume and is_complete(out_dir):
-        return False
-    if os.path.exists(out_dir):
-        shutil.rmtree(out_dir)
-
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column("bucket", pa.array(
-            shard_of_values(t[bucket_by], num_buckets, seed=0x0E9C),
-            type=pa.int64()))
-
-    ds.map_batches(tag, batch_format="pyarrow") \
-        .write_parquet(out_dir, partition_cols=["bucket"])
-    with open(os.path.join(out_dir, SUCCESS), "w") as f:
-        f.write("")
-    return True
-
-
-def read_bucket(path: str, bucket: int, **kwargs):
-    """Read ONE bucket directory of a `write_bucketed` output — the unit a
-    co-located consumer schedules per task."""
-    import ray.data
-
-    return ray.data.read_parquet(f"{path}/bucket={bucket}", **kwargs)

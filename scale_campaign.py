@@ -39,7 +39,6 @@ FAMILIES = [
                                # so even a collect-free run grows with SF)
     "exact_dedup_docs",        # hash-partitioned exact dedup
     "training_prep_pipeline",  # curate chain: quality -> dedup -> stats
-    "shuffle_shard_report",    # global permutation -> training shards
 ]
 
 

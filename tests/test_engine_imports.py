@@ -4,7 +4,7 @@ The engine is the sketch kernels, the sources the flagship reads, the
 build/extract/broadcast stages, the checkpointed build, the flagship
 pipeline and the package plumbing. Every `libfilter_ray` import in those
 modules, function-local ones included, must name another engine module, so
-the engine never depends on a query family (dedup, joins, shuffle, ...).
+the engine never depends on a query family (dedup, joins, rollup, ...).
 The same import walk also checks that no module of the package is orphaned."""
 
 from __future__ import annotations

@@ -235,14 +235,13 @@ def test_hash_memory_is_bounded():
 def test_sql_splitmix_chain_bit_exact(rng):
     """The shared SQL CTE chain (queries._sql_splitmix_chain) reproduces
     sketch/hashing.py:splitmix64 bit-for-bit for random inputs and the
-    seeds every oracle uses — the foundation the shuffle and keep-best
-    oracles stand on."""
+    seeds every oracle uses — the foundation the keep-best oracle stands
+    on."""
     import duckdb
 
-    from libfilter_ray.pipelines.queries import (_SM_ADD_SHUF,
+    from libfilter_ray.pipelines.queries import (_BEST_SEED, _SM_ADD_BEST,
                                                  _sql_splitmix_chain)
     from libfilter_ray.sketch.hashing import DEFAULT_SEED, splitmix64
-    from libfilter_ray.stages.shuffle import SHUFFLE_SEED
 
     xs = np.concatenate([
         rng.integers(0, 2**63, 500, dtype=np.uint64),
@@ -253,7 +252,7 @@ def test_sql_splitmix_chain_bit_exact(rng):
         {"x": xs.astype(np.int64)}))  # int64 view, like parquet ids
     sm_add_default = (DEFAULT_SEED * 0x9E3779B97F4A7C15 + 1) % 2**64
     for add_const, seed in ((sm_add_default, DEFAULT_SEED),
-                            (_SM_ADD_SHUF, SHUFFLE_SEED)):
+                            (_SM_ADD_BEST, _BEST_SEED)):
         sql = ("WITH " + _sql_splitmix_chain("c", "tin", "x", add_const)
                + " SELECT h FROM c3")
         got = con.sql(sql).df()["h"].to_numpy().astype(np.uint64)

@@ -885,60 +885,6 @@ def test_curate_split_partitions(tmp_path, ray_session):
               "--output", str(tmp_path / "o2")])
 
 
-def test_curate_shuffle_offramp(tmp_path, ray_session):
-    """--shuffle-out: the curated (url-deduped) corpus lands in
-    hash-range shard files in deterministic splitmix64 order; the union
-    of shard files is exactly the curated row set; --split is refused
-    alongside."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-
-    from libfilter_ray.sketch.hashing import splitmix64
-    from libfilter_ray.stages.shuffle import SHUFFLE_SEED
-
-    n = 300
-    df = pd.DataFrame({
-        "url": [f"https://d.org/p{i % 250}" for i in range(n)],  # 50 dups
-        "warc_ts": pd.to_datetime(np.arange(n) * 1000, unit="us"),
-        "text": [f"alpha beta {i}" for i in range(n)],
-        "lang": ["en"] * n,
-        "row_id": np.arange(n, dtype=np.int64)})
-    src = tmp_path / "in"
-    src.mkdir()
-    pa.parquet.write_table(
-        pa.Table.from_pandas(df, preserve_index=False),
-        src / "pages.parquet")
-    shards = tmp_path / "shards"
-    rep = tmp_path / "report.parquet"
-    assert main(["curate", "--input", str(src), "--table", "pages",
-                 "--column", "text", "--id-column", "row_id",
-                 "--shuffle-out", str(shards),
-                 "--shuffle-shards-log2", "2",
-                 "--output", str(rep)]) == 0
-    report = pd.read_parquet(rep)
-    # url-dedup keeps the newest capture per url: 250 survivors
-    assert report["n_docs"].sum() == 250
-    parts = []
-    for _, r in report.iterrows():
-        t = pq.read_table(r["path"]).to_pandas()
-        h = splitmix64(t["row_id"].to_numpy().astype(np.uint64),
-                       seed=SHUFFLE_SEED)
-        assert (np.diff(h) > 0).all()  # shuffled order inside the shard
-        parts.append(t)
-    whole = pd.concat(parts)
-    # newest capture per url == row_ids 50..299 here (dups are 0..49)
-    assert sorted(whole["row_id"]) == list(range(50, 300))
-    assert set(whole.columns) == {"url", "warc_ts", "text", "lang",
-                                  "row_id"}
-    with pytest.raises(SystemExit, match="mutually exclusive"):
-        main(["curate", "--input", str(src), "--table", "pages",
-              "--column", "text", "--id-column", "row_id",
-              "--no-url-dedup", "--split", "train=90,val=5,test=5",
-              "--shuffle-out", str(tmp_path / "s2"),
-              "--output", str(tmp_path / "o2")])
-
-
 def test_curate_full_composition_resumes(tmp_path, ray_session):
     """ALL eight curate stages composed in one checkpointed run —
     blocklist -> url-dedup -> domain-cap -> decontaminate ->
@@ -1000,151 +946,6 @@ def test_curate_full_composition_resumes(tmp_path, ray_session):
     assert (hosts.value_counts() <= 40).all()
 
 
-def test_import_warc_subcommand(tmp_path, ray_session):
-    """import-warc: .warc.gz archives -> bucket-partitioned parquet with
-    extracted text; resumable (second run reuses the completed output)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from libfilter_ray.sources.warc import write_warc_gz
-    from libfilter_ray.sources.webpages import synthesize_webpages
-
-    docs = pa.table({
-        "doc_id": np.arange(60, dtype=np.int64),
-        "text": [f"hello page {i}\n\nsecond paragraph & <tag>"
-                 for i in range(60)],
-        "lang": ["en", "de", "fr"] * 20,
-        "source": ["cc"] * 60,
-    })
-    pages = synthesize_webpages(docs)
-    ts = pages["warc_ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-    w1 = str(tmp_path / "a.warc.gz")
-    w2 = str(tmp_path / "b.warc.gz")
-    write_warc_gz(w1, pages["url"].to_pylist()[:30], ts[:30],
-                  pages["html"].to_pylist()[:30])
-    write_warc_gz(w2, pages["url"].to_pylist()[30:], ts[30:],
-                  pages["html"].to_pylist()[30:])
-
-    out = tmp_path / "table"
-    assert main(["import-warc", "--warc", str(tmp_path / "*.warc.gz"),
-                 "--out", str(out), "--buckets", "4"]) == 0
-    back = ray.data.read_parquet(str(out)).to_pandas() \
-        .sort_values("url").reset_index(drop=True)
-    want = pages.to_pandas().sort_values("url").reset_index(drop=True)
-    assert len(back) == 60
-    assert list(back["url"]) == list(want["url"])
-    assert list(back["text"]) == list(want["text"])   # extraction exact
-    assert "html" not in back.columns                 # wide payload dropped
-    assert back["bucket"].nunique() >= 2              # really partitioned
-
-    assert main(["import-warc", "--warc",
-                 str(tmp_path / "*.warc.gz"),
-                 "--out", str(out), "--buckets", "4"]) == 0
-
-
-def test_import_warc_lang_id(tmp_path, ray_session):
-    """--lang-id annotates lang_pred from the extracted text."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from libfilter_ray.sources.warc import write_warc_gz
-    from libfilter_ray.sources.webpages import synthesize_webpages
-
-    texts = {"en": "the quick brown fox and the lazy dog with a plan",
-             "de": "der schnelle braune fuchs und die katze mit einem",
-             "fr": "le renard brun rapide et le chien avec une idee"}
-    docs = pa.table({
-        "doc_id": np.arange(30, dtype=np.int64),
-        "text": [texts[("en", "de", "fr")[i % 3]] for i in range(30)],
-        "lang": [("en", "de", "fr")[i % 3] for i in range(30)],
-        "source": ["cc"] * 30,
-    })
-    pages = synthesize_webpages(docs)
-    ts = pages["warc_ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-    w = str(tmp_path / "c.warc.gz")
-    write_warc_gz(w, pages["url"].to_pylist(), ts,
-                  pages["html"].to_pylist())
-    out = tmp_path / "table"
-    assert main(["import-warc", "--warc", w, "--out", str(out),
-                 "--buckets", "2", "--lang-id"]) == 0
-    back = ray.data.read_parquet(str(out)).to_pandas()
-    # url embeds the true lang: .../<lang>/page-...
-    true_lang = back["url"].str.extract(r"org/(\w+)/")[0]
-    assert (back["lang_pred"] == true_lang).mean() >= 0.9
-
-    with pytest.raises(SystemExit, match="lang-id"):
-        main(["import-warc", "--warc", w, "--out", str(out),
-              "--no-extract", "--lang-id"])
-
-
-def test_shuffle_subcommand(tmp_path, ray_session):
-    """`shuffle` report == the oracle-verified library pipeline; --out
-    writes one parquet per shard carrying the payload columns."""
-    import pandas as pd
-
-    from libfilter_ray.pipelines.queries import q_shuffle_shard_report
-
-    rep = tmp_path / "report.parquet"
-    assert main(["shuffle", "--input", SF_DIR_01, "--table", "documents",
-                 "--column", "doc_id", "--shards-log2", "4",
-                 "--output", str(rep)]) == 0
-    got = pd.read_parquet(rep)
-    want = q_shuffle_shard_report(SF_DIR_01)
-    assert got.equals(want)
-
-    out = tmp_path / "shards"
-    rep2 = tmp_path / "report2.parquet"
-    assert main(["shuffle", "--input", SF_DIR_01, "--table", "documents",
-                 "--column", "doc_id", "--payload", "lang,source",
-                 "--shards-log2", "2", "--out", str(out),
-                 "--output", str(rep2)]) == 0
-    got2 = pd.read_parquet(rep2)
-    assert len(got2) == 4 and got2["n_docs"].sum() == want["n_docs"].sum()
-    for p in got2["path"]:
-        t = pd.read_parquet(p)
-        assert list(t.columns) == ["doc_id", "lang", "source"]
-    with pytest.raises(SystemExit):
-        main(["shuffle", "--input", SF_DIR_01, "--table", "documents",
-              "--column", "doc_id", "--shards-log2", "99"])
-
-
-def test_export_subcommand_jsonl_roundtrip(tmp_path, ray_session):
-    """export --format jsonl ships a parquet table as gzip'd JSONL
-    shards; reading them back reproduces the projected table."""
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as _pq
-
-    from conftest import SF_DIR
-    from libfilter_ray.sources.jsonl import read_jsonl
-
-    out = tmp_path / "shards"
-    man = tmp_path / "manifest.parquet"
-    assert main(["export", "--input", SF_DIR, "--table", "documents",
-                 "--format", "jsonl", "--columns", "doc_id,lang,text",
-                 "--out", str(out), "--output", str(man)]) == 0
-    manifest = _pq.read_table(man).to_pandas()
-    orig = _pq.read_table(f"{SF_DIR}/documents.parquet",
-                          columns=["doc_id", "lang", "text"]).to_pandas()
-    assert int(manifest["n_records"].sum()) == len(orig)
-    schema = pa.schema([("doc_id", pa.int64()), ("lang", pa.string()),
-                        ("text", pa.string())])
-    back = read_jsonl(sorted(manifest["shard_path"]),
-                      schema=schema).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert back.equals(orig.sort_values("doc_id").reset_index(drop=True))
-
-
-def test_export_subcommand_rejects_non_json_native(tmp_path, ray_session):
-    """orders carries a timestamp column — the jsonl sink must fail
-    fast, not silently stringify."""
-    with pytest.raises(Exception, match="non-JSON-native"):
-        main(["export", "--input", SF_DIR_01, "--table", "orders",
-              "--format", "jsonl", "--out", str(tmp_path / "x")])
-
-
 def test_rollup_subcommand_matches_duckdb(tmp_path, ray_session):
     """`job rollup` over lineitem equals GROUP BY ROLLUP in DuckDB."""
     import duckdb
@@ -1169,78 +970,3 @@ def test_rollup_subcommand_matches_duckdb(tmp_path, ray_session):
         GROUP BY ROLLUP(l_returnflag, l_linestatus)
         ORDER BY lvl, l_returnflag, l_linestatus""").df()
     pd.testing.assert_frame_equal(got, ref)
-
-
-def test_chunk_subcommand_roundtrip(tmp_path, ray_session):
-    """`job chunk` writes the same chunks the stage computes and every
-    chunk rejoins into its source doc slice."""
-    import pandas as pd
-
-    out = tmp_path / "chunks"
-    assert main(["chunk", "--input", SF_DIR_01, "--table", "documents",
-                 "--column", "text", "--id-column", "doc_id",
-                 "--window", "16", "--stride", "8",
-                 "--output", str(out)]) == 0
-    got = pq.read_table(str(out)).to_pandas() \
-        .sort_values(["doc_id", "chunk_id"]).reset_index(drop=True)
-    docs = pq.read_table(f"{SF_DIR_01}/documents.parquet",
-                         columns=["doc_id", "text"]).to_pandas() \
-        .set_index("doc_id")["text"]
-    assert (got["n_tokens"] <= 16).all()
-    # chunk 0 of every doc is the doc's first 16 tokens verbatim
-    first = got[got["chunk_id"] == 0]
-    assert len(first) == docs.notna().sum()
-    for _, r in first.sample(20, random_state=0).iterrows():
-        assert r["chunk"] == " ".join(
-            docs.loc[r["doc_id"]].split(" ")[:16])
-
-
-def test_curate_chunk_offramp(tmp_path, ray_session):
-    """--chunk-out: the curated (url-deduped) corpus expands into
-    sliding-window chunks matching stages/chunk.py over the curated
-    rows exactly; exclusive with the other off-ramps."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-
-    from libfilter_ray.stages.chunk import chunk_documents
-
-    n = 200
-    df = pd.DataFrame({
-        "url": [f"https://d.org/p{i % 150}" for i in range(n)],
-        "warc_ts": pd.to_datetime(np.arange(n) * 1000, unit="us"),
-        "text": [" ".join(f"w{j}" for j in range(i % 30 + 1))
-                 for i in range(n)],
-        "lang": ["en"] * n,
-        "row_id": np.arange(n, dtype=np.int64)})
-    src = tmp_path / "in"
-    src.mkdir()
-    pa.parquet.write_table(
-        pa.Table.from_pandas(df, preserve_index=False),
-        src / "pages.parquet")
-    chunks_dir = tmp_path / "chunks"
-    assert main(["curate", "--input", str(src), "--table", "pages",
-                 "--column", "text", "--id-column", "row_id",
-                 "--chunk-out", str(chunks_dir),
-                 "--chunk-window", "8", "--chunk-stride", "4"]) == 0
-    got = pq.read_table(str(chunks_dir)).to_pandas() \
-        .sort_values(["row_id", "chunk_id"]).reset_index(drop=True)
-    # reference: chunk the url-dedup survivors (newest per url)
-    survivors = df[df["row_id"] >= 50]
-    ref = chunk_documents(
-        ray.data.from_pandas(survivors[["row_id", "text"]]),
-        "text", "row_id", window=8, stride=4).to_pandas() \
-        .sort_values(["row_id", "chunk_id"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, ref)
-    assert (got["n_tokens"] <= 8).all() and got["chunk_id"].max() > 0
-    with pytest.raises(SystemExit, match="exclusive"):
-        main(["curate", "--input", str(src), "--table", "pages",
-              "--column", "text", "--id-column", "row_id",
-              "--chunk-out", str(tmp_path / "c2"),
-              "--shuffle-out", str(tmp_path / "s2")])
-    with pytest.raises(SystemExit, match="chunk-stride"):
-        main(["curate", "--input", str(src), "--table", "pages",
-              "--column", "text", "--id-column", "row_id",
-              "--chunk-out", str(tmp_path / "c3"),
-              "--chunk-window", "4", "--chunk-stride", "9"])

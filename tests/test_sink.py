@@ -37,32 +37,3 @@ def test_crashed_attempt_is_rewritten(tmp_path, ray_session):
     assert write_partitioned(ds, out, partition_cols=["lang"]) is True
     assert not os.path.exists(os.path.join(out, "garbage.parquet"))
     assert read_partitioned(out).count() == 500
-
-
-def test_bucketed_write_colocates_keys(tmp_path, ray_session):
-    """write_bucketed: every key lives in exactly one bucket dir; buckets
-    match shard_of_values (the engine shuffle scheme); full round-trip
-    preserves rows; resume no-ops."""
-    import numpy as np
-    import pyarrow as pa
-
-    from libfilter_ray.sketch.hashing import shard_of_values
-    from libfilter_ray.stages.sink import read_bucket, write_bucketed
-
-    out = str(tmp_path / "docs_bucketed")
-    ds = ray.data.read_parquet(f"{SF}/documents.parquet",
-                               columns=["doc_id", "lang", "n_chars"])
-    assert write_bucketed(ds, out, bucket_by="doc_id", num_buckets=8) is True
-    assert write_bucketed(ds, out, bucket_by="doc_id", num_buckets=8) is False
-
-    back = ray.data.read_parquet(out).to_pandas()
-    orig = ds.to_pandas()
-    assert sorted(back["doc_id"]) == sorted(orig["doc_id"])
-    # bucket assignment matches the engine's shard scheme per row
-    want = shard_of_values(pa.array(back["doc_id"].to_numpy(),
-                                    type=pa.int64()), 8, seed=0x0E9C)
-    assert (back["bucket"].astype(int).to_numpy() == np.asarray(want)).all()
-    # single-bucket read: only that bucket's keys, none missing elsewhere
-    b0 = read_bucket(out, 0).to_pandas()
-    assert set(b0["doc_id"]) == \
-        set(back.loc[back["bucket"].astype(int) == 0, "doc_id"])
