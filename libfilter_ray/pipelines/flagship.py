@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..sketch import sizing
 from ..sketch.block_bloom import BlockBloom
@@ -31,6 +32,14 @@ from ..sketch.hashing import hash_arrow_array
 from ..sources.webpages import read_webpages
 from ..stages.extract import verify_extract_stage
 from ..stages.sketch_build import build_grouped_multi, probe_grouped
+
+
+def _absent_hashes(n: int) -> np.ndarray:
+    """Hashes of the `n` urls `https://no-such.example.net/<i>`, which no
+    page carries, built in Arrow (no Python string per url)."""
+    ids = pc.cast(pa.array(np.arange(n)), pa.string())
+    return hash_arrow_array(pc.binary_join_element_wise(
+        "https://no-such.example.net/", ids, ""))
 
 
 def _document_count(sf_dir: str) -> int:
@@ -50,8 +59,6 @@ def sketch_build_throughput_job(sf_dir: str, replicate: int = 400,
 
     Returns one row per lang with the sketch summaries (rows, filter bytes,
     distinct estimate, cms total, p50 length)."""
-    import pyarrow.compute as pc
-
     from ..sketch.cms import CountMin
     from ..sketch.hll import HyperLogLog
     from ..sketch.kll import KLL
@@ -118,8 +125,7 @@ def flagship(sf_dir: str, fpp: float = 0.01, replicate: int = 1,
         BlockBloom.from_bytes, "lang", "url")
 
     # --- driver-side fpp measurement (vectorized, tiny) -------------------
-    probe_hashes = hash_arrow_array(pa.array(
-        [f"https://no-such.example.net/{i}" for i in range(65536)]))
+    probe_hashes = _absent_hashes(65536)
     out = []
     probe = probe.set_index("lang")
     for _, row in grouped.iterrows():

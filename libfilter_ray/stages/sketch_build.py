@@ -23,7 +23,10 @@ folded by one plain task per shard. Both fold each key's payloads in
 canonical order (`_fold_payloads`), so every output is independent of
 block order. Maps run one partial per BLOCK (no batch_size): a fixed
 batch size would coalesce small blocks into few huge tasks; block size
-is governed upstream by the read.
+is governed upstream by the read. The entry points' context posture
+has reads cut blocks of at least 8 MiB (`context.MIN_BLOCK_BYTES`)
+unless that leaves fewer than 2 blocks per CPU, so each block's map
+work outweighs its task's fixed cost.
 
 Both map stages, the builder and the grouped probe, split a block by key
 one way, `split_by_key`: one dictionary encode, null-key rows dropped in

@@ -285,3 +285,15 @@ def test_sliced_array_hashes_only_its_own_bytes(rng):
             span = sum(len(t or "") for t in texts[a:b])
             assert len(data) == span
             assert (b == a) or (starts[0] == 0 and ends[-1] == span)
+
+
+def test_flagship_absent_hashes_match_python_urls():
+    """The flagship's Arrow-built absent-probe urls hash bit-identically to
+    the same urls built as Python strings."""
+    from libfilter_ray.pipelines.flagship import _absent_hashes
+
+    for n in (0, 1, 1000):
+        want = hash_arrow_array(pa.array(
+            [f"https://no-such.example.net/{i}" for i in range(n)],
+            type=pa.string()))
+        assert np.array_equal(_absent_hashes(n), want), n
