@@ -36,6 +36,11 @@ Subcommands:
 - ``clean``   the composed corpus-cleaning job: PII scrub (email/URL/IP
   masking) -> corpus-level line dedup (boilerplate removal) -> exact
   document dedup, each stage optional, streaming to cleaned parquet.
+- ``curate``  the composed crawl-to-corpus curation job: keep-newest
+  capture per url -> per-domain cap -> benchmark decontamination ->
+  frequency quality filter -> per-lang token budget -> optional
+  ``--split`` hash-split partitions. With ``--checkpoint-dir`` every
+  stage artifact persists and a resubmitted run re-attaches to it.
 - ``pack``    training sequence packing: next-fit docs into fixed
   token-budget sequences per key, writing (id, key, n_tokens, seq_id)
   assignments.
@@ -45,6 +50,8 @@ Subcommands:
   corpus size. ``--exact-quantiles`` swaps the KLL estimates for exact
   order statistics (stages/order_stats.py iterative range refinement — a
   few extra streaming passes, still no group materialization).
+- ``rollup``  every GROUP BY ROLLUP level of sum(value) and count over
+  ``--keys`` in one input shuffle (``stages/rollup.py``).
 - ``list``    print every registered pipeline and whether it carries a
   DuckDB oracle.
 """
@@ -841,64 +848,6 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_index(args: argparse.Namespace) -> int:
-    """Build a token-hash-bucketed inverted index (once) and/or query
-    it. Without --search, builds into --index-dir. With --search, an
-    existing index is attached (built first if absent) and the query
-    runs off the bucket files alone — the corpus is not read."""
-    import numpy as np
-    import ray.data
-
-    from .state.inverted_index import INDEX_MANIFEST, InvertedIndex
-
-    have = os.path.exists(os.path.join(args.index_dir, INDEX_MANIFEST))
-    if have and not args.search:
-        print(f"index already built at {args.index_dir}",
-              file=sys.stderr)
-    if not have:
-        if not (args.input and args.table):
-            raise SystemExit(
-                f"no index at {args.index_dir} — building one needs "
-                "--input and --table")
-        paths = _table_paths(args.input, args.table)
-        _check_columns(paths, [args.column, args.id_column])
-        ds = ray.data.read_parquet(paths,
-                                   columns=[args.column, args.id_column])
-        idx = InvertedIndex.build(
-            ds, args.column, args.id_column, args.index_dir,
-            num_buckets=args.buckets, min_df=args.min_df,
-            max_df=args.max_df)
-        print(f"built: {idx.n_terms} terms over {idx.n_docs} docs in "
-              f"{idx.num_buckets} buckets", file=sys.stderr)
-    else:
-        idx = InvertedIndex(args.index_dir)
-    if args.merge_base:
-        from .state.inverted_index import merge_indexes
-
-        if not args.merged_out:
-            raise SystemExit("--merge-base needs --merged-out")
-        merged = merge_indexes(args.merge_base, args.index_dir,
-                               args.merged_out)
-        print(f"merged: {merged.n_terms} terms over {merged.n_docs} "
-              f"docs -> {args.merged_out}", file=sys.stderr)
-        idx = merged
-    if args.search:
-        import pandas as pd
-
-        terms = args.search.split()
-        if args.mode == "bm25":
-            ids, scores = idx.search_bm25(terms, k=args.k or 10)
-            out = pd.DataFrame({
-                "rank": np.arange(1, len(ids) + 1, dtype=np.int64),
-                "doc_id": ids, "score": np.round(scores, 6)})
-        else:
-            ids = idx.search(terms, mode=args.mode)[:args.k] \
-                if args.k else idx.search(terms, mode=args.mode)
-            out = pd.DataFrame({"doc_id": ids})
-        _write_result(out, args.output)
-    return 0
-
-
 _PROFILE_QS = (0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
 
@@ -1132,35 +1081,6 @@ def make_parser() -> argparse.ArgumentParser:
                          "re-attaches instead of recomputing")
     cu.add_argument("--output", default=None)
     cu.set_defaults(fn=_cmd_curate)
-
-    ix = sub.add_parser("index", help="inverted index build / search")
-    ix.add_argument("--input", help="required to BUILD")
-    ix.add_argument("--table")
-    ix.add_argument("--column", default="text")
-    ix.add_argument("--id-column", default="doc_id")
-    ix.add_argument("--index-dir", required=True,
-                    help="bucketed index directory (built if absent)")
-    ix.add_argument("--buckets", type=int, default=64)
-    ix.add_argument("--min-df", type=int, default=1,
-                    help="drop tokens in fewer docs than this")
-    ix.add_argument("--max-df", type=int, default=None,
-                    help="drop tokens in more docs than this "
-                         "(stopword cut)")
-    ix.add_argument("--merge-base", default=None,
-                    help="existing index to merge this one into "
-                         "(incremental crawl: index only the NEW docs, "
-                         "then per-bucket merge — no full rebuild)")
-    ix.add_argument("--merged-out", default=None,
-                    help="output dir for --merge-base")
-    ix.add_argument("--search", default=None,
-                    help="space-separated query terms")
-    ix.add_argument("--mode", choices=("and", "or", "bm25"),
-                    default="bm25")
-    ix.add_argument("--k", type=int, default=None,
-                    help="result cap (bm25 top-k, default 10; and/or "
-                         "default unlimited)")
-    ix.add_argument("--output", default=None)
-    ix.set_defaults(fn=_cmd_index)
 
     pk = sub.add_parser("pack", help="sequence-packing assignments")
     pk.add_argument("--input", required=True)

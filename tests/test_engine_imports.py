@@ -38,12 +38,14 @@ def module_path(name: str) -> Path | None:
     return None
 
 
-def libfilter_imports(path: Path, name: str | None = None) -> set[str]:
+def libfilter_imports(path: Path, name: str | None = None,
+                      tree: ast.AST | None = None) -> set[str]:
     """Every `libfilter_ray` module the source at `path` imports, at any
     depth of the tree. `name` is the file's own module name, needed to
-    resolve relative imports."""
+    resolve relative imports. `tree`, a node parsed from that file,
+    limits the walk to it (one function, say)."""
     out = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree or ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             bases = [(a.name, []) for a in node.names]
         elif isinstance(node, ast.ImportFrom):

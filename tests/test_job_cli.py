@@ -771,78 +771,6 @@ def test_curate_blocklist_stage(tmp_path, ray_session):
         main(argv[:-1] + [str(tmp_path / "out3")])
 
 
-def test_index_subcommand_build_and_search(tmp_path, ray_session):
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-
-    df = pd.DataFrame({
-        "doc_id": np.arange(30, dtype=np.int64),
-        "text": [("alpha beta " * (i % 3 + 1)).strip() if i % 5
-                 else "gamma delta" for i in range(30)]})
-    src = tmp_path / "in"
-    src.mkdir()
-    pa.parquet.write_table(
-        pa.Table.from_pandas(df, preserve_index=False),
-        src / "docs.parquet")
-    ixd = tmp_path / "ix"
-    out = tmp_path / "hits.parquet"
-    assert main(["index", "--input", str(src), "--table", "docs",
-                 "--index-dir", str(ixd)]) == 0
-    # search without rebuild (no --input needed once built)
-    assert main(["index", "--index-dir", str(ixd), "--search",
-                 "gamma delta", "--mode", "and",
-                 "--output", str(out)]) == 0
-    hits = pq.read_table(out).to_pandas()
-    assert set(hits["doc_id"]) == set(range(0, 30, 5))
-    # bm25 mode returns ranked scores
-    out2 = tmp_path / "ranked.parquet"
-    assert main(["index", "--index-dir", str(ixd), "--search", "alpha",
-                 "--mode", "bm25", "--k", "3",
-                 "--output", str(out2)]) == 0
-    ranked = pq.read_table(out2).to_pandas()
-    assert list(ranked.columns) == ["rank", "doc_id", "score"]
-    assert len(ranked) == 3
-    assert (ranked["score"].diff().dropna() <= 0).all()
-    # unbuilt dir without --input is refused
-    with pytest.raises(SystemExit, match="needs"):
-        main(["index", "--index-dir", str(tmp_path / "nope"),
-              "--search", "x"])
-
-
-def test_index_incremental_merge_cli(tmp_path, ray_session):
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-
-    def write(dirname, ids):
-        d = tmp_path / dirname
-        d.mkdir()
-        pa.parquet.write_table(pa.Table.from_pandas(pd.DataFrame({
-            "doc_id": np.array(ids, dtype=np.int64),
-            "text": [f"alpha tok{i % 4} beta" for i in ids]}),
-            preserve_index=False), d / "docs.parquet")
-        return d
-
-    base_src = write("base", range(20))
-    new_src = write("new", range(100, 115))
-    assert main(["index", "--input", str(base_src), "--table", "docs",
-                 "--index-dir", str(tmp_path / "ixa"),
-                 "--buckets", "8"]) == 0
-    out = tmp_path / "hits.parquet"
-    assert main(["index", "--input", str(new_src), "--table", "docs",
-                 "--index-dir", str(tmp_path / "ixb"), "--buckets", "8",
-                 "--merge-base", str(tmp_path / "ixa"),
-                 "--merged-out", str(tmp_path / "ixm"),
-                 "--search", "alpha", "--mode", "and",
-                 "--output", str(out)]) == 0
-    hits = set(pq.read_table(out)["doc_id"].to_pylist())
-    assert hits == set(range(20)) | set(range(100, 115))
-    with pytest.raises(SystemExit, match="merged-out"):
-        main(["index", "--index-dir", str(tmp_path / "ixb"),
-              "--merge-base", str(tmp_path / "ixa")])
-
-
 def test_curate_split_partitions(tmp_path, ray_session):
     """--split writes deterministic hash-split hive partitions whose
     membership matches hash_split_stage exactly; bad specs refused."""
@@ -970,3 +898,17 @@ def test_rollup_subcommand_matches_duckdb(tmp_path, ray_session):
         GROUP BY ROLLUP(l_returnflag, l_linestatus)
         ORDER BY lvl, l_returnflag, l_linestatus""").df()
     pd.testing.assert_frame_equal(got, ref)
+
+
+def test_docstring_lists_every_subcommand():
+    """The module docstring documents exactly the subcommands the parser
+    registers, in the parser's order (no Ray session)."""
+    import argparse
+    import re
+
+    from libfilter_ray import job
+
+    sub = next(a for a in job.make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    documented = re.findall(r"^- ``(\w+)``", job.__doc__, re.M)
+    assert documented == list(sub.choices)

@@ -97,6 +97,56 @@ def test_graded_window_is_oracled():
     assert set(ORACLES) <= set(QUERIES)
 
 
+#: Every non-engine module the graded window may reach. Queries are chosen
+#: for the window so that it reaches the least code outside the engine; a
+#: query family is cut only once the window no longer reaches it.
+WINDOW_REACH = {
+    "libfilter_ray.sources.hibp", "libfilter_ray.stages.joins",
+    "libfilter_ray.functions.packing", "libfilter_ray.stages.rollup",
+    "libfilter_ray.stages.running", "libfilter_ray.stages.sample",
+    "libfilter_ray.functions.shingles", "libfilter_ray.stages.sink",
+    "libfilter_ray.functions.textstats",
+}
+
+
+def test_graded_window_reach():
+    """The graded window reaches no module outside the engine but
+    WINDOW_REACH (Ray-free AST walk). A query reaches the function-local
+    imports of its `q_*` function and of every module-level queries.py
+    function it names, transitively, plus queries.py's own module-level
+    imports; the set is then closed over module imports."""
+    import ast
+
+    from libfilter_ray.pipelines.queries import QUERIES
+    from test_engine_imports import ENGINE, libfilter_imports, module_path
+
+    name = "libfilter_ray.pipelines.queries"
+    path = module_path(name)
+    tree = ast.parse(path.read_text())
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    reach = libfilter_imports(path, name, ast.Module(
+        body=[s for s in tree.body
+              if isinstance(s, (ast.Import, ast.ImportFrom))],
+        type_ignores=[]))
+    todo = [QUERIES[k].__name__ for k in list(QUERIES)[:GRADED_WINDOW]]
+    seen: set[str] = set()
+    while todo:
+        f = todo.pop()
+        if f in seen:
+            continue
+        seen.add(f)
+        reach |= libfilter_imports(path, name, funcs[f])
+        todo += [n.id for n in ast.walk(funcs[f])
+                 if isinstance(n, ast.Name) and n.id in funcs]
+    todo, reach = list(reach), set()
+    while todo:
+        m = todo.pop()
+        if m not in reach:
+            reach.add(m)
+            todo += libfilter_imports(module_path(m), m)
+    assert sorted(reach - ENGINE - WINDOW_REACH) == []
+
+
 def test_bench_legs_match_registry():
     """bench.py calls only registered queries (every `q.q_*` it uses exists
     in pipelines/queries.py) and bands only legs it times."""
