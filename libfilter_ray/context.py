@@ -45,11 +45,13 @@ block size:
 At 8 MiB the probe has most of its gain; 16 and 32 MiB only cut its
 four files into two blocks. The lang input is at its floor of 2 blocks
 from 8 MiB up and ran fastest at 4 MiB (3 blocks). Its larger blocks
-pay for fresh pages: under Arrow's default (jemalloc) pool its
-synthesize and extract maps take ~45k more minor page faults per job at
+paid for fresh pages: under Arrow's default (jemalloc) pool its
+synthesize and extract maps took ~45k more minor page faults per job at
 8 MiB than at 1 MiB (~0.12 s of map time), and none under the system
-allocator. A larger floor would also raise the block size, and so each
-task's memory, of every read above 16 MiB per CPU on a larger host.
+allocator, which Ray workers now use (`_alloc.py`), so the sweep above
+overstates the cost of large blocks. A larger floor would also raise
+the block size, and so each task's memory, of every read above 16 MiB
+per CPU on a larger host.
 Ray's other limits stay as they were:
 
 - the floor of 2 blocks per CPU still wins for any input under
@@ -57,10 +59,15 @@ Ray's other limits stay as they were:
 - the cap of 200 blocks and 128 MiB per block still applies, so
   nothing changes for reads above 200 × 8 MiB = 1.6 GiB;
 - a read cut into more blocks than it has read tasks splits each
-  task's output and cannot fuse with the map after it
+  task's output (`SplitBlocks`) and cannot fuse with the map after it
   (`ray/data/_internal/logical/rules/operator_fusion.py`); with larger
   blocks that split is needed less often, and every operator after the
-  read, the keyed merge included, sees fewer blocks.
+  read, the keyed merge included, sees fewer blocks. `read_parquet`
+  has one read task per file, so a one-file read is always split.
+  `read_webpages` has one read task per run of consecutive row groups
+  instead, and its read is split only when the file has fewer row
+  groups than the read wants blocks (the benchmark's lang input, 8 row
+  groups, reads as 2 unsplit blocks fused with every map after them).
 
 `read_webpages(parallelism=)` still sets the block count outright.
 """

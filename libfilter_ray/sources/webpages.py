@@ -14,6 +14,8 @@ Everything here is vectorized pyarrow.compute — no per-row Python.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -106,20 +108,80 @@ def _replicate_docs(batch: pa.Table, factor: int) -> pa.Table:
     return pa.concat_tables(reps)
 
 
+def _read_row_groups(path: str, groups: list[int],
+                     columns: list[str]) -> list[pa.Table]:
+    """The read of one run of consecutive row groups: one block."""
+    import pyarrow.parquet as pq
+
+    return [pq.ParquetFile(path).read_row_groups(groups, columns=columns)]
+
+
+def _row_group_source(path: str, columns: list[str]):
+    """A Ray Datasource over one parquet file that reads one run of
+    consecutive row groups per task.
+
+    `ray.data.read_parquet` reads a file in one task; when the read must
+    give more blocks than it has files, Ray splits each task's output
+    (`SplitBlocks`), and a split read cannot fuse with the map after it
+    (Ray 2.49, `ray/data/_internal/logical/rules/operator_fusion.py`).
+    Cutting the row groups into `min(parallelism, row groups)` runs gives
+    one block per task, so the read fuses with every map after it. When
+    the file has fewer row groups than the read wants blocks, Ray adds
+    the same `SplitBlocks` to these tasks.
+
+    Defined here, not at module level, so that importing this module
+    (perfbench's input generator does, for `url_of`) stays Ray-free."""
+    import pyarrow.parquet as pq
+    import ray.data
+    from ray.data.block import BlockMetadata
+
+    class RowGroupDatasource(ray.data.Datasource):
+        def __init__(self):
+            meta = pq.read_metadata(path)
+            groups = [meta.row_group(g) for g in range(meta.num_row_groups)]
+            self._rows = [g.num_rows for g in groups]
+            # the footer's uncompressed bytes of the selected columns
+            self._bytes = [sum(
+                g.column(i).total_uncompressed_size
+                for i in range(g.num_columns)
+                if g.column(i).path_in_schema.split(".")[0] in columns)
+                for g in groups]
+            schema = meta.schema.to_arrow_schema()
+            self._schema = pa.schema([schema.field(c) for c in columns])
+
+        def estimate_inmemory_data_size(self) -> int:
+            return sum(self._bytes)
+
+        def get_read_tasks(self, parallelism: int):
+            runs = np.array_split(np.arange(len(self._rows)),
+                                  max(1, min(parallelism, len(self._rows))))
+            return [ray.data.ReadTask(
+                functools.partial(_read_row_groups, path, run.tolist(),
+                                  columns),
+                BlockMetadata(
+                    num_rows=sum(self._rows[g] for g in run),
+                    size_bytes=sum(self._bytes[g] for g in run),
+                    input_files=[path], exec_stats=None),
+                schema=self._schema) for run in runs]
+
+    return RowGroupDatasource()
+
+
 def read_webpages(sf_dir: str, *, include_html: bool = True,
                   replicate: int = 1, parallelism: int | None = None):
     """Ray Dataset of the web-page table for a testdata scale-factor dir.
 
-    Column-pruned read of documents.parquet -> vectorized synthesis stage.
-    `replicate` > 1 deterministically expands the corpus for benchmarking.
+    Column-pruned read of documents.parquet, one task per run of its row
+    groups (`_row_group_source`) -> vectorized synthesis stage.
+    `parallelism` sets the block count outright. `replicate` > 1
+    deterministically expands the corpus for benchmarking.
     """
     import ray.data
 
     cols = ["doc_id", "text", "lang", "source"]
-    kwargs = {"columns": cols}
-    if parallelism:
-        kwargs["override_num_blocks"] = parallelism
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", **kwargs)
+    ds = ray.data.read_datasource(
+        _row_group_source(f"{sf_dir}/documents.parquet", cols),
+        override_num_blocks=parallelism or None)
     if replicate > 1:
         # batch_size=None = one batch per block: a fixed batch_size here
         # coalesces many small read blocks into few huge tasks and collapses

@@ -1,5 +1,6 @@
 """Entry-point context posture (libfilter_ray/context.py): push-based
-sort exchange and the read block floor pinned."""
+sort exchange and the read block floor pinned; and the Arrow pool that
+`import libfilter_ray` sets in Ray workers (libfilter_ray/_alloc.py)."""
 from __future__ import annotations
 
 import numpy as np
@@ -56,3 +57,35 @@ def test_tiny_read_keeps_two_blocks_per_cpu(ray_session, tmp_path, rng):
     path = tmp_path / "tiny.parquet"
     pq.write_table(pa.table({"v": np.arange(1000)}), path)
     assert _read_blocks(path) >= _two_per_cpu()
+
+
+def _pool_in_fresh_python(code: str = "") -> str:
+    import subprocess
+    import sys
+
+    return subprocess.run(
+        [sys.executable, "-c", code + "import pyarrow as pa; "
+         "print(pa.default_memory_pool().backend_name)"],
+        capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_ray_workers_use_arrow_system_pool(ray_session):
+    """`import libfilter_ray` makes Arrow's system pool the default in a
+    Ray worker (its pages stay faulted) and leaves any other process's
+    pool as it was: the test driver's, and a plain python's."""
+    import ray
+
+    import libfilter_ray  # noqa: F401
+
+    @ray.remote
+    def worker_pool():
+        import pyarrow as pa
+
+        import libfilter_ray  # noqa: F401
+
+        return pa.default_memory_pool().backend_name
+
+    assert ray.get(worker_pool.remote()) == "system"
+    default = _pool_in_fresh_python()
+    assert pa.default_memory_pool().backend_name == default
+    assert _pool_in_fresh_python("import libfilter_ray; ") == default

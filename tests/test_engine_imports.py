@@ -109,3 +109,18 @@ def test_every_module_is_reached():
     every = {".".join(p.relative_to(PKG.parent).with_suffix("").parts)
              .removesuffix(".__init__") for p in PKG.rglob("*.py")}
     assert sorted(every - reached) == []
+
+
+def test_sources_import_without_ray():
+    """The sources import no Ray at module level: perfbench's input
+    generator imports them in a fresh process for `url_of` and
+    `documents_chunk`, and `import ray.data` there costs ~0.6 s."""
+    import subprocess
+    import sys
+
+    code = ("import sys, libfilter_ray.sources.webpages, "
+            "libfilter_ray.sources.synth_corpus; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ray'))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=PKG.parent,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
