@@ -24,6 +24,14 @@ package starts workers that never see it. The driver and any other
 process keep Arrow's default pool: with the system pool in every
 process, the benchmark's lang driver peaked 7-11 MB higher (265-268 MB
 against 257-258 MB, two runs each).
+
+The same worker-only branch pins polars (the page-body codec,
+`sources/webpages.replace_many`) to one thread, by `POLARS_MAX_THREADS`
+set before anything imports polars: left alone, polars sizes its pool
+from the worker's CPU affinity (on a 4-CPU affinity, a Ray worker's
+first codec call took it from 25 to 38 threads, and to 31 pinned), so N
+workers on an N-core host would start N threads each while Ray already
+runs one task per CPU.
 """
 
 from __future__ import annotations
@@ -62,6 +70,9 @@ def tune_allocator() -> bool:
     except Exception:  # pragma: no cover — non-glibc platform
         return False
     if _is_ray_worker():
+        # one polars thread per worker: Ray runs one task per CPU already,
+        # and polars would size its pool from the worker's CPU affinity
+        os.environ.setdefault("POLARS_MAX_THREADS", "1")
         import pyarrow as pa
 
         pa.set_memory_pool(pa.system_memory_pool())

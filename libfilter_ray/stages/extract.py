@@ -8,8 +8,9 @@ breaks, unescape entities. The article body is cut at marker offsets over the
 html's own value buffer (numpy offset arithmetic plus one Arrow `take`): it
 runs from the end of the FIRST `<article><p>` to the start of the LAST
 `</p></article>` (greedy, as `(?s)<article><p>(.*)</p></article>` would
-match). The unescaping is pyarrow.compute. Vectorized, stateless,
-parallelism-safe at any width.
+match). Line breaks and entities are then restored in one leftmost-first
+multi-pattern pass (`webpages.replace_many` over synthesis's table,
+inverted). Vectorized, stateless, parallelism-safe at any width.
 """
 
 from __future__ import annotations
@@ -18,8 +19,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..sources.webpages import MARKUP, replace_many
+
 _BODY_OPEN = "<article><p>"
 _BODY_CLOSE = "</p></article>"
+_UNMARKUP = {v: k for k, v in reversed(MARKUP.items())}
 
 
 def _article_body(s: pa.StringArray) -> pa.StringArray:
@@ -71,13 +75,7 @@ def extract_text(html: pa.Array | pa.ChunkedArray) -> pa.Array:
                                 type=pa.string())
     else:
         body = _article_body(s)
-    # restore line structure, then unescape (reverse order of synthesis)
-    body = pc.replace_substring(body, "</p><p>", "\n\n")
-    body = pc.replace_substring(body, "<br/>", "\n")
-    body = pc.replace_substring(body, "&lt;", "<")
-    body = pc.replace_substring(body, "&gt;", ">")
-    body = pc.replace_substring(body, "&amp;", "&")
-    return body
+    return replace_many(body, _UNMARKUP)
 
 
 def verify_extract_stage(batch: pa.Table) -> pa.Table:

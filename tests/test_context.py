@@ -89,3 +89,36 @@ def test_ray_workers_use_arrow_system_pool(ray_session):
     default = _pool_in_fresh_python()
     assert pa.default_memory_pool().backend_name == default
     assert _pool_in_fresh_python("import libfilter_ray; ") == default
+
+
+def _polars_threads_in_fresh_python(code: str = "") -> int:
+    import subprocess
+    import sys
+
+    return int(subprocess.run(
+        [sys.executable, "-c", code + "import polars as pl; "
+         "print(pl.thread_pool_size())"],
+        capture_output=True, text=True, check=True).stdout)
+
+
+def test_ray_workers_pin_polars_to_one_thread(ray_session):
+    """`import libfilter_ray` pins polars (the page-body codec) to one
+    thread in a Ray worker, where Ray already runs one task per CPU, and
+    leaves the pool of any other process as polars sizes it."""
+    import ray
+
+    import libfilter_ray  # noqa: F401
+
+    @ray.remote
+    def worker_threads():
+        import libfilter_ray  # noqa: F401
+        import polars as pl
+
+        return pl.thread_pool_size()
+
+    assert ray.get(worker_threads.remote()) == 1
+    default = _polars_threads_in_fresh_python()
+    assert _polars_threads_in_fresh_python("import libfilter_ray; ") == default
+    import polars as pl
+
+    assert pl.thread_pool_size() == default

@@ -112,15 +112,18 @@ def test_every_module_is_reached():
 
 
 def test_sources_import_without_ray():
-    """The sources import no Ray at module level: perfbench's input
-    generator imports them in a fresh process for `url_of` and
-    `documents_chunk`, and `import ray.data` there costs ~0.6 s."""
+    """The sources import no Ray and no polars at module level: perfbench's
+    input generator imports them in a fresh process for `url_of` and
+    `documents_chunk`, and `import ray.data` there costs ~0.6 s; polars
+    (the page-body codec's, imported where the codec runs) costs ~0.2 s
+    and ~32 MB in whichever process imports it."""
     import subprocess
     import sys
 
     code = ("import sys, libfilter_ray.sources.webpages, "
             "libfilter_ray.sources.synth_corpus; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ray'))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('ray', 'polars')))")
     out = subprocess.run([sys.executable, "-c", code], cwd=PKG.parent,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

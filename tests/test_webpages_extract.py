@@ -3,13 +3,18 @@ byte-identical extracted text per url)."""
 
 from __future__ import annotations
 
+from itertools import pairwise
+
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from libfilter_ray.sources.webpages import WEBPAGE_SCHEMA, synthesize_webpages
-from libfilter_ray.stages.extract import extract_text, verify_extract_stage
+from libfilter_ray.sources.webpages import (MARKUP, WEBPAGE_SCHEMA,
+                                            replace_many, synthesize_webpages)
+from libfilter_ray.stages.extract import (_UNMARKUP, extract_text,
+                                          verify_extract_stage)
 
 from conftest import SF_DIR
 
@@ -46,15 +51,26 @@ def test_extract_handles_tricky_text():
     assert extract_text(pages["html"]).to_pylist() == tricky["text"].to_pylist()
 
 
+#: The codec as chained single-pattern passes, in order: the semantic
+#: reference of the one-pass rewrite (`replace_many`)
+_ESCAPE_CHAIN = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"),
+                 ("\n\n", "</p><p>"), ("\n", "<br/>"))
+_UNESCAPE_CHAIN = (("</p><p>", "\n\n"), ("<br/>", "\n"), ("&lt;", "<"),
+                   ("&gt;", ">"), ("&amp;", "&"))
+
+
+def _chained(col, chain):
+    for old, new in chain:
+        col = pc.replace_substring(col, old, new)
+    return col
+
+
 def _regex_extract(html):
     """The RE2 capture the offset cut replaces: the semantic reference."""
     s = pc.cast(html, pa.string())
     groups = pc.extract_regex(s, r"(?s)<article><p>(?P<body>.*)</p></article>")
     body = pc.if_else(pc.is_valid(groups), pc.struct_field(groups, "body"), s)
-    for old, new in (("</p><p>", "\n\n"), ("<br/>", "\n"), ("&lt;", "<"),
-                     ("&gt;", ">"), ("&amp;", "&")):
-        body = pc.replace_substring(body, old, new)
-    return body
+    return _chained(body, _UNESCAPE_CHAIN)
 
 
 _O, _C = "<article><p>", "</p></article>"
@@ -119,3 +135,62 @@ def test_determinism():
     a = synthesize_webpages(_docs_batch(100))
     b = synthesize_webpages(_docs_batch(100))
     assert a.equals(b)
+
+
+# Rows heavy in the codec's bytes: its patterns and replacements, their
+# fragments, and multi-byte UTF-8.
+_TOKENS = ["&", "<", ">", ";", "/", "\n", "\n\n", "a", "p", "br", "lt",
+           "gt", "amp", "&amp;", "&lt;", "&gt;", "<br/>", "</p><p>", "</p>",
+           "<p>", "<br", "&am", "é", "世", "\U0001f600"]
+_CODEC_ROWS = st.lists(st.one_of(
+    st.none(), st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join)),
+    max_size=12)
+
+
+def _codec_cases(rows, lo, n, cuts):
+    """A string Array of `rows` sliced at [lo, lo + n), and the same values
+    as a ChunkedArray cut at `cuts` (repeated cuts give empty chunks; no
+    values give zero chunks)."""
+    arr = pa.array(rows, type=pa.string()).slice(lo, n)
+    bounds = [0, *sorted(min(c, len(arr)) for c in cuts), len(arr)]
+    chunks = [arr.slice(a, b - a) for a, b in pairwise(bounds)] \
+        if len(arr) else []
+    return arr, pa.chunked_array(chunks, type=pa.string())
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_CODEC_ROWS, lo=st.integers(0, 12), n=st.integers(0, 12),
+       cuts=st.lists(st.integers(0, 12), max_size=3))
+@example(rows=["\n\n\n", "&amp;lt;", "<br/></p><p>", None], lo=0, n=4,
+         cuts=[2, 2])
+@example(rows=[None, None], lo=1, n=1, cuts=[0])
+@example(rows=[], lo=0, n=0, cuts=[])
+def test_codec_matches_chained_passes(rows, lo, n, cuts):
+    """One leftmost-first pass per direction equals the five chained
+    `replace_substring` passes, keeps nulls, slices and the chunk layout
+    (empty and zero chunks included), and unescaping inverts escaping."""
+    for col in _codec_cases(rows, lo, n, cuts):
+        for table, chain in ((MARKUP, _ESCAPE_CHAIN),
+                             (_UNMARKUP, _UNESCAPE_CHAIN)):
+            got, want = replace_many(col, table), _chained(col, chain)
+            assert type(got) is type(col) and got.type == pa.string()
+            assert got.equals(want)
+            if isinstance(col, pa.ChunkedArray):
+                assert [len(c) for c in got.chunks] == \
+                    [len(c) for c in col.chunks]
+        assert replace_many(replace_many(col, MARKUP), _UNMARKUP).equals(col)
+
+
+@pytest.mark.parametrize("text,html", [
+    # a scan that is not leftmost-first finds "\n" before "\n\n" here
+    ("\n\n\n", "</p><p><br/>"),
+    ("a\n\nb\n", "a</p><p>b<br/>"),
+    # escaped text that looks like markup or like an entity
+    ("&amp;lt;", "&amp;amp;lt;"),
+    ("<br/></p><p>", "&lt;br/&gt;&lt;/p&gt;&lt;p&gt;"),
+    ("&lt;\n>", "&amp;lt;<br/>&gt;"),
+])
+def test_codec_pinned_cases(text, html):
+    col = pa.array([text])
+    assert replace_many(col, MARKUP).to_pylist() == [html]
+    assert replace_many(pa.array([html]), _UNMARKUP).to_pylist() == [text]
