@@ -139,9 +139,11 @@ class BlockBloom:
                 f"block filter payload must be a positive multiple of "
                 f"{BUCKET_BYTES} bytes, got {len(data)}")
         f = cls.__new__(cls)
-        arr = np.frombuffer(data, dtype="<u4").astype(U32)
-        f.num_buckets = len(arr) // 8
-        f.buckets = arr.reshape(f.num_buckets, 8).copy()
+        f.num_buckets = len(data) // BUCKET_BYTES
+        # astype copies (the one copy: a writable array owning its memory);
+        # the reshape of that fresh array is a view
+        f.buckets = np.frombuffer(data, dtype="<u4").astype(U32).reshape(
+            f.num_buckets, 8)
         return f
 
     # -- int-array serde (== c/lib/block.c:47-53, the Java-interop

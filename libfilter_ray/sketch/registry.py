@@ -13,6 +13,11 @@ every sketch is a class with
     finalize() -> self        freeze/compact (optional no-op)
     to_bytes() / from_bytes   self-describing payload (except BlockBloom,
                               whose raw format is pinned to the reference's)
+    build_keys(params, hashes, bounds)
+                              optional classmethod: the to_bytes() of one
+                              fresh sketch per key, key i fed
+                              hashes[bounds[i]:bounds[i+1]] -- the same
+                              bytes as the per-key loop (TaffyBlock only)
 
 New sketches register with @register and become available to config-driven
 pipelines by `kind` string.

@@ -23,6 +23,18 @@ the reference.
 
 Adds are vectorized: a batch is split at ttl boundaries and each chunk goes
 through BlockBloom's vectorized scatter.
+
+Grouped build (`TaffyBlock.build_keys`): a block's per-key partials are
+built for every key at once rather than one filter per key. Each row's
+rank within its key maps to its level (level x holds ranks
+[ndv_eff*(2^x-1), ndv_eff*(2^(x+1)-1)) -- exactly where the sequential
+ttl split puts it); the keys' `TBF1` payloads are laid out in one buffer,
+headers, counts, ttl and cursor written per group of keys with the same
+level count, and one `np.bitwise_or.at` per bucket lane scatters every
+row's masks into its key's level in place. The bytes equal the sequential
+per-key `TaffyBlock(**params).update(h).to_bytes()`. Keys are built in
+runs of at most `BUILD_RUN_BYTES` of payload, so the working memory
+does not grow with the number of keys in a block.
 """
 
 from __future__ import annotations
@@ -32,11 +44,29 @@ import struct
 import numpy as np
 
 from . import sizing
-from .block_bloom import BlockBloom
+from .block_bloom import BlockBloom, _bucket_index, _masks
+from .sizing import BUCKET_BYTES
 from .registry import register
 
 _SUM = 6.0 / (3.1415 ** 2)
 MAX_LEVELS = 48
+#: Payload bytes `TaffyBlock.build_keys` lays out at once: keys are built
+#: in runs of up to this many bytes of payload (a key whose payload alone
+#: is larger is built alone).
+BUILD_RUN_BYTES = 8 << 20
+_HEADER = "<QdQqQi"
+#: A `TBF1` payload's header as a numpy record: magic, then `_HEADER`.
+_HEADER_DTYPE = np.dtype([
+    ("magic", "S4"), ("ndv", "<u8"), ("fpp", "<f8"), ("ndv_eff", "<u8"),
+    ("ttl", "<i8"), ("last_ndv", "<u8"), ("cursor", "<i4")])
+
+
+def _level_of(rank: np.ndarray, ndv_eff: int) -> np.ndarray:
+    """Level holding each 0-based insert rank: x with ndv_eff*(2^x-1) <=
+    rank < ndv_eff*(2^(x+1)-1), i.e. bit_length(rank // ndv_eff + 1) - 1
+    (frexp's exponent is exact for integers below 2^53). Rank -1 maps to
+    level -1."""
+    return np.frexp((rank // ndv_eff + 1).astype(np.float64))[1] - 1
 
 
 @register
@@ -56,8 +86,8 @@ class TaffyBlock:
         self.counts: list[int] = [0]  # inserts per level (engine bookkeeping)
         self._ndv_eff = ndv_eff
 
-    # level plan is derived lazily — computing 48 bytes_needed calls up front
-    # costs ~10ms each at large ndv; only materialize the sizes we open.
+    # level plan is derived lazily: each size is a bytes_needed search
+    # (a few ms on a cache miss); only materialize the sizes we open.
     def _level_size(self, x: int) -> int:
         return sizing.block_bytes_needed(
             self._ndv_eff << x, self.fpp_param / ((x + 1) ** 2) * _SUM)
@@ -146,7 +176,7 @@ class TaffyBlock:
 
     def to_bytes(self) -> bytes:
         parts = [self._MAGIC,
-                 struct.pack("<QdQqQi", self.ndv_param, self.fpp_param,
+                 struct.pack(_HEADER, self.ndv_param, self.fpp_param,
                              self._ndv_eff, self.ttl, self.last_ndv,
                              self.cursor)]
         for lvl, cnt in zip(self.levels, self.counts):
@@ -161,8 +191,8 @@ class TaffyBlock:
             raise ValueError("bad taffy block payload")
         off = 4
         ndv, fpp, ndv_eff, ttl, last_ndv, cursor = struct.unpack_from(
-            "<QdQqQi", data, off)
-        off += struct.calcsize("<QdQqQi")
+            _HEADER, data, off)
+        off += struct.calcsize(_HEADER)
         t = cls.__new__(cls)
         t.ndv_param, t.fpp_param = ndv, fpp
         t._ndv_eff, t.ttl, t.last_ndv = ndv_eff, ttl, last_ndv
@@ -174,6 +204,93 @@ class TaffyBlock:
             t.counts.append(cnt)
             off += ln
         return t
+
+    # -- grouped build ----------------------------------------------------
+    @classmethod
+    def build_keys(cls, params: dict, hashes: np.ndarray,
+                   bounds: np.ndarray) -> list[bytes]:
+        """`to_bytes()` of one fresh `TaffyBlock(**params)` per key, key i
+        fed ``hashes[bounds[i]:bounds[i+1]]`` in order -- byte-identical to
+        building each key sequentially, in a fixed number of numpy passes
+        per run of keys (see the module docstring)."""
+        proto = cls(**params)
+        ndv_eff = proto._ndv_eff
+        if ndv_eff < 1:  # sequential adds would never find room either
+            raise ValueError("taffy block plan holds 0 keys per level")
+        hashes = np.ascontiguousarray(hashes, dtype=np.uint64)
+        bounds = np.asarray(bounds, dtype=np.int64)
+        n = np.diff(bounds)
+        if not len(n):
+            return []
+        cursor = np.maximum(_level_of(n - 1, ndv_eff) + 1, 1)
+        top = int(cursor.max())
+        if top > MAX_LEVELS:
+            raise OverflowError("taffy block filter exceeded 48 levels")
+        sizes = [proto.levels[0].size_in_bytes()] + [
+            proto._level_size(x) for x in range(1, top)]
+        # byte offset of level x's (count, bytes) pair in a payload; entry
+        # c is the length of a payload with c levels
+        pair_at = np.cumsum([_HEADER_DTYPE.itemsize] + [16 + b for b in sizes])
+        ends = np.cumsum(pair_at[cursor])
+        out: list[bytes] = []
+        k0 = 0
+        while k0 < len(n):
+            base = ends[k0 - 1] if k0 else 0
+            k1 = max(k0 + 1, int(np.searchsorted(
+                ends, base + BUILD_RUN_BYTES, side="right")))
+            out += proto._build_run(hashes, bounds[k0:k1 + 1], n[k0:k1],
+                                    cursor[k0:k1], sizes, pair_at)
+            k0 = k1
+        return out
+
+    def _build_run(self, hashes, bounds, n, cursor, sizes,
+                   pair_at) -> list[bytes]:
+        """`build_keys` over one run of keys (``bounds`` has one more entry
+        than the run has keys); `self` is a fresh filter of the params.
+
+        The run's payloads are laid out back to back in one zeroed buffer,
+        ordered by level count, so the payloads with c levels form one
+        (keys x bytes) block: per key the header, then per level its
+        (count, bytes) pair and its buckets. Every offset is a multiple of
+        8 bytes, so `np.bitwise_or.at` over the buffer's u64 words ORs
+        every row's masks into its key's level in place, one call per
+        lane of the bucket."""
+        ndv_eff, k = self._ndv_eff, len(n)
+        lens = pair_at[cursor]
+        order = np.argsort(cursor, kind="stable")
+        start = np.empty(k, dtype=np.int64)
+        start[order] = np.cumsum(lens[order]) - lens[order]
+        buf = np.zeros(int(lens.sum()), dtype=np.uint8)
+        for c in np.unique(cursor).tolist():
+            keys = order[cursor[order] == c]
+            s0 = int(start[keys[0]])
+            block = buf[s0:s0 + len(keys) * int(pair_at[c])].reshape(
+                len(keys), -1)
+            counts = [np.minimum(ndv_eff << x,
+                                 n[keys] - ndv_eff * ((1 << x) - 1))
+                      for x in range(c)]
+            head = block[:, :_HEADER_DTYPE.itemsize].view(_HEADER_DTYPE)
+            head["magic"], head["ndv"], head["fpp"] = (
+                self._MAGIC, self.ndv_param, self.fpp_param)
+            head["ndv_eff"], head["cursor"] = ndv_eff, c
+            head["last_ndv"] = ndv_eff << (c - 1)
+            head["ttl"] = (ndv_eff << (c - 1)) - counts[-1][:, None]
+            for x in range(c):
+                pair = block[:, pair_at[x]:pair_at[x] + 16].view("<u8")
+                pair[:, 0], pair[:, 1] = counts[x], sizes[x]
+        r0 = int(bounds[0])
+        h = hashes[r0:int(bounds[-1])]
+        owner = np.repeat(np.arange(k), n)
+        level = _level_of(np.arange(len(h)) - (bounds[:-1] - r0)[owner],
+                          ndv_eff)
+        nb = np.asarray(sizes, dtype=np.uint64) // np.uint64(BUCKET_BYTES)
+        word = ((start[owner] + pair_at[level] + 16) // 8
+                + 4 * _bucket_index(h, nb[level]).astype(np.int64))
+        words, masks = buf.view(np.uint64), _masks(h).view(np.uint64)
+        for lane in range(4):
+            np.bitwise_or.at(words, word + lane, masks[:, lane])
+        return [buf[a:a + b].tobytes()
+                for a, b in zip(start.tolist(), lens.tolist())]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TaffyBlock)

@@ -273,27 +273,47 @@ class _MultiGroupedPartialBuilder:
         partial of a FIXED-SIZE sketch (e.g. a corpus-sized BlockBloom)
         costs its full size however few rows it holds, and partial count
         scales with blocks x keys, so a hash-consuming spec's key whose hash
-        list is under half the sketch's size ships THAT."""
+        list is under half the sketch's size ships THAT.
+
+        A hash-consuming kind with a `build_keys(params, hashes, bounds)`
+        classmethod (TaffyBlock) builds the sketches of every key that
+        ships one in one grouped call; other kinds build one sketch per
+        key."""
         _keys, bounds, hashes, values = split
         hashing = _takes_hashes(kind, self.pre_hashed)
+        cls = registry.get(kind)
+        n = np.diff(bounds)
         budget = 0
         if self.raw is None and hashing:
-            probe = registry.make(kind, **params)
+            probe = cls(**params)
             budget = (probe.size_in_bytes() if hasattr(probe, "size_in_bytes")
                       else len(probe.to_bytes())) // 2
-        payloads, fmts = [], []
-        for b0, b1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            if self.raw or (b1 - b0) * 8 < budget:
-                payloads.append(hashes[column][b0:b1].tobytes())
-                fmts.append("raw")
-                continue
-            sk = registry.make(kind, **params)
-            if hashing:
-                sk.update(hashes[column][b0:b1])
-            else:
-                _updates_from(values[column].slice(b0, b1 - b0), sk, self.seed)
-            payloads.append(sk.to_bytes())
-            fmts.append("sketch")
+        raw = np.ones(len(n), dtype=bool) if self.raw else n * 8 < budget
+        payloads = [hashes[column][b0:b1].tobytes() if r else None
+                    for b0, b1, r in zip(bounds[:-1].tolist(),
+                                         bounds[1:].tolist(), raw.tolist())]
+        fmts = ["raw" if r else "sketch" for r in raw.tolist()]
+        built = np.flatnonzero(~raw)
+        build_keys = getattr(cls, "build_keys", None) if hashing else None
+        if build_keys is not None and len(built):
+            h = hashes[column]
+            if raw.any():
+                h = h[np.repeat(~raw, n)]
+            sketches = build_keys(params, h,
+                                  np.concatenate([[0], np.cumsum(n[built])]))
+        else:
+            sketches = []
+            for i in built.tolist():
+                b0, b1 = int(bounds[i]), int(bounds[i + 1])
+                sk = cls(**params)
+                if hashing:
+                    sk.update(hashes[column][b0:b1])
+                else:
+                    _updates_from(values[column].slice(b0, b1 - b0), sk,
+                                  self.seed)
+                sketches.append(sk.to_bytes())
+        for i, p in zip(built.tolist(), sketches):
+            payloads[i] = p
         return payloads, fmts
 
     def partials(self, batch: pa.Table):

@@ -15,7 +15,7 @@ from libfilter_ray.sketch.hashing import hash_arrow_array
 from libfilter_ray.sketch import registry
 from libfilter_ray.stages import sketch_build as sb
 
-from conftest import SF_DIR, SF_DIR_01
+from conftest import SF_DIR, SF_DIR_01, rand_u64
 
 
 @pytest.fixture()
@@ -54,6 +54,34 @@ def test_global_build_forced_exchange(docs, monkeypatch):
     tbl = docs.to_pandas()
     local.add_hashes(hash_arrow_array(pa.array(tbl["text"].tolist())))
     assert dist == local
+
+
+@pytest.mark.parametrize("raw", [None, False])
+def test_partials_build_taffy_keys_grouped(raw, rng):
+    """The partial builder builds every key that ships a TaffyBlock sketch
+    in one grouped `build_keys` call: each payload equals that key's
+    sequential per-key build, and under `raw=None` the keys below half the
+    filter's size still ship their hash lists."""
+    from libfilter_ray.sketch.taffy_block import TaffyBlock
+
+    params = {"ndv": 256, "fpp": 0.01}
+    counts = [1, 3, 40, 2, 300, 7, 65, 1000]
+    keys = np.repeat(np.arange(len(counts)), counts)
+    rng.shuffle(keys)
+    t = pa.table({"k": keys, "v": rand_u64(rng, len(keys)).astype(str)})
+    split = sb.split_by_key(t, "k", {"v"})
+    bld = sb._MultiGroupedPartialBuilder(
+        [("s", "taffy_block", params, "v")], "k", 0, raw=raw)
+    payloads, fmts = bld._key_payloads(split, "taffy_block", params, "v")
+    bounds, h = split[1], split[2]["v"]
+    budget = TaffyBlock(**params).size_in_bytes() // 2 if raw is None else 0
+    for i, (b0, b1) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if (b1 - b0) * 8 < budget:
+            assert (fmts[i], payloads[i]) == ("raw", h[b0:b1].tobytes())
+        else:
+            want = TaffyBlock(**params).update(h[b0:b1]).to_bytes()
+            assert (fmts[i], payloads[i]) == ("sketch", want)
+    assert set(fmts) == ({"raw", "sketch"} if raw is None else {"sketch"})
 
 
 def test_grouped_build_no_false_negatives(docs):

@@ -1,14 +1,19 @@
 """TaffyBlock conformance — byte-exact level parity with the compiled C
 reference (tests/golden/taffy_block_golden.txt incl. growth), plus growth /
-merge / serde properties."""
+merge / serde properties, and the grouped build (`TaffyBlock.build_keys`)
+against the sequential per-key build."""
 
 from __future__ import annotations
 
 import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from libfilter_ray.sketch import sizing, taffy_block
 from libfilter_ray.sketch.taffy_block import TaffyBlock
 
 from conftest import rand_u64
@@ -93,3 +98,82 @@ def test_registered():
 
     assert "taffy_block" in registry.kinds()
     assert "taffy_cuckoo" in registry.kinds()
+
+
+# -- grouped build (TaffyBlock.build_keys) --------------------------------
+#: (ndv, fpp) plans: ndv 0 at fpp 0.1 sits below the capacity floor
+#: block_capacity(1, fpp*6/pi^2) = 1, so ndv_eff is the floor there.
+PLANS = [(0, 0.1), (1, 0.01), (3, 0.1), (64, 0.01), (100, 1e-4),
+         (1024, 0.01)]
+
+
+def _sequential(params, hashes, bounds):
+    return [TaffyBlock(**params).update(hashes[b0:b1]).to_bytes()
+            for b0, b1 in zip(bounds[:-1], bounds[1:])]
+
+
+def test_plans_cover_the_capacity_floor():
+    ndv, fpp = PLANS[0]
+    assert ndv < sizing.block_capacity(1, fpp * taffy_block._SUM)
+    assert TaffyBlock(ndv=ndv, fpp=fpp)._ndv_eff == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PLANS), st.data())
+def test_build_keys_equals_sequential(plan, data):
+    """The grouped build's payloads are the per-key sequential build's
+    bytes, for counts that fill a level exactly (ndv_eff*(2^c-1)), one
+    past or short of it, single rows and arbitrary counts; for one key;
+    and under a run budget small enough to cut the keys into runs."""
+    params = {"ndv": plan[0], "fpp": plan[1]}
+    eff = TaffyBlock(**params)._ndv_eff
+    fill = st.integers(1, 4).map(lambda c: eff * ((1 << c) - 1))
+    count = st.one_of(fill, fill.map(lambda n: n + 1),
+                      fill.map(lambda n: n - 1).filter(bool),
+                      st.just(1), st.integers(1, 3 * eff + 2))
+    counts = data.draw(st.lists(count, min_size=1, max_size=12))
+    budget = data.draw(st.sampled_from(
+        [taffy_block.BUILD_RUN_BYTES, 1, 4096]))
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    hashes = rand_u64(rng, int(bounds[-1]))
+    with mock.patch.object(taffy_block, "BUILD_RUN_BYTES", budget):
+        got = TaffyBlock.build_keys(params, hashes, bounds)
+    assert got == _sequential(params, hashes, bounds)
+
+
+def test_build_keys_zero_keys():
+    empty = np.zeros(0, dtype=np.uint64)
+    assert TaffyBlock.build_keys({"ndv": 64, "fpp": 0.01}, empty, [0]) == []
+
+
+def test_build_keys_rejects_a_plan_that_cannot_grow():
+    """ndv 0 under the capacity floor 0 plans levels of 0 keys each: the
+    sequential add never finds room, the grouped build refuses."""
+    with pytest.raises(ValueError):
+        TaffyBlock.build_keys({"ndv": 0, "fpp": 0.01},
+                              np.arange(3, dtype=np.uint64), [0, 3])
+
+
+def test_build_keys_stays_within_run_budget(rng):
+    """400 keys of a 2^16-ndv filter (~80 KB each, ~31 MB together) build
+    with at most BUILD_RUN_BYTES (8 MiB) plus ~1 MiB of transient
+    memory beyond the payloads returned; a key whose filter alone exceeds
+    a small budget is built alone, with the same bytes."""
+    params = {"ndv": 1 << 16, "fpp": 0.01}
+    counts = np.tile([1, 3, 2], 134)[:400]
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    hashes = rand_u64(rng, int(bounds[-1]))
+    TaffyBlock.build_keys(params, hashes, bounds[:2])  # warm the plan cache
+    tracemalloc.start()
+    try:
+        got = TaffyBlock.build_keys(params, hashes, bounds)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    total = sum(map(len, got))
+    assert total > 3 * taffy_block.BUILD_RUN_BYTES
+    assert peak - held <= taffy_block.BUILD_RUN_BYTES + (1 << 20)
+    with mock.patch.object(taffy_block, "BUILD_RUN_BYTES", 1024):
+        small = TaffyBlock.build_keys(params, hashes, bounds[:6])
+    assert small == got[:5] == _sequential(params, hashes, bounds[:6])
